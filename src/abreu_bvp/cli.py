@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure to converge,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -72,11 +73,7 @@ def _load_config(args) -> RunConfig:
     if args.resolution is not None:
         if args.resolution < 4:
             raise ConfigError("resolution must be at least 4")
-        cfg = RunConfig(domain=cfg.domain, gspec=cfg.gspec, f_spec=cfg.f_spec,
-                        phi=cfg.phi, psi=cfg.psi, g_expr=cfg.g_expr,
-                        resolution=args.resolution,
-                        continuation=cfg.continuation,
-                        output_dir=cfg.output_dir, base_dir=cfg.base_dir)
+        cfg = dataclasses.replace(cfg, resolution=args.resolution)
     return cfg
 
 

@@ -27,10 +27,8 @@ _KEYS = {
     "domain": ("kind", "a", "b", "radius", "semi_a", "semi_b"),
     "g": ("theta",),
     "problem": ("f", "phi", "psi", "g"),
-    "solver": ("resolution", "t_steps", "rho", "fixed_point_tol",
-               "max_picard_iters", "w_floor", "max_step_halvings",
-               "newton_tol", "max_newton_iters", "damping_min", "init_mode",
-               "linear_tol", "max_linear_iters", "solver_kind"),
+    "solver": ("resolution", "t_steps", "w_floor", "max_step_halvings",
+               "newton_tol", "max_newton_iters", "damping_min", "linear_tol"),
     "output": ("directory",),
 }
 
@@ -249,25 +247,14 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                                         MAOptions.max_newton_iters),
             damping_min=reader.get("solver", "damping_min", float,
                                    MAOptions.damping_min),
-            init_mode=reader.get("solver", "init_mode", str,
-                                 MAOptions.init_mode),
         )
         lin = LinSolveOptions(
             linear_tol=reader.get("solver", "linear_tol", float,
                                   LinSolveOptions.linear_tol),
-            max_linear_iters=reader.get("solver", "max_linear_iters", _to_int,
-                                        LinSolveOptions.max_linear_iters),
-            solver_kind=reader.get("solver", "solver_kind", str,
-                                   LinSolveOptions.solver_kind),
         )
         cont = ContinuationOptions(
             t_steps=reader.get("solver", "t_steps", _to_int,
                                ContinuationOptions.t_steps),
-            rho=reader.get("solver", "rho", float, ContinuationOptions.rho),
-            fixed_point_tol=reader.get("solver", "fixed_point_tol", float,
-                                       ContinuationOptions.fixed_point_tol),
-            max_picard_iters=reader.get("solver", "max_picard_iters", _to_int,
-                                        ContinuationOptions.max_picard_iters),
             w_floor=reader.get("solver", "w_floor", float,
                                ContinuationOptions.w_floor),
             max_step_halvings=reader.get("solver", "max_step_halvings",

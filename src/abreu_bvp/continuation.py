@@ -1,16 +1,23 @@
-"""Damped fixed-point continuation for the second boundary value problem.
+"""Newton continuation for the second boundary value problem.
 
-The inner map sends w to the solution w_t of the linearized problem built
-on u with det D^2 u = Theta(w): first the Monge-Ampere Dirichlet solve,
-then the linear solve with the cofactor coefficients and data
-t psi + (1 - t).  At t = 0 the map is constant (w = 1); t is driven to 1
-with damped Picard iteration and adaptive step halving.  Iterates are
-clamped below at w_floor, and a step that keeps hitting the clamp until the
-halving budget runs out is reported as suspected nonexistence.
+The fourth-order equation is solved as the coupled second-order system
 
-Strong sources destabilize the fixed point of the damped map while the
-solution itself persists, so a stalled inner iteration falls back to Newton
-on the coupled system (see _coupled_newton) before the step is abandoned.
+    det D^2 u = Theta(w),    U^{ij} w_{ij} = t f,
+
+with u = phi and w = t psi + (1 - t) on the boundary, where U is the
+cofactor matrix of D^2 u and Theta inverts G'.  At t = 0 the solution is
+w = 1 (or a given initial w0) with u from one Monge-Ampere solve.  t is
+then driven to 1 in t_steps equal steps; each step is a Newton solve of the
+coupled system on the stacked (u, w) unknowns, started from the previous
+step's solution.  A failed step is retried at half the size, within a
+budget of max_step_halvings halvings for the whole run.  Newton keeps
+w > 0.  A failed step shows the floor (floor_hit) when its last iterate
+has min w below w_floor, or when the w-equation solved alone on its last
+u would; if the halving budget runs out on such a step, the run reports
+suspected nonexistence (WFloorError).
+
+phi_map, one sweep of the splitting (a Monge-Ampere solve, then the linear
+solve in cofactor form), is kept as an independent fixed-point check.
 """
 
 from __future__ import annotations
@@ -22,34 +29,29 @@ from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
 from .estimates import DiagnosticsReport, standard_diagnostics
-from .exceptions import ContinuationError, SolverError, WFloorError
+from .exceptions import ContinuationError, WFloorError
 from .functionals import el_residual
 from .gfamily import invert_w
 from .lin_ma import LinSolveOptions, assemble_operator, solve_linearized
 from .ma_dirichlet import MAOptions, solve_ma
 from .mesh import (ScalarField, cofactor, det_field, hessian,
-                   is_positive_definite)
+                   is_positive_definite, sym_det)
 from .problem import Problem
 
 
 @dataclass(frozen=True)
 class ContinuationOptions:
     t_steps: int = 10
-    rho: float = 0.5
-    fixed_point_tol: float = 1e-9
-    max_picard_iters: int = 80
     w_floor: float = 1e-6
     max_step_halvings: int = 6
     ma: MAOptions = field(default_factory=MAOptions)
     lin: LinSolveOptions = field(default_factory=LinSolveOptions)
 
     def __post_init__(self):
-        if self.t_steps < 1 or self.max_picard_iters < 1:
-            raise ValueError("t_steps and max_picard_iters must be >= 1")
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError("picard damping rho must be in (0, 1]")
-        if self.fixed_point_tol <= 0.0 or self.w_floor <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.t_steps < 1:
+            raise ValueError("t_steps must be >= 1")
+        if self.w_floor <= 0.0:
+            raise ValueError("w_floor must be positive")
         if self.max_step_halvings < 0:
             raise ValueError("max_step_halvings must be >= 0")
 
@@ -84,211 +86,144 @@ def phi_map(w: ScalarField, t: float, problem: Problem,
     return w_t, u
 
 
-def _projected_miss(gaps, used, opts):
-    """True when damped iteration clearly cannot reach tolerance in budget."""
-    if len(gaps) < 6:
-        return False
-    rate = (gaps[-1] / gaps[-4]) ** (1.0 / 3.0)
-    if not np.isfinite(rate) or rate >= 1.0:
-        return True
-    remaining = np.log(opts.fixed_point_tol / gaps[-1]) / np.log(rate)
-    return used + remaining > opts.max_picard_iters
+_NEWTON_TOL = 1e-11       # scaled coupled residual that ends a step
+_NEWTON_ACCEPT = 1e-8     # still converged if the line search stalls here
+_NEWTON_MAX_ITERS = 30
+# Where no solution exists, Newton keeps pushing w toward zero and the
+# positivity cut shrinks the damping geometrically; ending the step at this
+# damping, not after the full iteration budget, reaches the verdict sooner.
+_DAMPING_MIN = 1e-2
 
 
-def _dets(H) -> np.ndarray:
-    d = H.data
-    if d.shape[1] == 1:
-        return d[:, 0, 0].copy()
-    return d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] ** 2
-
-
-_RESCUE_TOL = 1e-11       # scaled-residual target for the coupled solve
-_RESCUE_ACCEPT = 1e-8     # still usable if progress dies at this level
-_RESCUE_MAX_ITERS = 30
-
-
-def _coupled_newton(w, t, problem, opts, u_init):
-    """Newton on the coupled system det D²u = Θ(w), U^{ij}w_{ij} = t f.
+def _newton_step(uv, wv, t, problem, opts):
+    """Newton on the coupled system at parameter t, from node values (uv, wv).
 
     The Jacobian is exact: the determinant block assembles with cofactor
     coefficients of D²u, and in two dimensions the cofactor pairing is
     symmetric (cof(A):B = cof(B):A), so the derivative of U^{ij}w_{ij} in u
-    assembles with cofactor coefficients built from D²w.  Each iteration is
-    one sparse solve on the stacked (u, w) unknowns, so a repelling fixed
-    point of the damped map is still reachable.
+    assembles with cofactor coefficients built from D²w.  Steps are damped
+    by Deuflhard's natural-monotonicity test, with one factorization per
+    iteration, and cut short so that w stays positive.
+
+    Returns the final (uv, wv) and the step's outcome for the trace.
     """
     grid = problem.grid
     n = grid.n_interior
-    failure = {"ok": False, "w": w, "u": u_init, "floor_hit": False,
-               "iterations": 0, "gap": np.inf, "error": None,
-               "rescued": True}
-    if u_init is None:
-        try:
-            _, u_init = phi_map(w, t, problem, opts)
-        except SolverError as exc:
-            failure["floor_hit"] = isinstance(exc, WFloorError)
-            failure["error"] = str(exc)
-            return failure
-    p = 1.0 / (problem.gspec.theta - 1.0)
-    floor = opts.w_floor
+    gspec = problem.gspec
     f_int = t * problem.f.interior
-    w_tb = t * problem.psi + (1.0 - t)
-    uv = u_init.values.copy()
-    uv[n:] = problem.phi
-    wv = np.concatenate([w.interior, w_tb])
+    uv = uv.copy()
+    wv = wv.copy()
+    wv[n:] = t * problem.psi + (1.0 - t)
     s2 = max(1.0, float(np.max(np.abs(f_int))))
 
-    def parts(uvals, wvals):
+    def residual(uvals, wvals):
         Hu = hessian(ScalarField(grid, uvals), grid)
-        wi = np.maximum(wvals[:n], floor)
+        theta = invert_w(gspec, wvals[:n])
         A_w, B_w = assemble_operator(grid, cofactor(Hu, grid))
-        r1 = _dets(Hu) - wi ** p
-        r2 = A_w @ wvals[:n] + B_w @ wvals[n:] - f_int
-        s1 = max(1.0, float(np.max(wi ** p)))
-        r = max(float(np.max(np.abs(r1))) / s1,
-                float(np.max(np.abs(r2))) / s2)
-        return Hu, A_w, r1, r2, r
+        F = np.concatenate([sym_det(Hu.data) - theta,
+                            A_w @ wvals[:n] + B_w @ wvals[n:] - f_int])
+        s1 = max(1.0, float(np.max(theta)))
+        r = max(float(np.max(np.abs(F[:n]))) / s1,
+                float(np.max(np.abs(F[n:]))) / s2)
+        return r, F, Hu, A_w, theta
 
-    Hu, A_w, r1, r2, r = parts(uv, wv)
-    it = 0
-    while r > _RESCUE_TOL and it < _RESCUE_MAX_ITERS:
-        A_ma, _ = assemble_operator(grid, cofactor(Hu, grid))
-        wi = np.maximum(wv[:n], floor)
-        d_theta = np.where(wv[:n] < floor, 0.0, p * wi ** (p - 1.0))
-        if grid.dim == 1:
-            C_wu = sparse.csr_matrix((n, n))
-        else:
-            Hw = hessian(ScalarField(grid, wv), grid)
+    def jacobian(wvals, A_w, theta):
+        # A_w, the operator with cofactor coefficients of D²u, is also the
+        # derivative of det D²u.
+        d_theta = theta / (gspec.theta - 1.0) / wvals[:n]
+        C_wu = None  # in one dimension the cofactor is constant
+        if grid.dim == 2:
+            Hw = hessian(ScalarField(grid, wvals), grid)
             C_wu = assemble_operator(grid, cofactor(Hw, grid))[0]
-        J = sparse.bmat([[A_ma, sparse.diags(-d_theta)], [C_wu, A_w]],
-                        format="csc")
-        step = splinalg.spsolve(J, -np.concatenate([r1, r2]))
+        return sparse.bmat([[A_w, sparse.diags(-d_theta)], [C_wu, A_w]],
+                           format="csc")
+
+    r, F, Hu, A_w, theta = residual(uv, wv)
+    error = None
+    it = 0
+    while r > _NEWTON_TOL and it < _NEWTON_MAX_ITERS:
+        lu = None  # one factorization alive at a time
+        try:
+            lu = splinalg.splu(jacobian(wv, A_w, theta))
+        except RuntimeError as exc:
+            error = f"singular coupled Jacobian: {exc}"
+            break
+        step = lu.solve(-F)
         if not np.all(np.isfinite(step)):
-            failure["error"] = "singular system in the coupled rescue"
-            failure["iterations"] = it
-            return failure
+            error = "singular coupled Jacobian"
+            break
         du, dw = step[:n], step[n:]
         neg = dw < 0.0
         s = 1.0
         if bool(np.any(neg)):
             # fraction-to-boundary: keep w positive along the step
             s = min(1.0, 0.995 * float(np.min(wv[:n][neg] / -dw[neg])))
+        norm = float(np.max(np.abs(step)))
         accepted = False
-        while s > 1e-12:
+        while s > _DAMPING_MIN:
             u_try = uv.copy()
             u_try[:n] += s * du
             w_try = wv.copy()
             w_try[:n] += s * dw
-            out = parts(u_try, w_try)
-            if out[4] < r * (1.0 - 1e-4 * s):
+            trial = residual(u_try, w_try)
+            r_try, F_try = trial[:2]
+            simplified = lu.solve(-F_try)
+            if (r_try <= _NEWTON_TOL or float(np.max(np.abs(simplified)))
+                    <= (1.0 - 0.25 * s) * norm):
                 uv, wv = u_try, w_try
-                Hu, A_w, r1, r2, r = out
+                r, F, Hu, A_w, theta = trial
                 accepted = True
                 break
             s *= 0.5
         it += 1
         if not accepted:
             break  # at the discrete noise floor, or genuinely stuck
-    failure["iterations"] = it
-    if r > _RESCUE_ACCEPT:
-        failure["error"] = (f"coupled rescue stalled with scaled residual "
-                            f"{r:.3e}")
-        return failure
+
     w_min = float(np.min(wv))
-    if w_min < floor:
-        failure["floor_hit"] = True
-        failure["w_min"] = w_min
-        failure["error"] = (f"rescue fixed point has min w = {w_min:.3e} "
-                            "below the floor")
-        return failure
-    if not bool(np.all(is_positive_definite(Hu))):
-        failure["error"] = "coupled rescue left a nonconvex iterate"
-        return failure
-    w_new = ScalarField(grid, wv)
-    try:
-        w_check, u_new = phi_map(w_new, t, problem, opts,
-                                 ScalarField(grid, uv))
-    except SolverError as exc:
-        failure["floor_hit"] = isinstance(exc, WFloorError)
-        failure["error"] = str(exc)
-        return failure
-    gap = float(np.max(np.abs(w_check.values - wv)))
-    if gap > opts.fixed_point_tol:
-        failure["gap"] = gap
-        failure["error"] = (f"rescue point fails the fixed-point test "
-                            f"(gap {gap:.3e})")
-        return failure
-    # Return the Newton point itself, not its image under the map: at a
-    # repelling fixed point one more application would amplify the error.
-    return {"ok": True, "w": w_new, "u": u_new, "floor_hit": False,
-            "iterations": it, "gap": gap, "error": None, "w_min": w_min,
-            "rescued": True}
-
-
-def _picard(w, t, problem, opts, u_init):
-    """Damped iteration at fixed t.  Returns a result dict.
-
-    When the damped iteration diverges or contracts too slowly to finish in
-    budget -- the fixed point loses stability under the map once t·f is
-    strong enough, even though the solution it encodes still exists -- a
-    Newton solve of the coupled system takes over from the best iterate.
-    """
-    u = u_init
-    floor_hit = False
-    gaps = []
-    error = None
-    best_gap, best_w, best_u = np.inf, w, u_init
-    for k in range(opts.max_picard_iters):
-        try:
-            w_t, u = phi_map(w, t, problem, opts, u_init=u)
-        except SolverError as exc:
-            floor_hit = floor_hit or isinstance(exc, WFloorError)
-            error = str(exc)
-            break
-        gap = float(np.max(np.abs(w_t.values - w.values)))
-        gaps.append(gap)
-        if gap <= opts.fixed_point_tol:
-            return {"ok": True, "w": w_t, "u": u, "floor_hit": floor_hit,
-                    "iterations": k + 1, "gap": gap, "error": None,
-                    "w_min": float(np.min(w_t.values))}
-        if gap < best_gap:
-            best_gap, best_w, best_u = gap, w, u
-        if _projected_miss(gaps, k + 1, opts):
-            break
-        nxt = (1.0 - opts.rho) * w.values + opts.rho * w_t.values
-        if np.min(nxt) < opts.w_floor:
-            floor_hit = True
-            nxt = np.maximum(nxt, opts.w_floor)
-        w = ScalarField(problem.grid, nxt)
-
-    res = _coupled_newton(best_w, t, problem, opts, best_u)
-    res["iterations"] += len(gaps)
-    res["floor_hit"] = res["floor_hit"] or floor_hit
-    if not res["ok"] and res["error"] is None:
-        res["error"] = error or "damped iteration ran out of budget"
-    return res
+    convex = bool(np.all(is_positive_definite(Hu)))
+    floor_hit = w_min < opts.w_floor
+    if error is None and r > _NEWTON_ACCEPT:
+        error = f"coupled Newton stalled with scaled residual {r:.3e}"
+    if error is None and floor_hit:
+        error = f"Newton point has min w = {w_min:.3e} below the floor"
+    if error is None and not convex:
+        error = "coupled Newton left a nonconvex iterate"
+    if error is not None and not floor_hit and convex:
+        # Floor evidence from the w-equation alone on the last u.  Unlike
+        # the coupled step's w-part, its solution stays above the boundary
+        # data where t f <= 0 (maximum principle), so a step that is merely
+        # too long for Newton is not taken for nonexistence.
+        w_alone = wv[:n] - splinalg.spsolve(A_w.tocsc(), F[n:])
+        floor_hit = float(np.min(w_alone)) < opts.w_floor
+    outcome = {"iterations": it, "residual": r, "w_min": w_min,
+               "converged": error is None,
+               "floor_hit": error is not None and floor_hit}
+    if error is not None:
+        outcome["error"] = error
+    return uv, wv, outcome
 
 
 def solve_second_bvp(problem: Problem, opts: ContinuationOptions = None,
                      w0: ScalarField = None) -> Solution:
     """Drive t from 0 to 1 and return the converged solution fields.
 
-    w0 optionally replaces the default initial iterate w = 1 (the fixed
-    point of the t = 0 map).
+    w0 optionally replaces the default initial iterate w = 1 (the solution
+    at t = 0).
     """
     opts = opts or ContinuationOptions()
     grid = problem.grid
     if w0 is None:
-        w = ScalarField.constant(grid, 1.0)
+        w0 = ScalarField.constant(grid, 1.0)
     else:
         if w0.grid is not grid:
             raise ValueError("w0 lives on a different grid")
         if float(np.min(w0.values)) < opts.w_floor:
             raise ValueError("w0 must be >= w_floor everywhere")
-        w = w0
+    g = ScalarField(grid, invert_w(problem.gspec, w0.values))
+    uv = solve_ma(grid, g, problem.phi, opts.ma, opts.lin).values
+    wv = w0.values
 
     trace = []
-    u_prev = None
     t_reached = 0.0
     dt = 1.0 / opts.t_steps
     halvings = 0
@@ -296,40 +231,29 @@ def solve_second_bvp(problem: Problem, opts: ContinuationOptions = None,
         t_try = min(1.0, t_reached + dt)
         if 1.0 - t_try < 1e-12:  # don't let roundoff add an extra step
             t_try = 1.0
-        res = _picard(w, t_try, problem, opts, u_prev)
-        entry = {"t": t_try, "dt": dt, "iterations": res["iterations"],
-                 "gap": res["gap"], "converged": res["ok"],
-                 "floor_hit": res["floor_hit"]}
-        if res.get("rescued"):
-            entry["rescued"] = True
-        if res.get("w_min") is not None:
-            entry["w_min"] = res["w_min"]
-        if res["error"]:
-            entry["error"] = res["error"]
-        trace.append(entry)
-        if res["ok"]:
-            w, u_prev = res["w"], res["u"]
+        u_new, w_new, outcome = _newton_step(uv, wv, t_try, problem, opts)
+        trace.append({"t": t_try, "dt": dt, **outcome})
+        if outcome["converged"]:
+            uv, wv = u_new, w_new
             t_reached = t_try
             continue
         halvings += 1
         if halvings > opts.max_step_halvings:
-            if res["floor_hit"]:
+            if outcome["floor_hit"]:
                 raise WFloorError(
                     f"w-floor breach persisting at t = {t_try:.6g}: "
                     "suspected nonexistence",
-                    last_good_t=t_reached,
-                    w_min=res.get("w_min"), trace=trace)
+                    last_good_t=t_reached, w_min=outcome["w_min"],
+                    trace=trace)
             raise ContinuationError(
                 f"no convergence at t = {t_try:.6g} after "
-                f"{opts.max_step_halvings} step halvings"
-                + (f" ({res['error']})" if res["error"] else ""),
+                f"{opts.max_step_halvings} step halvings "
+                f"({outcome['error']})",
                 last_good_t=t_reached, trace=trace)
         dt *= 0.5
 
-    # One more Monge-Ampere solve couples u to the final w exactly, so the
-    # derived fields satisfy w = G'(det D^2 u) to Newton tolerance.
-    g = ScalarField(grid, invert_w(problem.gspec, w.values))
-    u = solve_ma(grid, g, problem.phi, opts.ma, opts.lin, initial=u_prev)
+    u = ScalarField(grid, uv)
+    w = ScalarField(grid, wv)
     d = det_field(hessian(u, grid), grid)
     residual = el_residual(u, problem)
     el_norm = float(np.max(np.abs(residual.interior)))

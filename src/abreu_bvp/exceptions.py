@@ -51,7 +51,7 @@ class ContinuationError(SolverError):
 
 
 class WFloorError(SolverError):
-    """Iterates hit the positivity floor and the step could not be rescued.
+    """w fell below its positivity floor (in continuation: at every halving).
 
     Interpreted as suspected nonexistence of a solution (exit code 4 in the
     command line interface).

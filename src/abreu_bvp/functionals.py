@@ -22,7 +22,7 @@ from .gfamily import GSpec, g_eval
 from .lin_ma import assemble_operator
 from .mesh import (Grid, ScalarField, boundary_normal_derivative, cofactor,
                    extend_to_boundary, hessian, integrate_boundary,
-                   integrate_interior, is_positive_definite)
+                   integrate_interior, is_positive_definite, sym_det)
 from .problem import Problem
 
 
@@ -32,15 +32,9 @@ def _require_zero_phi(problem: Problem, op: str):
                          "(phi = 0) only")
 
 
-def _det_data(data: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 1:
-        return data[:, 0, 0]
-    return data[:, 0, 0] * data[:, 1, 1] - data[:, 0, 1] ** 2
-
-
 def _convex_dets(u: ScalarField, grid: Grid) -> np.ndarray:
     H = hessian(u, grid)
-    dets = _det_data(H.data, grid.dim)
+    dets = sym_det(H.data)
     if not (np.all(is_positive_definite(H)) and np.all(np.isfinite(dets))):
         raise ConvexityLossError("field is not discretely convex")
     return dets
@@ -77,7 +71,7 @@ def el_residual(u: ScalarField, problem: Problem) -> ScalarField:
     """
     grid = problem.grid
     H = hessian(u, grid)
-    dets = _det_data(H.data, grid.dim)
+    dets = sym_det(H.data)
     if np.any(dets <= 0.0):
         raise ValueError("field is not discretely convex")
     w_int = g_eval(problem.gspec, dets).w
@@ -162,7 +156,7 @@ def concavity_probe(u0: ScalarField, u1: ScalarField, gspec: GSpec,
     values = np.empty(samples)
     for i, t in enumerate(ts):
         data = (1.0 - t) * H0.data + t * H1.data
-        dets = _det_data(data, grid.dim)
+        dets = sym_det(data)
         # linear combination of positive definite matrices stays definite
         assert np.all(dets > 0.0)
         G = g_eval(gspec, extend_to_boundary(grid, dets)).G

@@ -4,7 +4,7 @@ The coefficient field is a symmetric positive definite MatrixField (in
 practice the cofactor matrix of a convex iterate).  The discretization is
 central differences, with the mixed derivative taken from the two diagonal
 directional second derivatives; the resulting nonsymmetric sparse system is
-solved by a direct factorization by default.
+solved by a direct sparse factorization.
 """
 
 from __future__ import annotations
@@ -22,14 +22,10 @@ from .mesh import Grid, MatrixField, ScalarField, is_positive_definite
 @dataclass(frozen=True)
 class LinSolveOptions:
     linear_tol: float = 1e-9
-    max_linear_iters: int = 2000
-    solver_kind: str = "direct_sparse"
 
     def __post_init__(self):
         if self.linear_tol <= 0.0:
             raise ValueError("linear_tol must be positive")
-        if self.solver_kind not in ("direct_sparse", "iterative"):
-            raise ValueError(f"unknown solver_kind {self.solver_kind!r}")
 
 
 def assemble_operator(grid: Grid, U: MatrixField):
@@ -65,23 +61,12 @@ def _condition_estimate(A):
 
 def solve_system(A, rhs, opts: LinSolveOptions):
     """Solve the assembled interior system, with residual verification."""
-    if opts.solver_kind == "direct_sparse":
-        try:
-            x = spla.spsolve(A.tocsc(), rhs)
-        except RuntimeError as exc:
-            raise SingularSystemError(
-                f"sparse factorization failed: {exc}",
-                condition_estimate=_condition_estimate(A)) from exc
-    else:
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-6, fill_factor=20)
-        precond = spla.LinearOperator(A.shape, ilu.solve)
-        x, info = spla.bicgstab(A, rhs, rtol=opts.linear_tol / 10.0,
-                                atol=0.0, maxiter=opts.max_linear_iters,
-                                M=precond)
-        if info != 0:
-            raise SingularSystemError(
-                f"iterative solve did not converge (info={info})",
-                condition_estimate=_condition_estimate(A))
+    try:
+        x = spla.spsolve(A.tocsc(), rhs)
+    except RuntimeError as exc:
+        raise SingularSystemError(
+            f"sparse factorization failed: {exc}",
+            condition_estimate=_condition_estimate(A)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(
             "singular system: solution contains non-finite entries",

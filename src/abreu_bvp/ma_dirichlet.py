@@ -3,9 +3,10 @@
 Newton uses the exact linearization delta(det D^2 u) = U^{ij} delta u_{ij},
 so each step solves a linearized problem with the current cofactor field as
 coefficients.  Iterates are kept discretely convex (positive definite
-Hessian at every interior node) by backtracking; convex initial guesses come
-from a Poisson solve or a paraboloid-like bubble.  In one dimension the
-problem is linear in the discrete Hessian and is solved directly.
+Hessian at every interior node) by backtracking; the initial guess is a
+Poisson solve, made convex with the domain's level-function bubble where
+needed.  In one dimension the problem is linear in the discrete Hessian
+and is solved directly.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ import numpy as np
 
 from .exceptions import ConvexityLossError, NewtonDivergenceError
 from .lin_ma import LinSolveOptions, assemble_operator, solve_system
-from .mesh import (Grid, MatrixField, ScalarField, cofactor, det_field,
-                   hessian, is_positive_definite)
-
-_INIT_MODES = ("poisson_sqrt", "paraboloid")
+from .mesh import (Grid, MatrixField, ScalarField, cofactor, hessian,
+                   is_positive_definite, sym_det)
 
 
 @dataclass(frozen=True)
@@ -27,15 +26,12 @@ class MAOptions:
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
     damping_min: float = 2.0**-20
-    init_mode: str = "poisson_sqrt"
 
     def __post_init__(self):
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
-        if self.init_mode not in _INIT_MODES:
-            raise ValueError(f"init_mode must be one of {_INIT_MODES}")
 
 
 def _check_g(g: ScalarField):
@@ -46,10 +42,7 @@ def _check_g(g: ScalarField):
 
 def _interior_det(grid: Grid, values: np.ndarray):
     H = hessian(ScalarField(grid, values), grid)
-    d = H.data
-    if grid.dim == 1:
-        return H, d[:, 0, 0]
-    return H, d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] ** 2
+    return H, sym_det(H.data)
 
 
 def _identity_coeffs(grid: Grid) -> MatrixField:
@@ -74,24 +67,15 @@ def _level_bubble(grid: Grid) -> np.ndarray:
     return vals
 
 
-def _initial_guess(grid: Grid, g: ScalarField, phi_b, opts: MAOptions,
+def _initial_guess(grid: Grid, g: ScalarField, phi_b,
                    lin_opts: LinSolveOptions) -> np.ndarray:
     n = grid.dim
-    eye = _identity_coeffs(grid)
-    if opts.init_mode == "poisson_sqrt":
-        # trace D^2 u0 = n g^{1/n}: equality when D^2 u0 is a multiple of I.
-        rhs = n * g.interior ** (1.0 / n)
-        u_int = _linear_solve(grid, eye, rhs, phi_b, lin_opts)
-    else:
-        u_int = _linear_solve(grid, eye, np.zeros(grid.n_interior), phi_b,
-                              lin_opts)
+    # trace D^2 u0 = n g^{1/n}: equality when D^2 u0 is a multiple of I.
+    rhs = n * g.interior ** (1.0 / n)
+    u_int = _linear_solve(grid, _identity_coeffs(grid), rhs, phi_b, lin_opts)
     u = np.concatenate([u_int, phi_b])
 
     bubble = _level_bubble(grid)
-    if opts.init_mode == "paraboloid":
-        a, b = grid.domain.semi_axes if n == 2 else (1.0, 1.0)
-        kappa = float(np.mean(g.interior) ** (1.0 / n)) * a * b
-        u = u + kappa * bubble
     # Convexify if the linear solve undershot somewhere.
     eps = 1.0
     for _ in range(60):
@@ -126,9 +110,9 @@ def solve_ma(grid: Grid, g: ScalarField, phi_b, opts: MAOptions = None,
         u[grid.n_interior:] = phi_b
         H, dets = _interior_det(grid, u)
         if not np.all(is_positive_definite(H)):
-            u = _initial_guess(grid, g, phi_b, opts, lin_opts)
+            u = _initial_guess(grid, g, phi_b, lin_opts)
     else:
-        u = _initial_guess(grid, g, phi_b, opts, lin_opts)
+        u = _initial_guess(grid, g, phi_b, lin_opts)
 
     trace = []
     # The convergence test scales with the data: the discrete determinant

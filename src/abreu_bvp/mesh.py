@@ -690,17 +690,19 @@ def hessian(u: ScalarField, grid: Grid = None) -> MatrixField:
 
 
 def det_field(H: MatrixField, grid: Grid = None) -> ScalarField:
-    """Determinant of a matrix field, extended to boundary nodes.
+    """Determinant of a symmetric matrix field, extended to boundary nodes.
 
     Boundary values are one-sided (nearest interior node) extrapolations.
     """
     grid = grid or H.grid
-    d = H.data
-    if grid.dim == 1:
-        dets = d[:, 0, 0].copy()
-    else:
-        dets = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
-    return ScalarField(grid, extend_to_boundary(grid, dets))
+    return ScalarField(grid, extend_to_boundary(grid, sym_det(H.data)))
+
+
+def sym_det(data: np.ndarray) -> np.ndarray:
+    """Per-node determinants of symmetric 1x1 or 2x2 data, shape (n, k, k)."""
+    if data.shape[1] == 1:
+        return data[:, 0, 0]
+    return data[:, 0, 0] * data[:, 1, 1] - data[:, 0, 1] ** 2
 
 
 def extend_to_boundary(grid: Grid, interior_values: np.ndarray) -> np.ndarray:
@@ -728,10 +730,7 @@ def cofactor(H: MatrixField, grid: Grid = None) -> MatrixField:
 def is_positive_definite(H: MatrixField) -> np.ndarray:
     """Per-node positive definiteness flags (symmetric 1x1 or 2x2 data)."""
     d = H.data
-    if d.shape[1] == 1:
-        return d[:, 0, 0] > 0.0
-    dets = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] ** 2
-    return (dets > 0.0) & (d[:, 0, 0] + d[:, 1, 1] > 0.0)
+    return (sym_det(d) > 0.0) & (np.trace(d, axis1=1, axis2=2) > 0.0)
 
 
 def boundary_normal_derivative(u: ScalarField, grid: Grid = None) -> np.ndarray:

@@ -54,8 +54,7 @@ psi = 1 + x/4
 [solver]
 resolution = 48
 t_steps = 5
-rho = 0.7
-fixed_point_tol = 1e-8
+w_floor = 1e-7
 
 [output]
 directory = "run1"
@@ -65,8 +64,7 @@ directory = "run1"
     assert cfg.gspec.n == 1
     assert cfg.resolution == 48
     assert cfg.continuation.t_steps == 5
-    assert cfg.continuation.rho == 0.7
-    assert cfg.continuation.fixed_point_tol == 1e-8
+    assert cfg.continuation.w_floor == 1e-7
     assert cfg.output_dir == "run1"
     grid = cfg.make_grid()
     prob = cfg.make_problem(grid)
@@ -90,6 +88,12 @@ def test_unknown_sections_and_keys():
         parse_config(MINIMAL + "\n[extmembers]\nx = 1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(MINIMAL + "\n[solver]\nwarp = 9\n")
+    # keys of removed options are rejected, not silently ignored
+    for key in ("rho", "fixed_point_tol", "max_picard_iters", "init_mode",
+                "solver_kind", "max_linear_iters"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'") as ei:
+            parse_config(MINIMAL + f"{key} = 1\n")
+        assert ei.value.line == len(MINIMAL.splitlines()) + 1
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(MINIMAL + "\n[problem]\nf = 1\n")
     with pytest.raises(ConfigError, match="outside"):

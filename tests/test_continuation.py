@@ -13,7 +13,7 @@ from abreu_bvp import (
     solve_exact_1d,
     solve_second_bvp,
 )
-from abreu_bvp.exceptions import WFloorError
+from abreu_bvp.exceptions import ContinuationError, WFloorError
 
 
 def trivial_problem(grid):
@@ -61,7 +61,7 @@ def test_solution_is_a_fixed_point(disk32):
     sol = solve_second_bvp(prob, opts)
     w_again, _ = phi_map(sol.w, 1.0, prob, opts, u_init=sol.u)
     gap = np.max(np.abs(w_again.values - sol.w.values))
-    assert gap <= 2.0 * opts.fixed_point_tol
+    assert gap <= 2e-9
 
 
 def test_1d_solution_matches_oracle():
@@ -99,15 +99,41 @@ def test_nonexistence_exits_through_the_floor():
     assert any(e["floor_hit"] for e in err.trace if not e["converged"])
 
 
-def test_strong_source_needs_the_coupled_rescue(disk32):
-    # strong positive f destabilizes the damped map; the rescue must kick in
+def test_strong_source_converges_without_halving(disk32):
+    # near-singular w (min w ~ 1e-4) still takes the plain ten-step schedule
     g = disk32
     prob = Problem(g, GSpec(0.0, 2), 50.0, 0.0, 1.0)
     sol = solve_second_bvp(prob)
-    assert any(e.get("rescued") for e in sol.iterations)
+    assert len(sol.iterations) == 10
+    assert all(e["converged"] and e["dt"] == 0.1 for e in sol.iterations)
+    assert not any(e["floor_hit"] for e in sol.iterations)
     assert sol.el_residual_norm <= 1e-4 * 50.0
     assert np.min(sol.w.values) > 0.0
     assert np.min(sol.d.interior) > 0.0
+
+
+def test_threshold_verdicts_bracket_the_discrete_threshold(interval64):
+    # constant f on [0, 1]: the discrete w is exact, so the last good t f
+    # lies below f*_h = 8 / (1 - h^2) and, with the default schedule, close
+    # to f* = 8
+    f_star_h = 8.0 / (1.0 - interval64.hx**2)
+    for c in (9.0, 14.0, 24.0):
+        prob = Problem(interval64, GSpec(0.0, 1), c, 0.0, 1.0)
+        with pytest.raises(WFloorError) as ei:
+            solve_second_bvp(prob)
+        assert 0.95 * 8.0 <= ei.value.last_good_t * c <= f_star_h
+
+
+def test_negative_source_never_reports_nonexistence(disk32):
+    # f <= 0 keeps the w-equation's solution above its boundary data, so a
+    # step too long for Newton may end as a solver failure, but never as a
+    # nonexistence verdict
+    prob = Problem(disk32, GSpec(0.0, 2), -30.0, 0.0, 1.0)
+    opts = ContinuationOptions(t_steps=1, max_step_halvings=2)
+    try:
+        solve_second_bvp(prob, opts)
+    except ContinuationError:
+        pass
 
 
 def test_custom_initial_iterate(disk32):
@@ -124,10 +150,6 @@ def test_options_validation():
     with pytest.raises(ValueError):
         ContinuationOptions(t_steps=0)
     with pytest.raises(ValueError):
-        ContinuationOptions(rho=0.0)
-    with pytest.raises(ValueError):
-        ContinuationOptions(rho=1.5)
-    with pytest.raises(ValueError):
-        ContinuationOptions(fixed_point_tol=-1e-9)
+        ContinuationOptions(w_floor=0.0)
     with pytest.raises(ValueError):
         ContinuationOptions(max_step_halvings=-1)

@@ -118,5 +118,3 @@ def test_assemble_operator_row_action(disk32, rng):
 def test_options_validation():
     with pytest.raises(ValueError):
         LinSolveOptions(linear_tol=-1.0)
-    with pytest.raises(ValueError):
-        LinSolveOptions(solver_kind="magic")

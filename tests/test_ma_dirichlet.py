@@ -105,5 +105,3 @@ def test_options_validation():
         MAOptions(newton_tol=0.0)
     with pytest.raises(ValueError):
         MAOptions(max_newton_iters=0)
-    with pytest.raises(ValueError):
-        MAOptions(init_mode="bogus")
