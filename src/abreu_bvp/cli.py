@@ -150,18 +150,16 @@ def _g_field(cfg: RunConfig, grid, required: bool):
         expr = parse_expression("1")
     else:
         expr = cfg.g_expr
-    pts = grid.points
-    vals = np.asarray(expr(pts[:, 0], pts[:, 1]), dtype=float) \
-        * np.ones(grid.n_nodes)
-    if not np.all(np.isfinite(vals)) or np.any(vals[:grid.n_interior] <= 0):
+    g = grid.field(expr)
+    if not np.all(np.isfinite(g.values)) or np.any(g.interior <= 0):
         raise ConfigError("g must be positive and finite on the grid")
-    return ScalarField(grid, vals)
+    return g
 
 
 def _cmd_ma(cfg: RunConfig, outdir: str) -> int:
     grid = cfg.make_grid()
     g = _g_field(cfg, grid, required=True)
-    phi_b = cfg.boundary_values(grid, cfg.phi)
+    phi_b = grid.boundary_values(cfg.phi)
     u = solve_ma(grid, g, phi_b, cfg.continuation.ma, cfg.continuation.lin)
     residual = ma_residual(grid, u, g)
     d = det_field(hessian(u, grid), grid)
@@ -179,11 +177,11 @@ def _cmd_ma(cfg: RunConfig, outdir: str) -> int:
 def _cmd_linma(cfg: RunConfig, outdir: str) -> int:
     grid = cfg.make_grid()
     g = _g_field(cfg, grid, required=False)
-    phi_b = cfg.boundary_values(grid, cfg.phi)
+    phi_b = grid.boundary_values(cfg.phi)
     u = solve_ma(grid, g, phi_b, cfg.continuation.ma, cfg.continuation.lin)
     U = cofactor(hessian(u, grid), grid)
     f = cfg.f_field(grid)
-    psi_b = cfg.boundary_values(grid, cfg.psi)
+    psi_b = grid.boundary_values(cfg.psi)
     w = solve_linearized(grid, U, f, psi_b, cfg.continuation.lin)
     residual = linearized_residual(grid, U, w, f)
     d = det_field(hessian(u, grid), grid)
@@ -276,6 +274,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except WFloorError as exc:
+        report = _base_report(cfg, args.command)
+        report.update({"verdict": "nonexistent",
+                       "last_good_t": exc.last_good_t, "w_min": exc.w_min,
+                       "continuation": {"steps": len(exc.trace),
+                                        "trace": exc.trace}})
+        write_report(os.path.join(outdir, "report.txt"), report)
         print(f"nonexistence detected: {exc}", file=sys.stderr)
         return EXIT_NONEXISTENCE
     except SolverError as exc:

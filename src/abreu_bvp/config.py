@@ -73,20 +73,12 @@ class RunConfig:
                 raise ConfigError(
                     f"f table {path!r} node coordinates do not match the grid")
             return ScalarField(grid, values)
-        pts = grid.points
-        return ScalarField(grid, np.asarray(
-            self.f_spec(pts[:, 0], pts[:, 1]), dtype=float)
-            * np.ones(grid.n_nodes))
-
-    def boundary_values(self, grid: Grid, expr: Expression) -> np.ndarray:
-        bp = grid.boundary_points
-        return np.asarray(expr(bp[:, 0], bp[:, 1]), dtype=float) * np.ones(
-            grid.n_boundary)
+        return grid.field(self.f_spec)
 
     def make_problem(self, grid: Grid) -> Problem:
         return Problem(grid, self.gspec, self.f_field(grid),
-                       self.boundary_values(grid, self.phi),
-                       self.boundary_values(grid, self.psi))
+                       grid.boundary_values(self.phi),
+                       grid.boundary_values(self.psi))
 
 
 def _strip_quotes(value: str) -> str:

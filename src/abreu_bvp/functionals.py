@@ -22,7 +22,8 @@ from .gfamily import GSpec, g_eval
 from .lin_ma import assemble_operator
 from .mesh import (Grid, ScalarField, boundary_normal_derivative, cofactor,
                    extend_to_boundary, hessian, integrate_boundary,
-                   integrate_interior, is_positive_definite, sym_det)
+                   integrate_interior, is_positive_definite, level_bubble,
+                   sym_det)
 from .problem import Problem
 
 
@@ -192,18 +193,9 @@ class TestFunctionFamily:
         if unknown:
             raise ValueError(f"unknown generator kinds {sorted(unknown)}")
 
-    def _base(self, grid: Grid) -> np.ndarray:
-        pts = grid.points
-        if grid.dim == 1:
-            a, b = grid.domain.bounds
-            return 0.5 * (pts[:, 0] - a) * (pts[:, 0] - b)
-        vals = 0.5 * grid.domain.level(pts[:, 0], pts[:, 1])
-        vals[grid.n_interior:] = 0.0
-        return vals
-
     def shapes(self, grid: Grid):
         """Unit-scale members (label, ScalarField); scaling is linear."""
-        base = self._base(grid)
+        base = level_bubble(grid)
         xs = grid.points[:, 0]
         if grid.dim == 1:
             a, b = grid.domain.bounds

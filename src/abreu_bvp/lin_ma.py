@@ -33,21 +33,24 @@ def assemble_operator(grid: Grid, U: MatrixField):
 
     Returns (A, B) with the operator equal to A @ w_interior + B @ w_boundary.
     Also the exact Jacobian of u |-> det of the discrete Hessian, since
-    delta(det H) = U^{ij} delta H_{ij}.
+    delta(det H) = U^{ij} delta H_{ij}.  Each axis of `grid.second_ops` is
+    weighted by its coefficient U : to_hessian[a], and the weighted stencils
+    fill one CSR matrix on the grid's fixed pattern.  Entries that cancel
+    (the diagonal arms when U^{xy} = 0) are dropped before the split into
+    interior and boundary columns.
     """
     ops = grid.second_ops
-    d = U.data
-    if grid.dim == 1:
-        a = sp.diags(d[:, 0, 0])
-        return (a @ ops[0][0]).tocsr(), (a @ ops[0][1]).tocsr()
-    cxx = sp.diags(d[:, 0, 0])
-    cyy = sp.diags(d[:, 1, 1])
-    # 2 u_xy = (u_pp - u_mm) * ell^2 / (2 hx hy) with the diagonal stencils.
-    ell2 = grid.hx**2 + grid.hy**2
-    cxy = sp.diags(d[:, 0, 1] * ell2 / (2.0 * grid.hx * grid.hy))
-    A = cxx @ ops[0][0] + cyy @ ops[1][0] + cxy @ (ops[2][0] - ops[3][0])
-    B = cxx @ ops[0][1] + cyy @ ops[1][1] + cxy @ (ops[2][1] - ops[3][1])
-    return A.tocsr(), B.tocsr()
+    n = grid.n_interior
+    c = U.data.reshape(n, -1) @ ops.to_hessian.T
+    w = ops.weights
+    data = np.empty(ops.cols.shape)
+    data[:, 0] = np.einsum("na,na->n", c, w[..., 0])
+    np.multiply(c, w[..., 1], out=data[:, 1::2])
+    np.multiply(c, w[..., 2], out=data[:, 2::2])
+    M = sp.csr_matrix((data.ravel(), ops.cols.ravel(), ops.indptr),
+                      shape=(n, grid.n_nodes), copy=True)
+    M.eliminate_zeros()
+    return M[:, :n], M[:, n:]
 
 
 def _condition_estimate(A):

@@ -18,7 +18,7 @@ import numpy as np
 from .exceptions import ConvexityLossError, NewtonDivergenceError
 from .lin_ma import LinSolveOptions, assemble_operator, solve_system
 from .mesh import (Grid, MatrixField, ScalarField, cofactor, hessian,
-                   is_positive_definite, sym_det)
+                   is_positive_definite, level_bubble, sym_det)
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,6 @@ def _linear_solve(grid, coeffs, rhs_interior, boundary, lin_opts):
     return solve_system(A, rhs_interior - B @ boundary, lin_opts)
 
 
-def _level_bubble(grid: Grid) -> np.ndarray:
-    """A convex bubble vanishing on the boundary (the domain level function)."""
-    pts = grid.points
-    if grid.dim == 1:
-        a, b = grid.domain.bounds
-        return 0.5 * (pts[:, 0] - a) * (pts[:, 0] - b)
-    vals = 0.5 * grid.domain.level(pts[:, 0], pts[:, 1])
-    vals[grid.n_interior:] = 0.0
-    return vals
-
-
 def _initial_guess(grid: Grid, g: ScalarField, phi_b,
                    lin_opts: LinSolveOptions) -> np.ndarray:
     n = grid.dim
@@ -75,7 +64,7 @@ def _initial_guess(grid: Grid, g: ScalarField, phi_b,
     u_int = _linear_solve(grid, _identity_coeffs(grid), rhs, phi_b, lin_opts)
     u = np.concatenate([u_int, phi_b])
 
-    bubble = _level_bubble(grid)
+    bubble = level_bubble(grid)
     # Convexify if the linear solve undershot somewhere.
     eps = 1.0
     for _ in range(60):

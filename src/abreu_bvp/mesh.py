@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .exceptions import DomainError, GridResolutionError
@@ -248,6 +247,15 @@ class MatrixField:
         raise AttributeError("MatrixField is immutable")
 
 
+class SecondOps(NamedTuple):
+    """The stencil layout of one grid; see `Grid.second_ops`."""
+
+    cols: np.ndarray
+    weights: np.ndarray
+    to_hessian: np.ndarray
+    indptr: np.ndarray
+
+
 class Grid:
     """Cartesian grid with boundary-fitted stencil data for one domain.
 
@@ -325,12 +333,19 @@ class Grid:
         return self._nearest_interior
 
     @property
-    def second_ops(self):
-        """Per stencil axis, a pair (S_int, S_bdy) of sparse matrices.
+    def second_ops(self) -> "SecondOps":
+        """The Shortley-Weller stencil in one fixed layout, built once.
 
-        S_int @ u_interior + S_bdy @ u_boundary is the second directional
-        derivative along that axis at every interior node.  Axes: x, y and
-        for n = 2 the two lattice diagonals.
+        Row n of `cols` lists the stencil nodes of interior node n: the node
+        itself, then the + and - arm of each axis (x, y and for n = 2 the
+        two lattice diagonals) in arm order, as node columns (interior
+        nodes, then boundary nodes offset by n_interior).  `weights[n, a]`
+        holds the second-difference weights of axis a on its center, + arm
+        and - arm.  Row a of `to_hessian` is the flattened dim x dim matrix
+        that the second derivative along axis a contributes to the Hessian,
+        so H = d2 @ to_hessian, and the operator U^{ij} w_ij weights axis a
+        by U : to_hessian[a].  `indptr` is the CSR row pointer of the
+        fixed pattern.
         """
         if self._second_ops is None:
             self._second_ops = _build_second_ops(self)
@@ -620,38 +635,29 @@ def _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, ipts, bpts, n_
     return w
 
 
-def _build_second_ops(grid: Grid):
-    n_axes = 1 if grid.dim == 1 else 4
-    ops = []
-    n_int, n_bdy = grid.n_interior, grid.n_boundary
-    rows = np.arange(n_int)
-    for ax in range(n_axes):
-        dp = grid.arm_dist[:, 2 * ax]
-        dm = grid.arm_dist[:, 2 * ax + 1]
-        cp = 2.0 / (dp * (dp + dm))
-        cm = 2.0 / (dm * (dp + dm))
-        c0 = -(cp + cm)  # exact constant annihilation
-        r_list = [rows]
-        c_list = [rows]
-        v_list = [c0]
-        rb_list, cb_list, vb_list = [], [], []
-        for arm, cval in ((2 * ax, cp), (2 * ax + 1, cm)):
-            kind = grid.arm_kind[:, arm]
-            idx = grid.arm_index[:, arm]
-            is_int = kind == 0
-            r_list.append(rows[is_int])
-            c_list.append(idx[is_int])
-            v_list.append(cval[is_int])
-            rb_list.append(rows[~is_int])
-            cb_list.append(idx[~is_int])
-            vb_list.append(cval[~is_int])
-        s_int = sp.coo_matrix(
-            (np.concatenate(v_list), (np.concatenate(r_list), np.concatenate(c_list))),
-            shape=(n_int, n_int)).tocsr()
-        s_bdy = sp.coo_matrix(
-            (np.concatenate(vb_list), (np.concatenate(rb_list), np.concatenate(cb_list))),
-            shape=(n_int, n_bdy)).tocsr()
-        ops.append((s_int, s_bdy))
+def _build_second_ops(grid: Grid) -> SecondOps:
+    n_int, n_axes = grid.n_interior, grid.arm_kind.shape[1] // 2
+    cols = np.empty((n_int, 1 + 2 * n_axes), dtype=np.int64)
+    cols[:, 0] = np.arange(n_int)
+    cols[:, 1:] = np.where(grid.arm_kind == 0, grid.arm_index,
+                           grid.arm_index + n_int)
+    dp = grid.arm_dist[:, 0::2]
+    dm = grid.arm_dist[:, 1::2]
+    cp = 2.0 / (dp * (dp + dm))
+    cm = 2.0 / (dm * (dp + dm))
+    # center weight minus the arm weights: constants are annihilated exactly
+    weights = np.stack([-(cp + cm), cp, cm], axis=2)
+    if grid.dim == 1:
+        to_hessian = np.ones((1, 1))
+    else:
+        # u_xy = (u_pp - u_mm) * ell^2 / (4 hx hy) with the diagonal stencils.
+        s = (grid.hx**2 + grid.hy**2) / (4.0 * grid.hx * grid.hy)
+        to_hessian = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                               [0.0, s, s, 0.0], [0.0, -s, -s, 0.0]])
+    indptr = np.arange(0, cols.size + 1, cols.shape[1])
+    ops = SecondOps(cols, weights, to_hessian, indptr)
+    for arr in ops:
+        arr.setflags(write=False)  # shared by every operator on the grid
     return ops
 
 
@@ -661,32 +667,21 @@ def _build_second_ops(grid: Grid):
 def hessian(u: ScalarField, grid: Grid = None) -> MatrixField:
     """Discrete Hessian at every interior node.
 
-    Central second differences on regular stencils; three-point formulas on
-    shortened Shortley-Weller arms near the boundary.  The mixed derivative
-    is recovered from the two diagonal directional second derivatives.
+    Second differences along each axis of `grid.second_ops`, from one
+    gather of node values on its stencil columns: central differences on
+    regular stencils, three-point formulas on shortened Shortley-Weller arms
+    near the boundary.  The mixed derivative comes from the two diagonal
+    axes.
     """
     grid = grid or u.grid
-    ui, ub = u.interior, u.boundary
     ops = grid.second_ops
-
-    def d2(axis):
-        s_int, s_bdy = ops[axis]
-        return s_int @ ui + s_bdy @ ub
-
-    if grid.dim == 1:
-        return MatrixField(grid, d2(0)[:, None, None])
-    uxx = d2(0)
-    uyy = d2(1)
-    upp = d2(2)
-    umm = d2(3)
-    ell2 = grid.hx**2 + grid.hy**2
-    uxy = (upp - umm) * ell2 / (4.0 * grid.hx * grid.hy)
-    data = np.empty((grid.n_interior, 2, 2))
-    data[:, 0, 0] = uxx
-    data[:, 1, 1] = uyy
-    data[:, 0, 1] = uxy
-    data[:, 1, 0] = uxy
-    return MatrixField(grid, data)
+    v = u.values[ops.cols]
+    w = ops.weights
+    d2 = w[..., 0] * v[:, :1]  # center, then the + and - arm of each axis
+    d2 += w[..., 1] * v[:, 1::2]
+    d2 += w[..., 2] * v[:, 2::2]
+    return MatrixField(grid, (d2 @ ops.to_hessian).reshape(-1, grid.dim,
+                                                           grid.dim))
 
 
 def det_field(H: MatrixField, grid: Grid = None) -> ScalarField:
@@ -725,6 +720,17 @@ def cofactor(H: MatrixField, grid: Grid = None) -> MatrixField:
     out[:, 0, 1] = -d[:, 0, 1]
     out[:, 1, 0] = -d[:, 1, 0]
     return MatrixField(grid, out)
+
+
+def level_bubble(grid: Grid) -> np.ndarray:
+    """A convex bubble vanishing on the boundary (the domain level function)."""
+    pts = grid.points
+    if grid.dim == 1:
+        a, b = grid.domain.bounds
+        return 0.5 * (pts[:, 0] - a) * (pts[:, 0] - b)
+    vals = 0.5 * grid.domain.level(pts[:, 0], pts[:, 1])
+    vals[grid.n_interior:] = 0.0
+    return vals
 
 
 def is_positive_definite(H: MatrixField) -> np.ndarray:

@@ -106,8 +106,19 @@ def test_oracle_requires_interval(tmp_path, capsys):
 
 def test_continuation_nonexistence_exits_4(tmp_path, capsys):
     cfg = write(tmp_path, "c20.cfg", INTERVAL.format(f=20))
-    assert main(["solve", "--config", cfg]) == 4
+    out = tmp_path / "c20"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 4
     assert "floor" in capsys.readouterr().err
+    report = (out / "report.txt").read_text()
+    assert "command: solve" in report
+    assert "verdict: nonexistent" in report
+    top = dict(ln.split(": ", 1) for ln in report.splitlines()
+               if ln.startswith(("last_good_t:", "w_min:")))
+    # the verdict brackets the discrete threshold f*_h = 8 / (1 - h^2)
+    tf = float(top["last_good_t"]) * 20.0
+    assert 0.95 * 8.0 <= tf <= 8.0 / (1.0 - (1.0 / 63.0) ** 2)
+    assert float(top["w_min"]) > 0.0
+    assert "trace:" in report and "floor_hit: true" in report
 
 
 def test_solver_failure_exits_3(tmp_path):

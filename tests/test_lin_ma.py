@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from abreu_bvp import (
+    DomainSpec,
     LinSolveOptions,
     MatrixField,
     ScalarField,
     assemble_operator,
+    build_grid,
     cofactor,
     hessian,
     linearized_residual,
@@ -99,20 +101,34 @@ def test_rejects_indefinite_coefficients(disk32):
                          ScalarField.constant(g, 0.0), 0.0)
 
 
-def test_assemble_operator_row_action(disk32, rng):
-    # matrix action agrees with the pointwise residual evaluation
-    g = disk32
-    pts = g.points
-    pot = ScalarField(g, pts[:, 0]**2 + pts[:, 1]**2)
-    U = cofactor(hessian(pot, g), g)
-    A, B = assemble_operator(g, U)
-    assert A.shape == (g.n_interior, g.n_interior)
-    assert B.shape == (g.n_interior, g.n_boundary)
-    w = rng.normal(size=g.n_nodes)
-    field = ScalarField(g, w)
-    r = linearized_residual(g, U, field, ScalarField.constant(g, 0.0))
-    direct = A @ w[: g.n_interior] + B @ w[g.n_interior:]
-    assert np.max(np.abs(r.interior - direct)) < 1e-12
+def test_assemble_operator_row_action(interval64, disk32, rng):
+    # matrix action agrees with U^{ij} w_{ij} from the pointwise Hessian
+    ellipse = build_grid(DomainSpec.ellipse(1.5, 0.75), 32)
+    for g in (interval64, disk32, ellipse):
+        pts = g.points
+        pot = ScalarField(g, pts[:, 0]**2 + 0.5 * pts[:, 1]**2
+                          + 0.1 * np.exp(pts[:, 0] + pts[:, 1]))
+        U = cofactor(hessian(pot, g), g)
+        A, B = assemble_operator(g, U)
+        assert A.shape == (g.n_interior, g.n_interior)
+        assert B.shape == (g.n_interior, g.n_boundary)
+        w = ScalarField(g, rng.normal(size=g.n_nodes))
+        pointwise = np.einsum("nij,nij->n", U.data, hessian(w, g).data)
+        direct = A @ w.interior + B @ w.boundary
+        assert (np.max(np.abs(direct - pointwise))
+                < 1e-12 * np.max(np.abs(pointwise)))
+
+
+def test_assembled_operator_stores_no_zeros(interval64, disk32):
+    # identity coefficients leave the diagonal arms at zero; they must not
+    # be stored, or the factorizations fill in for nothing
+    ellipse = build_grid(DomainSpec.ellipse(1.5, 0.75), 32)
+    for g in (interval64, disk32, ellipse):
+        A, B = assemble_operator(g, identity_coeffs(g))
+        assert np.all(A.data != 0.0) and np.all(B.data != 0.0)
+        axis_arms = g.arm_kind[:, :2 * g.dim]
+        assert A.nnz == g.n_interior + np.count_nonzero(axis_arms == 0)
+        assert B.nnz == np.count_nonzero(axis_arms == 1)
 
 
 def test_options_validation():
