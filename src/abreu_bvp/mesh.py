@@ -19,8 +19,8 @@ nearby nodes with weights that reproduce quadratic functions, so the weights
 sum to |Omega| to machine precision.  Boundary quadrature is the trapezoid
 rule on chords between boundary nodes ordered along the boundary.  Normal
 derivatives at boundary nodes use a second-order one-sided difference along
-the inward normal, with off-lattice values obtained from moving
-least-squares quadratic fits.
+the inward normal.  Off-lattice values come from one batched least-squares
+quadratic fit on the nearest nodes, `_quadratic_fits`.
 """
 
 from __future__ import annotations
@@ -264,12 +264,15 @@ class Grid:
     stored as (kind, index, distance) triples, kind 0 pointing at an interior
     node and kind 1 at a boundary node.  Arm order: +x, -x, +y, -y, and for
     n = 2 the diagonals +(hx,hy), -(hx,hy), +(hx,-hy), -(hx,-hy).
+
+    A 2-d grid has one k-d tree over all nodes (`tree`; None for an
+    interval).  `second_ops` and `boundary_fits` are built on first use.
     """
 
     def __init__(self, domain, resolution, hx, hy, points, n_interior,
                  arm_kind, arm_index, arm_dist,
                  boundary_normals, boundary_curvature, boundary_params,
-                 boundary_arcweights, quad_weights):
+                 boundary_arcweights, quad_weights, tree=None):
         self.domain = domain
         self.resolution = resolution
         self.hx = hx
@@ -287,11 +290,10 @@ class Grid:
         self.boundary_arcweights = boundary_arcweights
         self.quad_weights = quad_weights
         self.regular_mask = np.all(arm_kind == 0, axis=1)
+        self.tree = tree
         self._second_ops = None
-        self._tree = None
-        self._interior_tree = None
+        self._boundary_fits = None
         self._nearest_interior = None
-        self._normal_sampler = None
 
     @property
     def dim(self) -> int:
@@ -317,18 +319,10 @@ class Grid:
         return np.asarray(fn(bp[:, 0], bp[:, 1]), dtype=float) * np.ones(self.n_boundary)
 
     @property
-    def tree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = cKDTree(self.points)
-        return self._tree
-
-    @property
     def nearest_interior(self) -> np.ndarray:
         """Index of the nearest interior node for each boundary node."""
         if self._nearest_interior is None:
-            if self._interior_tree is None:
-                self._interior_tree = cKDTree(self.interior_points)
-            _, idx = self._interior_tree.query(self.boundary_points)
+            _, idx = cKDTree(self.interior_points).query(self.boundary_points)
             self._nearest_interior = np.asarray(idx, dtype=int)
         return self._nearest_interior
 
@@ -351,34 +345,30 @@ class Grid:
             self._second_ops = _build_second_ops(self)
         return self._second_ops
 
-    # --- moving least squares sampling -----------------------------------
+    @property
+    def boundary_fits(self) -> Tuple[np.ndarray, np.ndarray]:
+        """`_quadratic_fits` (k = 12) at the boundary nodes, built once.
 
-    def _fit_rows(self, center, k=12):
-        k = min(k, self.n_nodes)
-        _, idx = self.tree.query(center, k=k)
-        idx = np.atleast_1d(idx)
-        z = (self.points[idx] - np.asarray(center)) / self.h
-        m = np.column_stack([
-            np.ones(len(idx)), z[:, 0], z[:, 1],
-            z[:, 0] ** 2, z[:, 0] * z[:, 1], z[:, 1] ** 2,
-        ])
-        return idx, np.linalg.pinv(m, rcond=1e-10)
-
-    def sample(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Sample node values at arbitrary points by local quadratic fits."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(pts.shape[0])
-        for i, p in enumerate(pts):
-            idx, pinv = self._fit_rows(p)
-            out[i] = pinv[0] @ values[idx]
-        return out
-
-    def fit_hessian_at(self, values: np.ndarray, center) -> np.ndarray:
-        """Hessian of a node field at an arbitrary point (exact for quadratics)."""
-        idx, pinv = self._fit_rows(center)
-        coef = pinv @ values[idx]
-        h2 = self.h**2
-        return np.array([[2.0 * coef[3], coef[4]], [coef[4], 2.0 * coef[5]]]) / h2
+        Row d of `(idx, pinv)` holds the fits centered d h along the inward
+        normal, d = 0, 1, 2.  Raises GridResolutionError when a center at
+        depth h or 2h is not inside the domain.
+        """
+        if self._boundary_fits is None:
+            if self.dim != 2:
+                raise ValueError("boundary fits require a 2-d grid")
+            depth = self.h * np.arange(3.0)[:, None, None]
+            centers = self.boundary_points - depth * self.boundary_normals
+            if np.any(self.domain.level(centers[1:, :, 0], centers[1:, :, 1]) >= 0.0):
+                raise GridResolutionError(
+                    "normal-derivative stencil leaves the domain; refine the grid")
+            idx, pinv = _quadratic_fits(self.points, self.tree,
+                                        centers.reshape(-1, 2), self.h, k=12)
+            fits = (idx.reshape(3, self.n_boundary, -1),
+                    pinv.reshape(3, self.n_boundary, 6, -1))
+            for arr in fits:
+                arr.setflags(write=False)
+            self._boundary_fits = fits
+        return self._boundary_fits
 
 
 def build_grid(domain: DomainSpec, resolution: int) -> Grid:
@@ -518,11 +508,12 @@ def _build_grid_2d(domain: DomainSpec, res: int) -> Grid:
     chord = np.linalg.norm(bpts[nxt] - bpts, axis=1)
     arcweights = 0.5 * (chord + np.roll(chord, 1))
 
+    tree = cKDTree(points)
     quad = _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d,
-                                ipts, bpts, n_int)
+                                points, tree)
 
     grid = Grid(domain, res, hx, hy, points, n_int, arm_kind, arm_index,
-                arm_dist, normals, curvature, bparams, arcweights, quad)
+                arm_dist, normals, curvature, bparams, arcweights, quad, tree)
     total = quad.sum()
     if abs(total - domain.measure) > 1e-8 * domain.measure:
         raise GridResolutionError(
@@ -582,11 +573,9 @@ def _disk_rect_moments(x0, x1, y0, y1):
     return area, mx, my
 
 
-def _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, ipts, bpts, n_int):
+def _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, points, tree):
     a, b = domain.semi_axes
-    res = xs.size
-    n_nodes = n_int + bpts.shape[0]
-    w = np.zeros(n_nodes)
+    w = np.zeros(points.shape[0])
 
     # Corner grid of the lattice cells (cell of node (i,j) is
     # [xs[i]-hx/2, xs[i]+hx/2] x [ys[j]-hy/2, ys[j]+hy/2]).
@@ -606,33 +595,42 @@ def _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, ipts, bpts, n_
 
     # Remaining cells: exact clipped area, redistributed with
     # quadratic-reproducing weights onto the nearest nodes.
-    all_points = np.vstack([ipts, bpts])
-    tree = cKDTree(all_points)
     cell_area = hx * hy
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     dist = domain.inside_distance(X, Y)
     reject = dist < -2.0 * math.hypot(hx, hy)
     partial = ~cell_full & ~reject
-    pi_idx, pj_idx = np.nonzero(partial)
-    hscale = min(hx, hy)
-    for i, j in zip(pi_idx, pj_idx):
+    centroids, areas = [], []
+    for i, j in zip(*np.nonzero(partial)):
         x0, x1 = (xs[i] - hx / 2.0) / a, (xs[i] + hx / 2.0) / a
         y0, y1 = (ys[j] - hy / 2.0) / b, (ys[j] + hy / 2.0) / b
         ar, mx, my = _disk_rect_moments(x0, x1, y0, y1)
         area = ar * a * b
-        if area <= 1e-14 * cell_area:
-            continue
-        cxp = a * mx / ar
-        cyp = b * my / ar
-        k = min(10, n_nodes)
-        _, idx = tree.query((cxp, cyp), k=k)
-        idx = np.atleast_1d(idx)
-        z = (all_points[idx] - np.array([cxp, cyp])) / hscale
-        m = np.column_stack([np.ones(len(idx)), z[:, 0], z[:, 1],
-                             z[:, 0] ** 2, z[:, 0] * z[:, 1], z[:, 1] ** 2])
-        lam = np.linalg.pinv(m, rcond=1e-10)[0]
-        np.add.at(w, idx, area * lam)
+        if area > 1e-14 * cell_area:
+            centroids.append((a * mx / ar, b * my / ar))
+            areas.append(area)
+    idx, pinv = _quadratic_fits(points, tree, np.array(centroids),
+                                min(hx, hy), k=10)
+    # value-at-centroid weights, added cell by cell in lattice order
+    np.add.at(w, idx.ravel(), (np.array(areas)[:, None] * pinv[:, 0]).ravel())
     return w
+
+
+def _quadratic_fits(points, tree, centers, scale, k):
+    """Least-squares quadratic fits at `centers` on their k nearest nodes.
+
+    Returns idx (m, k), the nearest nodes, and pinv (m, 6, k), the
+    pseudo-inverses of the basis 1, x, y, x^2, xy, y^2 in coordinates
+    relative to the center over `scale`: `pinv @ values[idx][..., None]`
+    are the coefficients, exact for quadratic fields.
+    """
+    k = min(k, points.shape[0])
+    _, idx = tree.query(centers, k=k)
+    idx = idx.reshape(centers.shape[0], k)
+    z = (points[idx] - centers[:, None, :]) / scale
+    x, y = z[..., 0], z[..., 1]
+    basis = np.stack([np.ones_like(x), x, y, x**2, x * y, y**2], axis=-1)
+    return idx, np.linalg.pinv(basis, rcond=1e-10)
 
 
 def _build_second_ops(grid: Grid) -> SecondOps:
@@ -761,32 +759,22 @@ def boundary_normal_derivative(u: ScalarField, grid: Grid = None) -> np.ndarray:
         dn_b = (3.0 * ub_ - 4.0 * right2 + right1) / (2.0 * h)
         return np.array([dn_a, dn_b])
 
-    if grid._normal_sampler is None:
-        delta = grid.h
-        bpts = grid.boundary_points
-        nrm = grid.boundary_normals
-        samplers = []
-        for depth in (1.0, 2.0):
-            pts = bpts - depth * delta * nrm
-            lev = grid.domain.level(pts[:, 0], pts[:, 1])
-            if np.any(lev >= 0.0):
-                raise GridResolutionError(
-                    "normal-derivative stencil leaves the domain; refine the grid")
-            idx_rows = []
-            lam_rows = []
-            for p in pts:
-                idx, pinv = grid._fit_rows(p)
-                idx_rows.append(idx)
-                lam_rows.append(pinv[0])
-            samplers.append((np.array(idx_rows), np.array(lam_rows)))
-        grid._normal_sampler = (delta, samplers)
+    idx, pinv = grid.boundary_fits
+    u1, u2 = (np.einsum("ij,ij->i", pinv[d, :, 0], vals[idx[d]]) for d in (1, 2))
+    return (3.0 * vals[nb:] - 4.0 * u1 + u2) / (2.0 * grid.h)
 
-    delta, samplers = grid._normal_sampler
-    ub = vals[nb:]
-    (i1, l1), (i2, l2) = samplers
-    u1 = np.einsum("ij,ij->i", l1, vals[i1])
-    u2 = np.einsum("ij,ij->i", l2, vals[i2])
-    return (3.0 * ub - 4.0 * u1 + u2) / (2.0 * delta)
+
+def boundary_hessian(u: ScalarField, grid: Grid = None) -> np.ndarray:
+    """Hessian of u at every boundary node, shape (n_boundary, 2, 2).
+
+    Read off the local quadratic fit of `Grid.boundary_fits` centered at the
+    node, so it is exact for quadratic fields.
+    """
+    grid = grid or u.grid
+    idx, pinv = grid.boundary_fits
+    c = (pinv[0] @ u.values[idx[0]][..., None])[:, 3:, 0] / grid.h**2
+    return np.stack([2.0 * c[:, 0], c[:, 1], c[:, 1], 2.0 * c[:, 2]],
+                    axis=1).reshape(-1, 2, 2)
 
 
 def integrate_interior(field, grid: Grid) -> float:

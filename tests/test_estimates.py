@@ -16,6 +16,7 @@ from abreu_bvp import (
     standard_diagnostics,
     wd_bound_check,
 )
+from abreu_bvp.mesh import level_bubble
 
 
 def radial(grid, scale=0.5, offset=-0.5):
@@ -25,12 +26,15 @@ def radial(grid, scale=0.5, offset=-0.5):
 
 # ----------------------------------------------------- boundary cofactor
 
-def test_boundary_cofactor_exact_radial_cases(disk64):
+def test_boundary_cofactor_exact_radial_cases(disk64, ellipse64):
     # paraboloid: U^nn = 1, K = 1, u_nu = 1
     assert boundary_cofactor_check(radial(disk64), disk64).measured < 1e-8
     # doubled: U^nn = 2, K u_nu = 2
     rep = boundary_cofactor_check(radial(disk64, 1.0, -1.0), disk64)
     assert rep.measured < 1e-8
+    # level bubble, radial in the ellipse's scaled coordinates
+    u = ScalarField(ellipse64, level_bubble(ellipse64))
+    assert boundary_cofactor_check(u, ellipse64).measured < 1e-8
 
 
 def test_boundary_cofactor_refines(disk32, disk64, disk128):

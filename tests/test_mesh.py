@@ -18,6 +18,7 @@ from abreu_bvp import (
     is_positive_definite,
 )
 from abreu_bvp.exceptions import DomainError, GridResolutionError
+from abreu_bvp.mesh import boundary_hessian
 
 
 # ---------------------------------------------------------------- domains
@@ -151,6 +152,18 @@ def test_interior_quadrature_disk_moments(disk128):
     assert integrate_interior(r2, g) == pytest.approx(np.pi / 2, abs=2e-3)
 
 
+def test_interior_quadrature_ellipse_moments(ellipse64):
+    # the cut cells of an ellipse are clipped in scaled coordinates
+    g = ellipse64
+    a, b = g.domain.semi_axes
+    x, y = g.points[:, 0], g.points[:, 1]
+    assert integrate_interior(np.ones_like(x), g) == pytest.approx(np.pi * a * b, abs=1e-12)
+    assert abs(integrate_interior(x, g)) < 1e-12
+    assert abs(integrate_interior(x * y, g)) < 1e-12
+    assert integrate_interior(x**2, g) == pytest.approx(np.pi * a**3 * b / 4, abs=1e-3)
+    assert integrate_interior(y**2, g) == pytest.approx(np.pi * a * b**3 / 4, abs=1e-3)
+
+
 def test_interior_quadrature_interval():
     g = build_grid(DomainSpec.interval(0.0, 1.0), 64)
     x = g.points[:, 0]
@@ -182,6 +195,34 @@ def test_normal_derivative_radial(disk64):
     u = ScalarField(g, 0.5 * (pts[:, 0]**2 + pts[:, 1]**2 - 1.0))
     un = boundary_normal_derivative(u, g)
     assert np.max(np.abs(un - 1.0)) < 1e-9
+
+
+def test_normal_derivative_exact_on_quadratics_ellipse(ellipse64):
+    g = ellipse64
+    x, y = g.points[:, 0], g.points[:, 1]
+    u = ScalarField(g, 0.3 * x**2 - 0.2 * x * y + 0.7 * y**2 + 0.1 * x - 0.4 * y)
+    bx, by = g.boundary_points[:, 0], g.boundary_points[:, 1]
+    grad = np.column_stack([0.6 * bx - 0.2 * by + 0.1, -0.2 * bx + 1.4 * by - 0.4])
+    exact = np.sum(grad * g.boundary_normals, axis=1)
+    assert np.max(np.abs(boundary_normal_derivative(u, g) - exact)) < 1e-9
+
+
+def test_normal_derivative_fits_are_lazy():
+    # at resolution 4 the inward samples near the tips of this ellipse
+    # fall outside it: the grid builds, the first derivative call refuses
+    g = build_grid(DomainSpec.ellipse(1.0, 0.25), 4)
+    with pytest.raises(GridResolutionError):
+        boundary_normal_derivative(ScalarField.constant(g, 1.0), g)
+
+
+def test_boundary_hessian_exact_on_quadratics(disk32, ellipse32, rng):
+    for g in (disk32, ellipse32):
+        x, y = g.points[:, 0], g.points[:, 1]
+        a, b, c, d, e, f0 = rng.normal(size=6)
+        u = ScalarField(g, a * x**2 + b * x * y + c * y**2 + d * x + e * y + f0)
+        H = boundary_hessian(u, g)
+        assert H.shape == (g.n_boundary, 2, 2)
+        assert np.max(np.abs(H - [[2 * a, b], [b, 2 * c]])) < 1e-9
 
 
 def test_normal_derivative_linear_interval(interval64):
