@@ -105,6 +105,10 @@ def _write_solution_fields(outdir, problem, sol) -> None:
 def _cmd_solve(cfg: RunConfig, outdir: str, command: str = "solve") -> int:
     grid = cfg.make_grid()
     problem = cfg.make_problem(grid)
+    # eval_F/eval_L are only defined against zero boundary data; surface
+    # that as a usage error before spending time on the solve.
+    if command == "functional" and not problem.phi_is_zero:
+        raise ConfigError("functional evaluation requires phi = 0")
     sol = solve_second_bvp(problem, cfg.continuation)
     report = _base_report(cfg, command)
     report.update(_solution_entries(sol))
@@ -118,27 +122,12 @@ def _cmd_solve(cfg: RunConfig, outdir: str, command: str = "solve") -> int:
         report["assumptions"] = verify_assumptions(cfg.gspec, (lo, hi))
     _write_solution_fields(outdir, problem, sol)
     write_report(os.path.join(outdir, "report.txt"), report)
-    print(f"{command}: converged, el residual sup-norm "
-          f"{sol.el_residual_norm:.3e}")
-    return EXIT_OK
-
-
-def _cmd_functional(cfg: RunConfig, outdir: str) -> int:
-    grid = cfg.make_grid()
-    problem = cfg.make_problem(grid)
-    # eval_F/eval_L are only defined against zero boundary data; surface
-    # that as a usage error before spending time on the solve.
-    if not problem.phi_is_zero:
-        raise ConfigError("functional evaluation requires phi = 0")
-    sol = solve_second_bvp(problem, cfg.continuation)
-    F = eval_F(sol.u, problem)
-    L = eval_L(sol.u, problem)
-    report = _base_report(cfg, "functional")
-    report["functionals"] = {"F": F, "L": L}
-    report.update(_solution_entries(sol))
-    _write_solution_fields(outdir, problem, sol)
-    write_report(os.path.join(outdir, "report.txt"), report)
-    print(f"functional: F = {F:.12g}, L = {L:.12g}")
+    if command == "functional":
+        print("functional: F = {F:.12g}, L = {L:.12g}".format(
+            **report["functionals"]))
+    else:
+        print(f"{command}: converged, el residual sup-norm "
+              f"{sol.el_residual_norm:.3e}")
     return EXIT_OK
 
 
@@ -255,12 +244,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         outdir = args.out or cfg.output_dir or "."
         os.makedirs(outdir, exist_ok=True)
-        if args.command == "solve":
-            return _cmd_solve(cfg, outdir)
-        if args.command == "diagnostics":
-            return _cmd_solve(cfg, outdir, command="diagnostics")
-        if args.command == "functional":
-            return _cmd_functional(cfg, outdir)
+        if args.command in ("solve", "diagnostics", "functional"):
+            return _cmd_solve(cfg, outdir, args.command)
         if args.command == "ma":
             return _cmd_ma(cfg, outdir)
         if args.command == "linma":

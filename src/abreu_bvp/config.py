@@ -28,7 +28,7 @@ _KEYS = {
     "g": ("theta",),
     "problem": ("f", "phi", "psi", "g"),
     "solver": ("resolution", "t_steps", "w_floor", "max_step_halvings",
-               "newton_tol", "max_newton_iters", "damping_min", "linear_tol"),
+               "newton_tol", "max_newton_iters", "linear_tol"),
     "output": ("directory",),
 }
 
@@ -237,8 +237,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                                   MAOptions.newton_tol),
             max_newton_iters=reader.get("solver", "max_newton_iters", _to_int,
                                         MAOptions.max_newton_iters),
-            damping_min=reader.get("solver", "damping_min", float,
-                                   MAOptions.damping_min),
         )
         lin = LinSolveOptions(
             linear_tol=reader.get("solver", "linear_tol", float,

@@ -9,9 +9,10 @@ cofactor matrix of D^2 u and Theta inverts G'.  At t = 0 the solution is
 w = 1 (or a given initial w0) with u from one Monge-Ampere solve.  t is
 then driven to 1 in t_steps equal steps; each step is a Newton solve of the
 coupled system on the stacked (u, w) unknowns, started from the previous
-step's solution.  A failed step is retried at half the size, within a
-budget of max_step_halvings halvings for the whole run.  Newton keeps
-w > 0.  A failed step shows the floor (floor_hit) when its last iterate
+step's solution, by the package's one damped Newton
+(`ma_dirichlet.damped_newton`).  A failed step is retried at half the size,
+within a budget of max_step_halvings halvings for the whole run.  Newton
+keeps w > 0.  A failed step shows the floor (floor_hit) when its last iterate
 has min w below w_floor, or when the w-equation solved alone on its last
 u would; if the halving budget runs out on such a step, the run reports
 suspected nonexistence (WFloorError).
@@ -26,14 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as splinalg
 
 from .estimates import DiagnosticsReport, standard_diagnostics
-from .exceptions import ContinuationError, WFloorError
+from .exceptions import ContinuationError, SingularSystemError, WFloorError
 from .functionals import el_residual
 from .gfamily import invert_w
-from .lin_ma import LinSolveOptions, assemble_operator, solve_linearized
-from .ma_dirichlet import MAOptions, solve_ma
+from .lin_ma import (LinSolveOptions, assemble_operator, solve_linearized,
+                     solve_system)
+from .ma_dirichlet import MAOptions, damped_newton, solve_ma
 from .mesh import (ScalarField, cofactor, det_field, hessian,
                    is_positive_definite, sym_det)
 from .problem import Problem
@@ -89,21 +90,17 @@ def phi_map(w: ScalarField, t: float, problem: Problem,
 _NEWTON_TOL = 1e-11       # scaled coupled residual that ends a step
 _NEWTON_ACCEPT = 1e-8     # still converged if the line search stalls here
 _NEWTON_MAX_ITERS = 30
-# Where no solution exists, Newton keeps pushing w toward zero and the
-# positivity cut shrinks the damping geometrically; ending the step at this
-# damping, not after the full iteration budget, reaches the verdict sooner.
-_DAMPING_MIN = 1e-2
 
 
 def _newton_step(uv, wv, t, problem, opts):
     """Newton on the coupled system at parameter t, from node values (uv, wv).
 
-    The Jacobian is exact: the determinant block assembles with cofactor
-    coefficients of D²u, and in two dimensions the cofactor pairing is
-    symmetric (cof(A):B = cof(B):A), so the derivative of U^{ij}w_{ij} in u
-    assembles with cofactor coefficients built from D²w.  Steps are damped
-    by Deuflhard's natural-monotonicity test, with one factorization per
-    iteration, and cut short so that w stays positive.
+    The unknowns are the interior values of u and w, stacked.  The Jacobian
+    is exact: the determinant block assembles with cofactor coefficients of
+    D²u, and in two dimensions the cofactor pairing is symmetric
+    (cof(A):B = cof(B):A), so the derivative of U^{ij}w_{ij} in u
+    assembles with cofactor coefficients built from D²w.  `damped_newton`
+    runs the iteration; its steps are cut short so that w stays positive.
 
     Returns the final (uv, wv) and the step's outcome for the trace.
     """
@@ -111,74 +108,46 @@ def _newton_step(uv, wv, t, problem, opts):
     n = grid.n_interior
     gspec = problem.gspec
     f_int = t * problem.f.interior
-    uv = uv.copy()
-    wv = wv.copy()
-    wv[n:] = t * problem.psi + (1.0 - t)
+    ub = uv[n:]
+    wb = t * problem.psi + (1.0 - t)
     s2 = max(1.0, float(np.max(np.abs(f_int))))
 
-    def residual(uvals, wvals):
-        Hu = hessian(ScalarField(grid, uvals), grid)
-        theta = invert_w(gspec, wvals[:n])
+    def residual(x):
+        Hu = hessian(ScalarField(grid, np.concatenate([x[:n], ub])), grid)
+        theta = invert_w(gspec, x[n:])
         A_w, B_w = assemble_operator(grid, cofactor(Hu, grid))
         F = np.concatenate([sym_det(Hu.data) - theta,
-                            A_w @ wvals[:n] + B_w @ wvals[n:] - f_int])
+                            A_w @ x[n:] + B_w @ wb - f_int])
         s1 = max(1.0, float(np.max(theta)))
         r = max(float(np.max(np.abs(F[:n]))) / s1,
                 float(np.max(np.abs(F[n:]))) / s2)
-        return r, F, Hu, A_w, theta
+        return r, F, (Hu, A_w, theta)
 
-    def jacobian(wvals, A_w, theta):
+    def jacobian(x, state):
         # A_w, the operator with cofactor coefficients of D²u, is also the
         # derivative of det D²u.
-        d_theta = theta / (gspec.theta - 1.0) / wvals[:n]
+        _, A_w, theta = state
+        d_theta = theta / (gspec.theta - 1.0) / x[n:]
         C_wu = None  # in one dimension the cofactor is constant
         if grid.dim == 2:
-            Hw = hessian(ScalarField(grid, wvals), grid)
+            Hw = hessian(ScalarField(grid, np.concatenate([x[n:], wb])), grid)
             C_wu = assemble_operator(grid, cofactor(Hw, grid))[0]
         return sparse.bmat([[A_w, sparse.diags(-d_theta)], [C_wu, A_w]],
                            format="csc")
 
-    r, F, Hu, A_w, theta = residual(uv, wv)
-    error = None
-    it = 0
-    while r > _NEWTON_TOL and it < _NEWTON_MAX_ITERS:
-        lu = None  # one factorization alive at a time
-        try:
-            lu = splinalg.splu(jacobian(wv, A_w, theta))
-        except RuntimeError as exc:
-            error = f"singular coupled Jacobian: {exc}"
-            break
-        step = lu.solve(-F)
-        if not np.all(np.isfinite(step)):
-            error = "singular coupled Jacobian"
-            break
-        du, dw = step[:n], step[n:]
-        neg = dw < 0.0
-        s = 1.0
-        if bool(np.any(neg)):
-            # fraction-to-boundary: keep w positive along the step
-            s = min(1.0, 0.995 * float(np.min(wv[:n][neg] / -dw[neg])))
-        norm = float(np.max(np.abs(step)))
-        accepted = False
-        while s > _DAMPING_MIN:
-            u_try = uv.copy()
-            u_try[:n] += s * du
-            w_try = wv.copy()
-            w_try[:n] += s * dw
-            trial = residual(u_try, w_try)
-            r_try, F_try = trial[:2]
-            simplified = lu.solve(-F_try)
-            if (r_try <= _NEWTON_TOL or float(np.max(np.abs(simplified)))
-                    <= (1.0 - 0.25 * s) * norm):
-                uv, wv = u_try, w_try
-                r, F, Hu, A_w, theta = trial
-                accepted = True
-                break
-            s *= 0.5
-        it += 1
-        if not accepted:
-            break  # at the discrete noise floor, or genuinely stuck
+    def cap(x, step):
+        # fraction-to-boundary: keep w positive along the step
+        neg = step[n:] < 0.0
+        return min(1.0, 0.995 * float(np.min(x[n:][neg] / -step[n:][neg],
+                                             initial=np.inf)))
 
+    x = np.concatenate([uv[:n], wv[:n]])
+    x, r, F, (Hu, A_w, _), steps, exc = damped_newton(
+        x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS, opts.lin, cap)
+    error = (f"singular coupled Jacobian: {exc}"
+             if isinstance(exc, SingularSystemError) else None)
+    uv = np.concatenate([x[:n], ub])
+    wv = np.concatenate([x[n:], wb])
     w_min = float(np.min(wv))
     convex = bool(np.all(is_positive_definite(Hu)))
     floor_hit = w_min < opts.w_floor
@@ -193,9 +162,12 @@ def _newton_step(uv, wv, t, problem, opts):
         # the coupled step's w-part, its solution stays above the boundary
         # data where t f <= 0 (maximum principle), so a step that is merely
         # too long for Newton is not taken for nonexistence.
-        w_alone = wv[:n] - splinalg.spsolve(A_w.tocsc(), F[n:])
-        floor_hit = float(np.min(w_alone)) < opts.w_floor
-    outcome = {"iterations": it, "residual": r, "w_min": w_min,
+        try:
+            w_alone = wv[:n] - solve_system(A_w, F[n:], opts.lin)
+            floor_hit = float(np.min(w_alone)) < opts.w_floor
+        except SingularSystemError:
+            pass  # no evidence either way
+    outcome = {"iterations": steps, "residual": r, "w_min": w_min,
                "converged": error is None,
                "floor_hit": error is not None and floor_hit}
     if error is not None:

@@ -4,7 +4,9 @@ The coefficient field is a symmetric positive definite MatrixField (in
 practice the cofactor matrix of a convex iterate).  The discretization is
 central differences, with the mixed derivative taken from the two diagonal
 directional second derivatives; the resulting nonsymmetric sparse system is
-solved by a direct sparse factorization.
+solved by a direct sparse factorization.  `factorize` is the package's one
+SuperLU call: the Newton solves reuse its LU across a line search, and every
+solve through it is checked for a finite solution and a small residual.
 """
 
 from __future__ import annotations
@@ -62,26 +64,40 @@ def _condition_estimate(A):
     return None
 
 
-def solve_system(A, rhs, opts: LinSolveOptions):
-    """Solve the assembled interior system, with residual verification."""
+def factorize(A, opts: LinSolveOptions):
+    """Sparse LU of A; returns solve(rhs), which checks every solution.
+
+    A solution must be finite with residual within linear_tol of max|rhs|;
+    a failed check, or a failed factorization, raises SingularSystemError.
+    The LU lives as long as the returned function.
+    """
     try:
-        x = spla.spsolve(A.tocsc(), rhs)
+        lu = spla.splu(A.tocsc())
     except RuntimeError as exc:
         raise SingularSystemError(
             f"sparse factorization failed: {exc}",
             condition_estimate=_condition_estimate(A)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError(
-            "singular system: solution contains non-finite entries",
-            condition_estimate=_condition_estimate(A))
-    scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-    if scale > 0.0:
-        resid = float(np.max(np.abs(A @ x - rhs)))
-        if resid > opts.linear_tol * scale:
+
+    def solve(rhs):
+        x = lu.solve(rhs)
+        if not np.all(np.isfinite(x)):
             raise SingularSystemError(
-                f"relative residual {resid / scale:.3e} exceeds linear_tol",
+                "singular system: solution contains non-finite entries",
                 condition_estimate=_condition_estimate(A))
-    return x
+        scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
+        if scale > 0.0:
+            resid = float(np.max(np.abs(A @ x - rhs)))
+            if resid > opts.linear_tol * scale:
+                raise SingularSystemError(
+                    f"relative residual {resid / scale:.3e} exceeds "
+                    "linear_tol", condition_estimate=_condition_estimate(A))
+        return x
+    return solve
+
+
+def solve_system(A, rhs, opts: LinSolveOptions):
+    """Solve the assembled interior system once, with residual verification."""
+    return factorize(A, opts)(rhs)
 
 
 def solve_linearized(grid: Grid, U: MatrixField, f: ScalarField, w_b,

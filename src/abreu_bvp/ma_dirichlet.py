@@ -2,11 +2,14 @@
 
 Newton uses the exact linearization delta(det D^2 u) = U^{ij} delta u_{ij},
 so each step solves a linearized problem with the current cofactor field as
-coefficients.  Iterates are kept discretely convex (positive definite
-Hessian at every interior node) by backtracking; the initial guess is a
-Poisson solve, made convex with the domain's level-function bubble where
-needed.  In one dimension the problem is linear in the discrete Hessian
-and is solved directly.
+coefficients.  The initial guess is a Poisson solve, made convex with the
+domain's level-function bubble where needed; in one dimension it is already
+the discrete solution.  Iterates stay discretely convex (positive definite
+Hessian at every interior node): a nonconvex trial has infinite residual,
+which the line search rejects.
+
+`damped_newton`, the package's one damped Newton, also drives the coupled
+step of the continuation.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvexityLossError, NewtonDivergenceError
-from .lin_ma import LinSolveOptions, assemble_operator, solve_system
+from .exceptions import (ConvexityLossError, NewtonDivergenceError,
+                         SingularSystemError)
+from .lin_ma import LinSolveOptions, assemble_operator, factorize, solve_system
 from .mesh import (Grid, MatrixField, ScalarField, cofactor, hessian,
                    is_positive_definite, level_bubble, sym_det)
 
@@ -25,7 +29,6 @@ from .mesh import (Grid, MatrixField, ScalarField, cofactor, hessian,
 class MAOptions:
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
-    damping_min: float = 2.0**-20
 
     def __post_init__(self):
         if self.newton_tol <= 0.0:
@@ -51,17 +54,13 @@ def _identity_coeffs(grid: Grid) -> MatrixField:
     return MatrixField(grid, data)
 
 
-def _linear_solve(grid, coeffs, rhs_interior, boundary, lin_opts):
-    A, B = assemble_operator(grid, coeffs)
-    return solve_system(A, rhs_interior - B @ boundary, lin_opts)
-
-
 def _initial_guess(grid: Grid, g: ScalarField, phi_b,
                    lin_opts: LinSolveOptions) -> np.ndarray:
     n = grid.dim
     # trace D^2 u0 = n g^{1/n}: equality when D^2 u0 is a multiple of I.
     rhs = n * g.interior ** (1.0 / n)
-    u_int = _linear_solve(grid, _identity_coeffs(grid), rhs, phi_b, lin_opts)
+    A, B = assemble_operator(grid, _identity_coeffs(grid))
+    u_int = solve_system(A, rhs - B @ phi_b, lin_opts)
     u = np.concatenate([u_int, phi_b])
 
     bubble = level_bubble(grid)
@@ -76,76 +75,99 @@ def _initial_guess(grid: Grid, g: ScalarField, phi_b,
     raise ConvexityLossError("could not construct a convex initial guess")
 
 
+# The line search gives up below this damping.  Where no solution exists,
+# it ends the coupled step sooner than the iteration budget would.
+_DAMPING_MIN = 1e-2
+
+
+def damped_newton(x, residual, jacobian, tol, max_iters,
+                  lin_opts: LinSolveOptions, cap=None):
+    """Damped Newton for F(x) = 0 from x, until the scaled residual <= tol.
+
+    `residual(x)` returns (r, F, state): the scaled residual norm (inf
+    rejects x), the residual vector, and what `jacobian(x, state)` needs to
+    build the sparse Jacobian.  `cap(x, step)` optionally bounds the
+    damping of a step.  A trial at damping s is taken by Deuflhard's
+    natural-monotonicity test: its simplified step J^{-1} F(trial) is at
+    most (1 - s/4) times the Newton step.  Each iteration makes one checked
+    factorization, which the simplified steps reuse.
+
+    Returns (x, r, F, state, steps, error) for the last accepted iterate,
+    with steps the line searches run and error None or the SolverError
+    that stopped Newton short: no trial above _DAMPING_MIN, max_iters
+    steps, or a linear solve failing its check.
+    """
+    r, F, state = residual(x)
+    trace = [{"iter": 0, "residual": r}]
+    steps, error, solve = 0, None, None
+    try:
+        while r > tol and steps < max_iters:
+            solve = None  # one factorization alive at a time
+            solve = factorize(jacobian(x, state), lin_opts)
+            step = solve(-F)
+            s = 1.0 if cap is None else cap(x, step)
+            norm = float(np.max(np.abs(step)))
+            steps += 1
+            while s > _DAMPING_MIN:
+                x_try = x + s * step
+                trial = residual(x_try)
+                if trial[0] <= tol or (
+                        trial[0] < np.inf
+                        and float(np.max(np.abs(solve(-trial[1]))))
+                        <= (1.0 - 0.25 * s) * norm):
+                    break
+                s *= 0.5
+            else:
+                error = NewtonDivergenceError(
+                    f"line search found no damping above {_DAMPING_MIN}",
+                    trace=trace)
+                break
+            x, (r, F, state) = x_try, trial
+            trace.append({"iter": steps, "residual": r})
+    except SingularSystemError as exc:
+        solve, error = None, exc  # exc.__traceback__ keeps this frame alive
+    if error is None and r > tol:
+        error = NewtonDivergenceError(
+            f"no convergence in {max_iters} Newton iterations "
+            f"(residual {r:.3e})", trace=trace)
+    return x, r, F, state, steps, error
+
+
 def solve_ma(grid: Grid, g: ScalarField, phi_b, opts: MAOptions = None,
              lin_opts: LinSolveOptions = None,
              initial: ScalarField = None) -> ScalarField:
     """Solve det D^2 u = g, u = phi_b on the boundary, u discretely convex.
 
-    `initial` warm-starts Newton; it must carry the same boundary values.
+    `initial` warm-starts Newton; its boundary values are replaced by phi_b.
     """
     opts = opts or MAOptions()
     lin_opts = lin_opts or LinSolveOptions()
     _check_g(g)
     phi_b = np.asarray(phi_b, dtype=float) * np.ones(grid.n_boundary)
 
-    if grid.dim == 1:
-        # det D^2 u is linear in u: one solve, no Newton.
-        u_int = _linear_solve(grid, _identity_coeffs(grid), g.interior,
-                              phi_b, lin_opts)
-        return ScalarField(grid, np.concatenate([u_int, phi_b]))
-
-    if initial is not None:
-        u = initial.values.copy()
-        u[grid.n_interior:] = phi_b
-        H, dets = _interior_det(grid, u)
+    def residual(x):
+        H, dets = _interior_det(grid, np.concatenate([x, phi_b]))
+        F = dets - g.interior
         if not np.all(is_positive_definite(H)):
-            u = _initial_guess(grid, g, phi_b, lin_opts)
-    else:
-        u = _initial_guess(grid, g, phi_b, lin_opts)
+            return np.inf, F, H  # Newton keeps the iterates convex
+        return float(np.max(np.abs(F))), F, H
 
-    trace = []
+    def jacobian(x, H):
+        return assemble_operator(grid, cofactor(H, grid))[0]
+
+    x = None if initial is None else initial.interior
+    if x is None or residual(x)[0] == np.inf:
+        x = _initial_guess(grid, g, phi_b, lin_opts)[: grid.n_interior]
+
     # The convergence test scales with the data: the discrete determinant
     # carries rounding noise proportional to its own size, so an absolute
     # sup-norm target is unreachable when g is large.
     tol = opts.newton_tol * max(1.0, float(np.max(np.abs(g.interior))))
-    H, dets = _interior_det(grid, u)
-    res = dets - g.interior
-    res_norm = float(np.max(np.abs(res)))
-    for it in range(opts.max_newton_iters):
-        trace.append({"iter": it, "residual": res_norm})
-        if res_norm <= tol:
-            return ScalarField(grid, u)
-        U = cofactor(H, grid)
-        A, _ = assemble_operator(grid, U)
-        step = solve_system(A, -res, lin_opts)
-
-        s = 1.0
-        while True:
-            u_try = u.copy()
-            u_try[: grid.n_interior] += s * step
-            H_try, dets_try = _interior_det(grid, u_try)
-            res_try = dets_try - g.interior
-            norm_try = float(np.max(np.abs(res_try)))
-            convex = bool(np.all(is_positive_definite(H_try)))
-            if convex and norm_try < res_norm:
-                break
-            s *= 0.5
-            if s < opts.damping_min:
-                trace.append({"iter": it + 1, "residual": norm_try,
-                              "damping": s, "convex": convex})
-                if not convex:
-                    raise ConvexityLossError(
-                        "damping cannot restore discrete convexity",
-                        trace=trace)
-                raise NewtonDivergenceError(
-                    "line search stalled before residual decrease",
-                    trace=trace)
-        u, H, res, res_norm = u_try, H_try, res_try, norm_try
-
-    trace.append({"iter": opts.max_newton_iters, "residual": res_norm})
-    raise NewtonDivergenceError(
-        f"no convergence in {opts.max_newton_iters} Newton iterations "
-        f"(residual {res_norm:.3e})", trace=trace)
+    x, *_, error = damped_newton(x, residual, jacobian, tol,
+                                 opts.max_newton_iters, lin_opts)
+    if error is not None:
+        raise error
+    return ScalarField(grid, np.concatenate([x, phi_b]))
 
 
 def ma_residual(grid: Grid, u: ScalarField, g: ScalarField) -> ScalarField:

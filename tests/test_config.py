@@ -90,7 +90,7 @@ def test_unknown_sections_and_keys():
         parse_config(MINIMAL + "\n[solver]\nwarp = 9\n")
     # keys of removed options are rejected, not silently ignored
     for key in ("rho", "fixed_point_tol", "max_picard_iters", "init_mode",
-                "solver_kind", "max_linear_iters"):
+                "solver_kind", "max_linear_iters", "damping_min"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'") as ei:
             parse_config(MINIMAL + f"{key} = 1\n")
         assert ei.value.line == len(MINIMAL.splitlines()) + 1

@@ -13,7 +13,9 @@ from abreu_bvp import (
     solve_exact_1d,
     solve_second_bvp,
 )
-from abreu_bvp.exceptions import ContinuationError, WFloorError
+from abreu_bvp import ma_dirichlet
+from abreu_bvp.exceptions import (ContinuationError, SingularSystemError,
+                                  WFloorError)
 
 
 def trivial_problem(grid):
@@ -122,6 +124,31 @@ def test_threshold_verdicts_bracket_the_discrete_threshold(interval64):
         with pytest.raises(WFloorError) as ei:
             solve_second_bvp(prob)
         assert 0.95 * 8.0 <= ei.value.last_good_t * c <= f_star_h
+
+
+def test_singular_coupled_system_ends_only_its_step(disk32, monkeypatch):
+    # A failed linear solve inside a coupled step becomes that step's trace
+    # entry; the continuation halves the step and goes on.
+    n = disk32.n_interior
+    real_factorize = ma_dirichlet.factorize
+    coupled_calls = []
+
+    def factorize(A, opts):
+        if A.shape[0] == 2 * n:
+            coupled_calls.append(A.shape)
+            if len(coupled_calls) == 1:
+                raise SingularSystemError("injected singular Jacobian")
+        return real_factorize(A, opts)
+
+    monkeypatch.setattr(ma_dirichlet, "factorize", factorize)
+    sol = solve_second_bvp(Problem(disk32, GSpec(0.0, 2), 2.0, 0.0, 1.0))
+    failed, halved = sol.iterations[:2]
+    assert not failed["converged"] and not failed["floor_hit"]
+    assert "injected singular Jacobian" in failed["error"]
+    assert failed["iterations"] == 0
+    assert halved["converged"] and halved["dt"] == failed["dt"] / 2
+    assert halved["t"] == pytest.approx(failed["t"] / 2)
+    assert sol.iterations[-1]["t"] == 1.0
 
 
 def test_negative_source_never_reports_nonexistence(disk32):

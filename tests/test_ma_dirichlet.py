@@ -1,17 +1,23 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from abreu_bvp import (
     DomainSpec,
+    GSpec,
     MAOptions,
+    Problem,
     ScalarField,
     build_grid,
     hessian,
     is_positive_definite,
     ma_residual,
     solve_ma,
+    solve_second_bvp,
 )
-from abreu_bvp.exceptions import SolverError
+from abreu_bvp.exceptions import NewtonDivergenceError
 
 
 def test_1d_direct_solve(interval64):
@@ -96,8 +102,38 @@ def test_rejects_nonpositive_g(disk32):
 
 def test_newton_budget_exhaustion(disk32):
     opts = MAOptions(max_newton_iters=1, newton_tol=1e-14)
-    with pytest.raises(SolverError):
+    with pytest.raises(NewtonDivergenceError) as ei:
         solve_ma(disk32, ScalarField.constant(disk32, 40.0), 0.0, opts=opts)
+    # one entry per iterate: the start and the one step allowed
+    trace = ei.value.trace
+    assert [e["iter"] for e in trace] == [0, 1]
+    assert all(np.isfinite(e["residual"]) for e in trace)
+    assert trace[1]["residual"] < trace[0]["residual"]
+
+
+def test_one_factorization_alive_at_a_time(disk32, monkeypatch):
+    # Each Newton iteration drops its LU before making the next one, so a
+    # second factorization never has to fit beside the first.  SuperLU
+    # objects take no weak references: count references instead.
+    made = []
+    real_splu = spla.splu
+    probe = [object()]
+    only_listed = sys.getrefcount(probe[0])  # held by its list alone
+
+    def splu(A, *args, **kwargs):
+        alive = [i for i in range(len(made))
+                 if sys.getrefcount(made[i]) > only_listed]
+        assert not alive, f"factorizations {alive} still referenced"
+        made.append(real_splu(A, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(spla, "splu", splu)
+    solve_second_bvp(Problem(disk32, GSpec(0.0, 2), 50.0, 0.0, 1.0))
+    coupled = len(made)
+    pts = disk32.points
+    bump = 1.0 + 50.0 * np.exp(-20.0 * (pts[:, 0]**2 + pts[:, 1]**2))
+    solve_ma(disk32, ScalarField(disk32, bump), 0.0)
+    assert coupled > 10 and len(made) - coupled > 2
 
 
 def test_options_validation():
