@@ -141,9 +141,13 @@ def _newton_step(uv, wv, t, problem, opts):
         return min(1.0, 0.995 * float(np.min(x[n:][neg] / -step[n:][neg],
                                              initial=np.inf)))
 
+    # the grid's order with each node's u and w unknowns side by side
+    p = grid.nd_order
+    order = None if p is None else np.column_stack([p, p + n]).ravel()
     x = np.concatenate([uv[:n], wv[:n]])
     x, r, F, (Hu, A_w, _), steps, exc = damped_newton(
-        x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS, opts.lin, cap)
+        x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS, opts.lin, cap,
+        order)
     error = (f"singular coupled Jacobian: {exc}"
              if isinstance(exc, SingularSystemError) else None)
     uv = np.concatenate([x[:n], ub])
@@ -163,7 +167,7 @@ def _newton_step(uv, wv, t, problem, opts):
         # data where t f <= 0 (maximum principle), so a step that is merely
         # too long for Newton is not taken for nonexistence.
         try:
-            w_alone = wv[:n] - solve_system(A_w, F[n:], opts.lin)
+            w_alone = wv[:n] - solve_system(A_w, F[n:], opts.lin, p)
             floor_hit = float(np.min(w_alone)) < opts.w_floor
         except SingularSystemError:
             pass  # no evidence either way

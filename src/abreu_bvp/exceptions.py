@@ -20,10 +20,6 @@ class EllipticityError(SolverError):
 class SingularSystemError(SolverError):
     """Linear system is singular or too ill-conditioned to trust."""
 
-    def __init__(self, message, condition_estimate=None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
-
 
 class NewtonDivergenceError(SolverError):
     """Newton iteration failed to reach the residual tolerance."""

@@ -60,7 +60,7 @@ def _initial_guess(grid: Grid, g: ScalarField, phi_b,
     # trace D^2 u0 = n g^{1/n}: equality when D^2 u0 is a multiple of I.
     rhs = n * g.interior ** (1.0 / n)
     A, B = assemble_operator(grid, _identity_coeffs(grid))
-    u_int = solve_system(A, rhs - B @ phi_b, lin_opts)
+    u_int = solve_system(A, rhs - B @ phi_b, lin_opts, grid.nd_order)
     u = np.concatenate([u_int, phi_b])
 
     bubble = level_bubble(grid)
@@ -81,7 +81,7 @@ _DAMPING_MIN = 1e-2
 
 
 def damped_newton(x, residual, jacobian, tol, max_iters,
-                  lin_opts: LinSolveOptions, cap=None):
+                  lin_opts: LinSolveOptions, cap=None, order=None):
     """Damped Newton for F(x) = 0 from x, until the scaled residual <= tol.
 
     `residual(x)` returns (r, F, state): the scaled residual norm (inf
@@ -90,7 +90,8 @@ def damped_newton(x, residual, jacobian, tol, max_iters,
     damping of a step.  A trial at damping s is taken by Deuflhard's
     natural-monotonicity test: its simplified step J^{-1} F(trial) is at
     most (1 - s/4) times the Newton step.  Each iteration makes one checked
-    factorization, which the simplified steps reuse.
+    factorization, in the fill-reducing `order` of the unknowns if given,
+    which the simplified steps reuse.
 
     Returns (x, r, F, state, steps, error) for the last accepted iterate,
     with steps the line searches run and error None or the SolverError
@@ -103,7 +104,7 @@ def damped_newton(x, residual, jacobian, tol, max_iters,
     try:
         while r > tol and steps < max_iters:
             solve = None  # one factorization alive at a time
-            solve = factorize(jacobian(x, state), lin_opts)
+            solve = factorize(jacobian(x, state), lin_opts, order)
             step = solve(-F)
             s = 1.0 if cap is None else cap(x, step)
             norm = float(np.max(np.abs(step)))
@@ -164,7 +165,8 @@ def solve_ma(grid: Grid, g: ScalarField, phi_b, opts: MAOptions = None,
     # sup-norm target is unreachable when g is large.
     tol = opts.newton_tol * max(1.0, float(np.max(np.abs(g.interior))))
     x, *_, error = damped_newton(x, residual, jacobian, tol,
-                                 opts.max_newton_iters, lin_opts)
+                                 opts.max_newton_iters, lin_opts,
+                                 order=grid.nd_order)
     if error is not None:
         raise error
     return ScalarField(grid, np.concatenate([x, phi_b]))

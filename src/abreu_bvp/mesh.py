@@ -266,7 +266,8 @@ class Grid:
     n = 2 the diagonals +(hx,hy), -(hx,hy), +(hx,-hy), -(hx,-hy).
 
     A 2-d grid has one k-d tree over all nodes (`tree`; None for an
-    interval).  `second_ops` and `boundary_fits` are built on first use.
+    interval).  `second_ops`, `boundary_fits` and `nd_order` are built on
+    first use.
     """
 
     def __init__(self, domain, resolution, hx, hy, points, n_interior,
@@ -293,6 +294,7 @@ class Grid:
         self.tree = tree
         self._second_ops = None
         self._boundary_fits = None
+        self._nd_order = None
         self._nearest_interior = None
 
     @property
@@ -344,6 +346,25 @@ class Grid:
         if self._second_ops is None:
             self._second_ops = _build_second_ops(self)
         return self._second_ops
+
+    @property
+    def nd_order(self):
+        """A nested-dissection order of the interior nodes, built once.
+
+        A read-only permutation of range(n_interior) for sparse
+        factorizations: each region of the lattice is cut at the middle
+        lattice line across its longer extent, and the nodes of the two
+        halves come first, then the nodes on the cut (George 1973).  The
+        stencil only reaches neighbouring lattice nodes, so no stencil
+        column joins the two halves.  Regions of at most _ND_LEAF nodes
+        keep lattice order.  None for an interval, whose lattice order is
+        already tridiagonal.
+        """
+        if self.dim == 1:
+            return None
+        if self._nd_order is None:
+            self._nd_order = _nested_dissection(self)
+        return self._nd_order
 
     @property
     def boundary_fits(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -657,6 +678,35 @@ def _build_second_ops(grid: Grid) -> SecondOps:
     for arr in ops:
         arr.setflags(write=False)  # shared by every operator on the grid
     return ops
+
+
+# Regions of at most this many nodes end the nested dissection.
+_ND_LEAF = 32
+
+
+def _nested_dissection(grid: Grid) -> np.ndarray:
+    a, b = grid.domain.semi_axes
+    ij = np.rint((grid.interior_points + (a, b)) / (grid.hx, grid.hy))
+    ij = ij.astype(np.int64)
+    parts = []
+
+    def dissect(nodes):
+        if nodes.size <= _ND_LEAF:
+            parts.append(nodes)
+            return
+        sub = ij[nodes]
+        lo, hi = sub.min(axis=0), sub.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        line = sub[:, axis]
+        mid = (lo[axis] + hi[axis]) // 2
+        dissect(nodes[line < mid])
+        dissect(nodes[line > mid])
+        parts.append(nodes[line == mid])
+
+    dissect(np.arange(grid.n_interior))
+    order = np.concatenate(parts)
+    order.setflags(write=False)
+    return order
 
 
 # --- discrete calculus ----------------------------------------------------

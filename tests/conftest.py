@@ -30,6 +30,11 @@ def ellipse64():
 
 
 @pytest.fixture(scope="session")
+def ellipse128():
+    return build_grid(DomainSpec.ellipse(1.5, 0.75), 128)
+
+
+@pytest.fixture(scope="session")
 def interval64():
     return build_grid(DomainSpec.interval(0.0, 1.0), 64)
 

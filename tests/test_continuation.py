@@ -133,12 +133,12 @@ def test_singular_coupled_system_ends_only_its_step(disk32, monkeypatch):
     real_factorize = ma_dirichlet.factorize
     coupled_calls = []
 
-    def factorize(A, opts):
+    def factorize(A, opts, order=None):
         if A.shape[0] == 2 * n:
             coupled_calls.append(A.shape)
             if len(coupled_calls) == 1:
                 raise SingularSystemError("injected singular Jacobian")
-        return real_factorize(A, opts)
+        return real_factorize(A, opts, order)
 
     monkeypatch.setattr(ma_dirichlet, "factorize", factorize)
     sol = solve_second_bvp(Problem(disk32, GSpec(0.0, 2), 2.0, 0.0, 1.0))

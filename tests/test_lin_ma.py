@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from abreu_bvp import (
     DomainSpec,
@@ -13,7 +15,8 @@ from abreu_bvp import (
     linearized_residual,
     solve_linearized,
 )
-from abreu_bvp.exceptions import EllipticityError
+from abreu_bvp.exceptions import EllipticityError, SingularSystemError
+from abreu_bvp.lin_ma import factorize
 
 
 def identity_coeffs(grid):
@@ -129,6 +132,62 @@ def test_assembled_operator_stores_no_zeros(interval64, disk32):
         axis_arms = g.arm_kind[:, :2 * g.dim]
         assert A.nnz == g.n_interior + np.count_nonzero(axis_arms == 0)
         assert B.nnz == np.count_nonzero(axis_arms == 1)
+
+
+def ma_jacobian(g):
+    # the Monge-Ampere Jacobian at a convex, non-quadratic potential
+    x, y = g.points[:, 0], g.points[:, 1]
+    u = ScalarField(g, 0.5 * (x**2 + y**2) + 0.1 * x**4 + 0.05 * x * y**3)
+    return assemble_operator(g, cofactor(hessian(u, g), g))[0]
+
+
+def test_ordered_factorization_solves_the_unpermuted_system(disk32,
+                                                            ellipse32, rng):
+    for g in (disk32, ellipse32):
+        A = ma_jacobian(g)
+        rhs = rng.normal(size=g.n_interior)
+        x = factorize(A, LinSolveOptions())(rhs)
+        x_nd = factorize(A, LinSolveOptions(), g.nd_order)(rhs)
+        assert np.max(np.abs(x_nd - x)) <= 1e-12 * np.max(np.abs(x))
+        # the coupled step's order, each node's two unknowns side by side
+        p = g.nd_order
+        J = sp.bmat([[A, sp.eye(g.n_interior)], [None, A]], format="csc")
+        rhs2 = rng.normal(size=2 * g.n_interior)
+        y = factorize(J, LinSolveOptions())(rhs2)
+        y_nd = factorize(J, LinSolveOptions(),
+                         np.column_stack([p, p + g.n_interior]).ravel())(rhs2)
+        assert np.max(np.abs(y_nd - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def test_ordered_factorization_keeps_its_checks(disk32):
+    A = ma_jacobian(disk32).tolil()
+    A[5, :] = 0.0
+    with pytest.raises(SingularSystemError):
+        factorize(A.tocsr(), LinSolveOptions(), disk32.nd_order)
+    strict = LinSolveOptions(linear_tol=1e-300)
+    solve = factorize(ma_jacobian(disk32), strict, disk32.nd_order)
+    with pytest.raises(SingularSystemError, match="relative residual"):
+        solve(np.ones(disk32.n_interior))
+
+
+def test_nested_dissection_cuts_the_fill(ellipse128, monkeypatch):
+    # Guards against a silent fall-back to COLAMD: on the ellipse-128 MA
+    # Jacobian the nested-dissection LU has at most 3/4 of COLAMD's fill.
+    made = []
+    real_splu = spla.splu
+
+    def splu(A, *args, **kwargs):
+        made.append((args, kwargs, real_splu(A, *args, **kwargs)))
+        return made[-1][2]
+
+    monkeypatch.setattr(spla, "splu", splu)
+    A = ma_jacobian(ellipse128)
+    factorize(A, LinSolveOptions())
+    factorize(A, LinSolveOptions(), ellipse128.nd_order)
+    (args0, kw0, colamd), (_, kw1, nd) = made
+    assert args0 == () and kw0 == {}  # unordered: SuperLU's default call
+    assert kw1 == {"permc_spec": "NATURAL"}
+    assert nd.L.nnz + nd.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
 
 
 def test_options_validation():

@@ -240,6 +240,56 @@ def test_normal_derivative_linear_interval(interval64):
     assert by_x2[0.0] == pytest.approx(0.0, abs=1e-9)
 
 
+# ----------------------------------------------- nested-dissection order
+
+def test_nd_order_is_a_permutation(disk32, disk64, disk128, ellipse32,
+                                   ellipse64, ellipse128):
+    grids = (build_grid(DomainSpec.disk(1.0), 16), disk32, disk64, disk128,
+             build_grid(DomainSpec.ellipse(1.5, 0.75), 16), ellipse32,
+             ellipse64, ellipse128)
+    for g in grids:
+        order = g.nd_order
+        assert order.shape == (g.n_interior,)
+        assert np.array_equal(np.sort(order), np.arange(g.n_interior))
+
+
+def test_nd_order_is_lazy_cached_and_read_only():
+    g = build_grid(DomainSpec.disk(1.0), 32)
+    g.second_ops
+    assert g._nd_order is None  # the grid's set-up does not pay for it
+    order = g.nd_order
+    assert g.nd_order is order
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = order[1]
+
+
+def test_nd_order_interval_is_none(interval64):
+    assert interval64.nd_order is None
+
+
+def test_nd_order_top_split_separates_the_stencil(disk64, ellipse128):
+    # The order begins with the two halves of the first cut, the nodes on
+    # the cut line last; no stencil of one half reaches into the other.
+    for g in (disk64, ellipse128):
+        a, b = g.domain.semi_axes
+        ij = np.rint((g.interior_points + (a, b)) / (g.hx, g.hy))
+        axis = int(np.argmax(np.ptp(ij, axis=0)))
+        line = ij[:, axis]
+        mid = (line.min() + line.max()) // 2
+        halves = [np.nonzero(line < mid)[0], np.nonzero(line > mid)[0]]
+        assert min(h.size for h in halves) > g.n_interior // 3
+        n0, n1 = (h.size for h in halves)
+        order = g.nd_order
+        assert np.array_equal(np.sort(order[:n0]), halves[0])
+        assert np.array_equal(np.sort(order[n0:n0 + n1]), halves[1])
+        assert np.all(line[order[n0 + n1:]] == mid)
+        cols = g.second_ops.cols
+        for this, other in (halves, halves[::-1]):
+            reach = cols[this]
+            assert not np.any(np.isin(reach[reach < g.n_interior], other))
+
+
 # ---------------------------------------------------- divergence identity
 
 def test_cofactor_divergence_vanishes_for_quadratics(disk64):
