@@ -9,14 +9,16 @@ Grammar (whitespace ignored between tokens):
     atom  := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 NAME is one of the variables x, y, the constants pi, e, or the functions
-sin, cos, exp, log.  Evaluation is vectorized over numpy arrays; domain
-errors (log of a nonpositive value) propagate as non-finite values for the
-caller to reject.
+sin, cos, exp, log.  Nesting deeper than MAX_DEPTH levels raises
+ExpressionError at the token that opens the level too many.  Evaluation is
+vectorized over numpy arrays; domain errors (log of a nonpositive value)
+propagate as non-finite values for the caller to reject.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -25,6 +27,30 @@ from .exceptions import ExpressionError
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _VARIABLES = ("x", "y")
+_BINARY = {"+": operator.add, "-": operator.sub,
+           "*": operator.mul, "/": operator.truediv}
+
+# Deepest nesting the parser accepts.  A level takes at most five frames of
+# the recursive descent, so parsing stays inside Python's default recursion
+# limit of 1000 with room for the caller's stack.
+MAX_DEPTH = 160
+
+
+def _left_fold(first, rest):
+    """One node for `first op1 t1 op2 t2 ...`, evaluated left to right.
+
+    The loop keeps a long sum or product from nesting one call per term.
+    """
+    if not rest:
+        return first
+
+    def fold(x, y):
+        acc = first(x, y)
+        for op, term in rest:
+            acc = op(acc, term(x, y))
+        return acc
+
+    return fold
 
 
 def _tokenize(text: str):
@@ -75,6 +101,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -95,36 +122,34 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        first, rest = self.term(), []
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            if op == "+":
-                node = (lambda a, b: lambda x, y: a(x, y) + b(x, y))(node, rhs)
-            else:
-                node = (lambda a, b: lambda x, y: a(x, y) - b(x, y))(node, rhs)
-        return node
+            rest.append((_BINARY[self.take()[0]], self.term()))
+        return _left_fold(first, rest)
 
     def term(self):
-        node = self.unary()
+        first, rest = self.unary(), []
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.unary()
-            if op == "*":
-                node = (lambda a, b: lambda x, y: a(x, y) * b(x, y))(node, rhs)
-            else:
-                node = (lambda a, b: lambda x, y: a(x, y) / b(x, y))(node, rhs)
-        return node
+            rest.append((_BINARY[self.take()[0]], self.unary()))
+        return _left_fold(first, rest)
 
     def unary(self):
+        # Every level of nesting (parentheses, calls, signs, exponents)
+        # passes through here.
         tok = self.peek()
+        if self.depth == MAX_DEPTH:
+            raise ExpressionError(
+                f"expression nested deeper than {MAX_DEPTH} levels", tok[2])
+        self.depth += 1
         if tok[0] in ("+", "-"):
             self.take()
-            inner = self.unary()
+            node = self.unary()
             if tok[0] == "-":
-                return (lambda a: lambda x, y: -a(x, y))(inner)
-            return inner
-        return self.power()
+                node = (lambda a: lambda x, y: -a(x, y))(node)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.atom()

@@ -14,13 +14,17 @@ arm weights, so the discrete operators annihilate constants exactly in
 floating point.
 
 Interior quadrature assigns each full lattice cell a midpoint weight at its
-node and redistributes the exact clipped area of each boundary cell onto
-nearby nodes with weights that reproduce quadratic functions, so the weights
-sum to |Omega| to machine precision.  Boundary quadrature is the trapezoid
-rule on chords between boundary nodes ordered along the boundary.  Normal
-derivatives at boundary nodes use a second-order one-sided difference along
-the inward normal.  Off-lattice values come from one batched least-squares
-quadratic fit on the nearest nodes, `_quadratic_fits`.
+node and gives the exact clipped area of each boundary cell, whole, to the
+node nearest its centroid, so the weights are positive and sum to |Omega| to
+machine precision.  Boundary quadrature is the trapezoid rule on chords
+between boundary nodes ordered along the boundary.  Normal derivatives at
+boundary nodes use a second-order one-sided difference along the inward
+normal.  Off-lattice values come from batched least-squares quadratic fits
+on the nearest nodes, `Grid.boundary_fits`.  Nearness is measured in lattice
+coordinates (x/hx, y/hy), where the lattice has unit spacing on both axes.
+There an ellipse grid is the disk grid of its resolution (the snap test
+aside), so a thin ellipse gets the disk's weights times ab, and its fits
+draw neighbours from both axes.
 """
 
 from __future__ import annotations
@@ -265,9 +269,10 @@ class Grid:
     node and kind 1 at a boundary node.  Arm order: +x, -x, +y, -y, and for
     n = 2 the diagonals +(hx,hy), -(hx,hy), +(hx,-hy), -(hx,-hy).
 
-    A 2-d grid has one k-d tree over all nodes (`tree`; None for an
-    interval).  `second_ops`, `boundary_fits` and `nd_order` are built on
-    first use.
+    A 2-d grid has one k-d tree over all nodes in lattice coordinates
+    (x/hx, y/hy) (`tree`; None for an interval), which places the cut-cell
+    quadrature and the boundary fits.  `second_ops`, `boundary_fits` and
+    `nd_order` are built on first use.
     """
 
     def __init__(self, domain, resolution, hx, hy, points, n_interior,
@@ -368,11 +373,16 @@ class Grid:
 
     @property
     def boundary_fits(self) -> Tuple[np.ndarray, np.ndarray]:
-        """`_quadratic_fits` (k = 12) at the boundary nodes, built once.
+        """Least-squares quadratic fits at the boundary nodes, built once.
 
         Row d of `(idx, pinv)` holds the fits centered d h along the inward
-        normal, d = 0, 1, 2.  Raises GridResolutionError when a center at
-        depth h or 2h is not inside the domain.
+        normal, d = 0, 1, 2, in lattice coordinates (x/hx, y/hy): idx are
+        the 12 nodes of `tree` nearest the center and pinv the
+        pseudo-inverses of the basis 1, X, Y, X^2, XY, Y^2 in lattice
+        coordinates relative to the center, so `pinv @ values[idx]` are
+        the coefficients, exact for quadratic fields.  Raises
+        GridResolutionError when a center at depth h or 2h is not inside
+        the domain.
         """
         if self._boundary_fits is None:
             if self.dim != 2:
@@ -382,10 +392,12 @@ class Grid:
             if np.any(self.domain.level(centers[1:, :, 0], centers[1:, :, 1]) >= 0.0):
                 raise GridResolutionError(
                     "normal-derivative stencil leaves the domain; refine the grid")
-            idx, pinv = _quadratic_fits(self.points, self.tree,
-                                        centers.reshape(-1, 2), self.h, k=12)
-            fits = (idx.reshape(3, self.n_boundary, -1),
-                    pinv.reshape(3, self.n_boundary, 6, -1))
+            centers = centers / (self.hx, self.hy)
+            _, idx = self.tree.query(centers, k=12)
+            z = self.tree.data[idx] - centers[:, :, None, :]
+            x, y = z[..., 0], z[..., 1]
+            basis = np.stack([np.ones_like(x), x, y, x**2, x * y, y**2], axis=-1)
+            fits = (idx, np.linalg.pinv(basis, rcond=1e-10))
             for arr in fits:
                 arr.setflags(write=False)
             self._boundary_fits = fits
@@ -529,9 +541,8 @@ def _build_grid_2d(domain: DomainSpec, res: int) -> Grid:
     chord = np.linalg.norm(bpts[nxt] - bpts, axis=1)
     arcweights = 0.5 * (chord + np.roll(chord, 1))
 
-    tree = cKDTree(points)
-    quad = _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d,
-                                points, tree)
+    tree = cKDTree(points / (hx, hy))
+    quad = _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, tree)
 
     grid = Grid(domain, res, hx, hy, points, n_int, arm_kind, arm_index,
                 arm_dist, normals, curvature, bparams, arcweights, quad, tree)
@@ -594,9 +605,9 @@ def _disk_rect_moments(x0, x1, y0, y1):
     return area, mx, my
 
 
-def _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, points, tree):
+def _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, tree):
     a, b = domain.semi_axes
-    w = np.zeros(points.shape[0])
+    w = np.zeros(tree.n)
 
     # Corner grid of the lattice cells (cell of node (i,j) is
     # [xs[i]-hx/2, xs[i]+hx/2] x [ys[j]-hy/2, ys[j]+hy/2]).
@@ -614,8 +625,8 @@ def _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, points, tree):
     w_idx = index2d[full_and_interior]
     np.add.at(w, w_idx, hx * hy)
 
-    # Remaining cells: exact clipped area, redistributed with
-    # quadratic-reproducing weights onto the nearest nodes.
+    # Remaining cells: exact clipped area, whole, at the node nearest the
+    # centroid in lattice coordinates.
     cell_area = hx * hy
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     dist = domain.inside_distance(X, Y)
@@ -628,30 +639,11 @@ def _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, points, tree):
         ar, mx, my = _disk_rect_moments(x0, x1, y0, y1)
         area = ar * a * b
         if area > 1e-14 * cell_area:
-            centroids.append((a * mx / ar, b * my / ar))
+            centroids.append((a * mx / ar / hx, b * my / ar / hy))
             areas.append(area)
-    idx, pinv = _quadratic_fits(points, tree, np.array(centroids),
-                                min(hx, hy), k=10)
-    # value-at-centroid weights, added cell by cell in lattice order
-    np.add.at(w, idx.ravel(), (np.array(areas)[:, None] * pinv[:, 0]).ravel())
+    _, idx = tree.query(np.array(centroids))
+    np.add.at(w, idx, areas)  # cell by cell in lattice order
     return w
-
-
-def _quadratic_fits(points, tree, centers, scale, k):
-    """Least-squares quadratic fits at `centers` on their k nearest nodes.
-
-    Returns idx (m, k), the nearest nodes, and pinv (m, 6, k), the
-    pseudo-inverses of the basis 1, x, y, x^2, xy, y^2 in coordinates
-    relative to the center over `scale`: `pinv @ values[idx][..., None]`
-    are the coefficients, exact for quadratic fields.
-    """
-    k = min(k, points.shape[0])
-    _, idx = tree.query(centers, k=k)
-    idx = idx.reshape(centers.shape[0], k)
-    z = (points[idx] - centers[:, None, :]) / scale
-    x, y = z[..., 0], z[..., 1]
-    basis = np.stack([np.ones_like(x), x, y, x**2, x * y, y**2], axis=-1)
-    return idx, np.linalg.pinv(basis, rcond=1e-10)
 
 
 def _build_second_ops(grid: Grid) -> SecondOps:
@@ -791,23 +783,16 @@ def boundary_normal_derivative(u: ScalarField, grid: Grid = None) -> np.ndarray:
     """Outward normal derivative of u at every boundary node.
 
     Second-order one-sided difference along -nu into the domain; in two
-    dimensions the two inner samples come from moving least-squares
-    quadratic fits, so the result is exact for quadratic fields.
+    dimensions the two inner samples come from the quadratic fits of
+    `Grid.boundary_fits`, so the result is exact for quadratic fields.
     """
     grid = grid or u.grid
     vals = u.values
     nb = grid.n_interior
     if grid.dim == 1:
-        h = grid.hx
-        n_int = grid.n_interior
-        xs = grid.points[:, 0]
-        order = np.argsort(xs[:n_int], kind="stable")
-        left2, left1 = vals[order[0]], vals[order[1]]
-        right1, right2 = vals[order[-2]], vals[order[-1]]
-        ua, ub_ = vals[nb], vals[nb + 1]
-        dn_a = (3.0 * ua - 4.0 * left2 + left1) / (2.0 * h)
-        dn_b = (3.0 * ub_ - 4.0 * right2 + right1) / (2.0 * h)
-        return np.array([dn_a, dn_b])
+        # interior nodes run from a + h to b - h, then the nodes a and b
+        inner1, inner2 = vals[[0, nb - 1]], vals[[1, nb - 2]]
+        return (3.0 * vals[nb:] - 4.0 * inner1 + inner2) / (2.0 * grid.hx)
 
     idx, pinv = grid.boundary_fits
     u1, u2 = (np.einsum("ij,ij->i", pinv[d, :, 0], vals[idx[d]]) for d in (1, 2))
@@ -818,11 +803,13 @@ def boundary_hessian(u: ScalarField, grid: Grid = None) -> np.ndarray:
     """Hessian of u at every boundary node, shape (n_boundary, 2, 2).
 
     Read off the local quadratic fit of `Grid.boundary_fits` centered at the
-    node, so it is exact for quadratic fields.
+    node, whose coefficients of X^2, XY, Y^2 in lattice coordinates scale
+    by 1/hx^2, 1/(hx hy), 1/hy^2; exact for quadratic fields.
     """
     grid = grid or u.grid
     idx, pinv = grid.boundary_fits
-    c = (pinv[0] @ u.values[idx[0]][..., None])[:, 3:, 0] / grid.h**2
+    scale = (grid.hx**2, grid.hx * grid.hy, grid.hy**2)
+    c = (pinv[0] @ u.values[idx[0]][..., None])[:, 3:, 0] / scale
     return np.stack([2.0 * c[:, 0], c[:, 1], c[:, 1], 2.0 * c[:, 2]],
                     axis=1).reshape(-1, 2, 2)
 

@@ -81,6 +81,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", floor]) == 2
 
 
+def test_deeply_nested_expression_exits_2(tmp_path, capsys):
+    nested = "(" * 200 + "1" + ")" * 200
+    cfg = write(tmp_path, "deep.cfg", DISK.replace("f = 0", f"f = {nested}"))
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "nested deeper" in err and "position" in err and "line 9" in err
+
+
 def test_oracle_existence_and_nonexistence(tmp_path, capsys):
     good = write(tmp_path, "c4.cfg", INTERVAL.format(f=4))
     out_good = tmp_path / "good"

@@ -3,6 +3,7 @@ import pytest
 
 from abreu_bvp import Expression, parse_expression
 from abreu_bvp.exceptions import ExpressionError
+from abreu_bvp.expressions import MAX_DEPTH
 
 
 def test_arithmetic_and_precedence():
@@ -51,6 +52,29 @@ def test_error_positions():
         parse_expression("unknown_name(3)")
     with pytest.raises(ExpressionError):
         parse_expression("")
+
+
+def test_nesting_limit():
+    # the outermost term is level 1, each parenthesis one more
+    deepest = "(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1)
+    assert parse_expression(deepest)(2.0) == 2.0
+    for text in ("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+                 "(" * 200 + "x" + ")" * 200, "-" * 5000 + "x",
+                 "sin(" * 200 + "x" + ")" * 200, "2^" * 200 + "1"):
+        with pytest.raises(ExpressionError) as ei:
+            parse_expression(text)
+        assert "nested deeper" in str(ei.value)
+        assert 0 < ei.value.position < len(text)
+    assert parse_expression("-" * 150 + "x")(2.0) == 2.0
+    assert parse_expression("(" * 150 + "-x" + ")" * 150)(2.0) == -2.0
+
+
+def test_long_sums_and_products_evaluate_in_order():
+    n = 5000
+    assert parse_expression("+".join(["x"] * n))(1.0) == n
+    assert parse_expression("*".join(["x"] * n))(1.0) == 1.0
+    assert parse_expression("1" + "-x" * n)(1.0) == 1.0 - n
+    assert parse_expression("x/2/2/2")(8.0) == 1.0
 
 
 def test_expression_repr_round_trip():

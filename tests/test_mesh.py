@@ -4,6 +4,8 @@ from scipy.special import ellipe
 
 from abreu_bvp import (
     DomainSpec,
+    GSpec,
+    Problem,
     ScalarField,
     boundary_normal_derivative,
     build_grid,
@@ -16,6 +18,7 @@ from abreu_bvp import (
     integrate_boundary,
     integrate_interior,
     is_positive_definite,
+    solve_second_bvp,
 )
 from abreu_bvp.exceptions import DomainError, GridResolutionError
 from abreu_bvp.mesh import boundary_hessian
@@ -162,6 +165,31 @@ def test_interior_quadrature_ellipse_moments(ellipse64):
     assert abs(integrate_interior(x * y, g)) < 1e-12
     assert integrate_interior(x**2, g) == pytest.approx(np.pi * a**3 * b / 4, abs=1e-3)
     assert integrate_interior(y**2, g) == pytest.approx(np.pi * a * b**3 / 4, abs=1e-3)
+
+
+def test_interior_quadrature_is_positive(disk32, disk64, disk128):
+    # Each cut cell's exact area goes, whole, to one node; on these grids no
+    # node collects more than one cell's area.  In lattice coordinates an
+    # ellipse grid is the disk grid of its resolution, so its weights are
+    # the disk's times ab.
+    disks = (build_grid(DomainSpec.disk(1.0), 16), disk32, disk64, disk128)
+    for disk in disks:
+        wd, cell = disk.quad_weights, disk.hx * disk.hy
+        assert np.all(wd >= 0.0)
+        assert wd.max() <= cell * (1.0 + 1e-12)
+        assert abs(wd.sum() - np.pi) <= 1e-12 * np.pi
+        for a, b in ((1.5, 0.75), (1.0, 0.4), (1.0, 0.25)):
+            w = build_grid(DomainSpec.ellipse(a, b), disk.resolution).quad_weights
+            assert abs(w.sum() - np.pi * a * b) <= 1e-12 * np.pi * a * b
+            assert np.max(np.abs(w / (a * b) - wd)) < 1e-10 * cell
+
+
+def test_thin_ellipses_solve_with_passing_diagnostics():
+    for b in (0.4, 0.25):
+        g = build_grid(DomainSpec.ellipse(1.0, b), 32)
+        sol = solve_second_bvp(Problem(g, GSpec(0.0, 2), 5.0, 0.0, 1.0))
+        failed = [e.name for e in sol.diagnostics if e.passed is False]
+        assert sol.diagnostics.all_passed, (b, failed)
 
 
 def test_interior_quadrature_interval():
