@@ -92,6 +92,40 @@ _NEWTON_ACCEPT = 1e-8     # still converged if the line search stalls here
 _NEWTON_MAX_ITERS = 30
 
 
+def _coupled_jacobian(A, d, C=None):
+    """[[A, diag(d)], [C, A]] for n x n CSR blocks A and C, in CSC form.
+
+    C = None is a zero block.  Row i holds A's row i, then d[i]; row n + i
+    holds C's row i, then A's row i shifted by n columns.  Each block's
+    entries go straight to their places in the stacked CSR arrays.  The
+    result is converted here to the factorization's CSC form, so that the
+    checked solve, which keeps its matrix, holds no second copy.
+    """
+    n = A.shape[0]
+    a_ptr = A.indptr
+    c_ptr = np.zeros(n + 1, dtype=a_ptr.dtype) if C is None else C.indptr
+    nnz_a, nnz_c = int(a_ptr[-1]), int(c_ptr[-1])
+    rows = np.arange(n)
+    a_at = np.arange(nnz_a)
+    a_row = np.repeat(rows, np.diff(a_ptr))
+    bottom = nnz_a + n  # where row n starts
+    indptr = np.concatenate([a_ptr + np.arange(n + 1),
+                             bottom + a_ptr[1:] + c_ptr[1:]])
+    indices = np.empty(bottom + nnz_c + nnz_a, dtype=A.indices.dtype)
+    data = np.empty(indices.size)
+    at = a_at + a_row  # A in the top rows
+    indices[at], data[at] = A.indices, A.data
+    at = a_ptr[1:] + rows  # the diagonal block
+    indices[at], data[at] = rows + n, d
+    at = bottom + a_at + c_ptr[1:][a_row]  # A, bottom right
+    indices[at], data[at] = A.indices + n, A.data
+    if C is not None:
+        at = bottom + np.arange(nnz_c) + a_ptr[np.repeat(rows, np.diff(c_ptr))]
+        indices[at], data[at] = C.indices, C.data
+    return sparse.csr_matrix((data, indices, indptr),
+                             shape=(2 * n, 2 * n)).tocsc()
+
+
 def _newton_step(uv, wv, t, problem, opts):
     """Newton on the coupled system at parameter t, from node values (uv, wv).
 
@@ -102,7 +136,9 @@ def _newton_step(uv, wv, t, problem, opts):
     assembles with cofactor coefficients built from D²w.  `damped_newton`
     runs the iteration; its steps are cut short so that w stays positive.
 
-    Returns the final (uv, wv) and the step's outcome for the trace.
+    Returns the final (uv, wv) and the step's outcome for the trace: its
+    Newton iterations (chord steps included), factorizations, final scaled
+    residual, min w, and whether it converged or hit the floor.
     """
     grid = problem.grid
     n = grid.n_interior
@@ -132,8 +168,7 @@ def _newton_step(uv, wv, t, problem, opts):
         if grid.dim == 2:
             Hw = hessian(ScalarField(grid, np.concatenate([x[n:], wb])), grid)
             C_wu = assemble_operator(grid, cofactor(Hw, grid))[0]
-        return sparse.bmat([[A_w, sparse.diags(-d_theta)], [C_wu, A_w]],
-                           format="csc")
+        return _coupled_jacobian(A_w, -d_theta, C_wu)
 
     def cap(x, step):
         # fraction-to-boundary: keep w positive along the step
@@ -145,7 +180,7 @@ def _newton_step(uv, wv, t, problem, opts):
     p = grid.nd_order
     order = None if p is None else np.column_stack([p, p + n]).ravel()
     x = np.concatenate([uv[:n], wv[:n]])
-    x, r, F, (Hu, A_w, _), steps, exc = damped_newton(
+    x, r, F, (Hu, A_w, _), steps, factorizations, exc = damped_newton(
         x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS, opts.lin, cap,
         order)
     error = (f"singular coupled Jacobian: {exc}"
@@ -171,7 +206,8 @@ def _newton_step(uv, wv, t, problem, opts):
             floor_hit = float(np.min(w_alone)) < opts.w_floor
         except SingularSystemError:
             pass  # no evidence either way
-    outcome = {"iterations": steps, "residual": r, "w_min": w_min,
+    outcome = {"iterations": steps, "factorizations": factorizations,
+               "residual": r, "w_min": w_min,
                "converged": error is None,
                "floor_hit": error is not None and floor_hit}
     if error is not None:

@@ -5,12 +5,13 @@ practice the cofactor matrix of a convex iterate).  The discretization is
 central differences, with the mixed derivative taken from the two diagonal
 directional second derivatives; the resulting nonsymmetric sparse system is
 solved by a direct sparse factorization.  `factorize` is the package's one
-SuperLU call: the Newton solves reuse its LU across a line search, and every
-solve through it is checked for a finite solution and a small residual.  On
-a 2-d grid every caller passes the grid's nested-dissection order
-(`Grid.nd_order`, interleaved per node for the coupled (u, w) system), which
-leaves 30-50 % less LU fill than COLAMD, SuperLU's default, on the 9-point
-stencil; intervals keep COLAMD on their tridiagonal systems.
+SuperLU call: the Newton solves reuse its LU across a line search and across
+chord steps, and every solve through it is checked for a finite solution and
+a small residual.  On a 2-d grid every caller passes the grid's
+nested-dissection order (`Grid.nd_order`, interleaved per node for the
+coupled (u, w) system), which leaves 30-50 % less LU fill than COLAMD,
+SuperLU's default, on the 9-point stencil; intervals keep COLAMD on their
+tridiagonal systems.
 """
 
 from __future__ import annotations

@@ -9,7 +9,11 @@ Hessian at every interior node): a nonconvex trial has infinite residual,
 which the line search rejects.
 
 `damped_newton`, the package's one damped Newton, also drives the coupled
-step of the continuation.
+step of the continuation.  It reuses its LU across chord steps as well as
+across a line search (Deuflhard's NLEQ-ERR): a full step whose simplified
+step contracts by _THETA_MAX or better makes that simplified step the next
+iteration, with no new Jacobian or factorization.  A chord step is never
+damped; when one fails, Newton refactorizes at the same iterate.
 """
 
 from __future__ import annotations
@@ -78,6 +82,9 @@ def _initial_guess(grid: Grid, g: ScalarField, phi_b,
 # The line search gives up below this damping.  Where no solution exists,
 # it ends the coupled step sooner than the iteration budget would.
 _DAMPING_MIN = 1e-2
+# A full step whose simplified step contracts by at least this factor hands
+# that simplified step on as the next iteration's chord step.
+_THETA_MAX = 0.25
 
 
 def damped_newton(x, residual, jacobian, tol, max_iters,
@@ -89,33 +96,52 @@ def damped_newton(x, residual, jacobian, tol, max_iters,
     build the sparse Jacobian.  `cap(x, step)` optionally bounds the
     damping of a step.  A trial at damping s is taken by Deuflhard's
     natural-monotonicity test: its simplified step J^{-1} F(trial) is at
-    most (1 - s/4) times the Newton step.  Each iteration makes one checked
+    most (1 - s/4) times the step.  A Newton iteration makes one checked
     factorization, in the fill-reducing `order` of the unknowns if given,
-    which the simplified steps reuse.
+    which the simplified steps reuse.  When a full step (s = 1) is taken
+    with contraction |simplified step| <= _THETA_MAX |step| (sup norms),
+    the simplified step is the next iteration: a chord step with the live
+    LU, so no Jacobian and no factorization (Deuflhard's NLEQ-ERR).  A
+    chord step is never damped: if it fails the test, or the cap would cut
+    it, Newton refactorizes at the same iterate and takes a Newton step.
 
-    Returns (x, r, F, state, steps, error) for the last accepted iterate,
-    with steps the line searches run and error None or the SolverError
-    that stopped Newton short: no trial above _DAMPING_MIN, max_iters
-    steps, or a linear solve failing its check.
+    Returns (x, r, F, state, steps, factorizations, error) for the last
+    accepted iterate, with steps the iterations run (chord steps included,
+    a failed chord trial not), factorizations the factorize calls made,
+    and error None or the SolverError that stopped Newton short: no trial
+    above _DAMPING_MIN, max_iters steps, or a linear solve failing its
+    check.
     """
     r, F, state = residual(x)
     trace = [{"iter": 0, "residual": r}]
-    steps, error, solve = 0, None, None
+    steps = factorizations = 0
+    error = solve = chord = None
     try:
         while r > tol and steps < max_iters:
-            solve = None  # one factorization alive at a time
-            solve = factorize(jacobian(x, state), lin_opts, order)
-            step = solve(-F)
-            s = 1.0 if cap is None else cap(x, step)
+            newton = chord is None
+            if newton:
+                solve = None  # one factorization alive at a time
+                factorizations += 1
+                solve = factorize(jacobian(x, state), lin_opts, order)
+                step = solve(-F)
+                s = 1.0 if cap is None else cap(x, step)
+                steps += 1
+            else:
+                step, chord, s = chord, None, 1.0
+                if cap is not None and cap(x, step) < 1.0:
+                    continue
             norm = float(np.max(np.abs(step)))
-            steps += 1
             while s > _DAMPING_MIN:
                 x_try = x + s * step
                 trial = residual(x_try)
-                if trial[0] <= tol or (
-                        trial[0] < np.inf
-                        and float(np.max(np.abs(solve(-trial[1]))))
-                        <= (1.0 - 0.25 * s) * norm):
+                accepted = trial[0] <= tol
+                if not accepted and trial[0] < np.inf:
+                    simplified = solve(-trial[1])
+                    size = float(np.max(np.abs(simplified)))
+                    accepted = size <= (1.0 - 0.25 * s) * norm
+                    if accepted and s == 1.0 and size <= _THETA_MAX * norm:
+                        chord = simplified
+                if accepted or not newton:
                     break
                 s *= 0.5
             else:
@@ -123,6 +149,10 @@ def damped_newton(x, residual, jacobian, tol, max_iters,
                     f"line search found no damping above {_DAMPING_MIN}",
                     trace=trace)
                 break
+            if not accepted:
+                continue  # the chord step failed: refactorize here
+            if not newton:
+                steps += 1
             x, (r, F, state) = x_try, trial
             trace.append({"iter": steps, "residual": r})
     except SingularSystemError as exc:
@@ -131,7 +161,7 @@ def damped_newton(x, residual, jacobian, tol, max_iters,
         error = NewtonDivergenceError(
             f"no convergence in {max_iters} Newton iterations "
             f"(residual {r:.3e})", trace=trace)
-    return x, r, F, state, steps, error
+    return x, r, F, state, steps, factorizations, error
 
 
 def solve_ma(grid: Grid, g: ScalarField, phi_b, opts: MAOptions = None,

@@ -54,7 +54,7 @@ def test_solve_writes_fields_and_report(tmp_path, capsys):
     report = (out / "report.txt").read_text()
     assert "command: solve" in report
     assert "el_residual_norm:" in report
-    assert "trace:" in report
+    assert "trace:" in report and "factorizations:" in report
     fields = read_fields(str(out / "fields.txt"))
     r2 = fields["x"]**2 + fields["y"]**2
     assert np.max(np.abs(fields["u"] - 0.5 * (r2 - 1.0))) < 1e-8

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from abreu_bvp import (
     ContinuationOptions,
@@ -14,8 +15,11 @@ from abreu_bvp import (
     solve_second_bvp,
 )
 from abreu_bvp import ma_dirichlet
+from abreu_bvp.continuation import _coupled_jacobian
 from abreu_bvp.exceptions import (ContinuationError, SingularSystemError,
                                   WFloorError)
+from abreu_bvp.lin_ma import assemble_operator
+from abreu_bvp.mesh import cofactor, hessian
 
 
 def trivial_problem(grid):
@@ -171,6 +175,25 @@ def test_custom_initial_iterate(disk32):
     assert np.max(np.abs(sol.w.values - 1.0)) < 1e-9
     with pytest.raises(ValueError):
         solve_second_bvp(prob, w0=ScalarField.constant(g, 1e-12))
+
+
+def test_coupled_jacobian_matches_bmat(disk32, interval64, rng):
+    # [[A, diag(d)], [C, A]], with C = None a zero block, filled directly
+    for grid in (disk32, interval64):
+        n = grid.n_interior
+        pts = grid.points
+        blocks = []
+        for _ in range(2 if grid.dim == 2 else 1):
+            bump = rng.uniform(0.0, 0.1, len(pts))
+            v = ScalarField(grid, (pts**2).sum(axis=1) + bump)
+            blocks.append(assemble_operator(
+                grid, cofactor(hessian(v, grid), grid))[0])
+        A, C = blocks[0], blocks[1] if len(blocks) == 2 else None
+        d = -rng.uniform(0.5, 2.0, n)
+        J = _coupled_jacobian(A, d, C)
+        ref = sparse.bmat([[A, sparse.diags(d)], [C, A]], format="csr")
+        assert J.shape == ref.shape and J.nnz == ref.nnz
+        assert abs(J - ref).max() == 0.0
 
 
 def test_options_validation():

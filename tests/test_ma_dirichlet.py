@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from abreu_bvp import (
@@ -18,6 +19,8 @@ from abreu_bvp import (
     solve_second_bvp,
 )
 from abreu_bvp.exceptions import NewtonDivergenceError
+from abreu_bvp.lin_ma import LinSolveOptions
+from abreu_bvp.ma_dirichlet import damped_newton
 
 
 def test_1d_direct_solve(interval64):
@@ -134,6 +137,53 @@ def test_one_factorization_alive_at_a_time(disk32, monkeypatch):
     bump = 1.0 + 50.0 * np.exp(-20.0 * (pts[:, 0]**2 + pts[:, 1]**2))
     solve_ma(disk32, ScalarField(disk32, bump), 0.0)
     assert coupled > 10 and len(made) - coupled > 2
+
+
+@pytest.mark.parametrize("f, most", [(50.0, 45), (2.0, 15)])
+def test_chord_steps_save_factorizations(disk32, monkeypatch, f, most):
+    # A full step that contracts well hands its simplified step on as a
+    # chord step on the live LU.  Without reuse these solves make 60 and
+    # 31 factorizations.  The coupled ones are those the trace reports.
+    sizes = []
+    real_splu = spla.splu
+
+    def splu(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    sol = solve_second_bvp(Problem(disk32, GSpec(0.0, 2), f, 0.0, 1.0))
+    assert len(sizes) <= most
+    coupled = sum(e["factorizations"] for e in sol.iterations)
+    assert coupled == sizes.count(2 * disk32.n_interior)
+    assert coupled < sum(e["iterations"] for e in sol.iterations)
+
+
+def test_failed_chord_step_refactorizes_at_the_same_iterate():
+    # F(x) = x^2 - 1 from x = 2: the full step to 1.25 contracts by 0.19,
+    # so the next trial, 1.109, is a chord step on the LU made at 2.  A
+    # wall (an infinite residual, as for a nonconvex iterate) on
+    # (1.05, 1.2) rejects it.  A damped chord step would land in the wall
+    # again (1.18 at s = 1/2); Newton must instead refactorize at 1.25.
+    jacobians, walled = [], []
+
+    def residual(x):
+        if 1.05 < x[0] < 1.2:
+            walled.append(x[0])
+            return np.inf, x**2 - 1.0, None
+        F = x**2 - 1.0
+        return float(np.max(np.abs(F))), F, None
+
+    def jacobian(x, state):
+        jacobians.append(x[0])
+        return sp.csc_matrix([[2.0 * x[0]]])
+
+    x, *_, steps, factorizations, error = damped_newton(
+        np.array([2.0]), residual, jacobian, 1e-12, 30, LinSolveOptions())
+    assert error is None and abs(x[0] - 1.0) < 1e-12
+    assert walled == [pytest.approx(1.25 - 0.5625 / 4.0)]
+    assert jacobians[:2] == [2.0, 1.25]
+    assert factorizations == len(jacobians) < steps
 
 
 def test_options_validation():
