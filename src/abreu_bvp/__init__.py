@@ -22,15 +22,14 @@ from .mesh import (DomainSpec, Grid, MatrixField, ScalarField,
                    gauss_curvature, hessian, integrate_boundary,
                    integrate_interior, is_positive_definite)
 from .gfamily import GSpec, g_eval, invert_w, verify_assumptions
-from .lin_ma import (LinSolveOptions, assemble_operator, linearized_residual,
-                     solve_linearized)
+from .lin_ma import assemble_operator, linearized_residual, solve_linearized
 from .ma_dirichlet import MAOptions, ma_residual, solve_ma
 from .problem import Problem
 from .continuation import (ContinuationOptions, Solution, phi_map,
                            solve_second_bvp)
 from .functionals import (ConcavityProbe, GradientCheck, PropernessResult,
-                          TestFunctionFamily, concavity_probe, el_residual,
-                          eval_F, eval_L, gradient_check, properness_probe)
+                          concavity_probe, el_residual, eval_F, eval_L,
+                          gradient_check, properness_probe)
 from .oned_oracle import (NonexistenceCertificate, OneDProblem,
                           existence_threshold_1d, solve_exact_1d)
 from .estimates import (DiagnosticsReport, ReportEntry,
@@ -53,14 +52,13 @@ __all__ = [
     "gauss_curvature", "hessian", "integrate_boundary", "integrate_interior",
     "is_positive_definite",
     "GSpec", "g_eval", "invert_w", "verify_assumptions",
-    "LinSolveOptions", "assemble_operator", "linearized_residual",
-    "solve_linearized",
+    "assemble_operator", "linearized_residual", "solve_linearized",
     "MAOptions", "ma_residual", "solve_ma",
     "Problem",
     "ContinuationOptions", "Solution", "phi_map", "solve_second_bvp",
     "ConcavityProbe", "GradientCheck", "PropernessResult",
-    "TestFunctionFamily", "concavity_probe", "el_residual", "eval_F",
-    "eval_L", "gradient_check", "properness_probe",
+    "concavity_probe", "el_residual", "eval_F", "eval_L", "gradient_check",
+    "properness_probe",
     "NonexistenceCertificate", "OneDProblem", "existence_threshold_1d",
     "solve_exact_1d",
     "DiagnosticsReport", "ReportEntry", "boundary_cofactor_check",

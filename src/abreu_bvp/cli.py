@@ -149,7 +149,7 @@ def _cmd_ma(cfg: RunConfig, outdir: str) -> int:
     grid = cfg.make_grid()
     g = _g_field(cfg, grid, required=True)
     phi_b = grid.boundary_values(cfg.phi)
-    u = solve_ma(grid, g, phi_b, cfg.continuation.ma, cfg.continuation.lin)
+    u = solve_ma(grid, g, phi_b, cfg.continuation.ma)
     residual = ma_residual(grid, u, g)
     d = det_field(hessian(u, grid), grid)
     w = ScalarField(grid, g_eval(cfg.gspec, d.values).w)
@@ -167,11 +167,11 @@ def _cmd_linma(cfg: RunConfig, outdir: str) -> int:
     grid = cfg.make_grid()
     g = _g_field(cfg, grid, required=False)
     phi_b = grid.boundary_values(cfg.phi)
-    u = solve_ma(grid, g, phi_b, cfg.continuation.ma, cfg.continuation.lin)
+    u = solve_ma(grid, g, phi_b, cfg.continuation.ma)
     U = cofactor(hessian(u, grid), grid)
     f = cfg.f_field(grid)
     psi_b = grid.boundary_values(cfg.psi)
-    w = solve_linearized(grid, U, f, psi_b, cfg.continuation.lin)
+    w = solve_linearized(grid, U, f, psi_b)
     residual = linearized_residual(grid, U, w, f)
     d = det_field(hessian(u, grid), grid)
     res_norm = float(np.max(np.abs(residual.interior)))

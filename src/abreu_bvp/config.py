@@ -18,7 +18,6 @@ from .expressions import Expression, parse_expression
 from .continuation import ContinuationOptions
 from .fileio import read_node_table
 from .gfamily import GSpec
-from .lin_ma import LinSolveOptions
 from .ma_dirichlet import MAOptions
 from .mesh import DomainSpec, Grid, ScalarField, build_grid
 from .problem import Problem
@@ -28,7 +27,7 @@ _KEYS = {
     "g": ("theta",),
     "problem": ("f", "phi", "psi", "g"),
     "solver": ("resolution", "t_steps", "w_floor", "max_step_halvings",
-               "newton_tol", "max_newton_iters", "linear_tol"),
+               "newton_tol", "max_newton_iters"),
     "output": ("directory",),
 }
 
@@ -238,10 +237,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             max_newton_iters=reader.get("solver", "max_newton_iters", _to_int,
                                         MAOptions.max_newton_iters),
         )
-        lin = LinSolveOptions(
-            linear_tol=reader.get("solver", "linear_tol", float,
-                                  LinSolveOptions.linear_tol),
-        )
         cont = ContinuationOptions(
             t_steps=reader.get("solver", "t_steps", _to_int,
                                ContinuationOptions.t_steps),
@@ -250,7 +245,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             max_step_halvings=reader.get("solver", "max_step_halvings",
                                          _to_int,
                                          ContinuationOptions.max_step_halvings),
-            ma=ma, lin=lin,
+            ma=ma,
         )
     except ValueError as exc:
         raise ConfigError(f"invalid solver option: {exc}") from exc

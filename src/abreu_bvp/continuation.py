@@ -32,7 +32,7 @@ from .estimates import DiagnosticsReport, standard_diagnostics
 from .exceptions import ContinuationError, SingularSystemError, WFloorError
 from .functionals import el_residual
 from .gfamily import invert_w
-from .lin_ma import (LinSolveOptions, assemble_operator, solve_linearized,
+from .lin_ma import (assemble_operator, factorize, solve_linearized,
                      solve_system)
 from .ma_dirichlet import MAOptions, damped_newton, solve_ma
 from .mesh import (ScalarField, cofactor, det_field, hessian,
@@ -46,7 +46,6 @@ class ContinuationOptions:
     w_floor: float = 1e-6
     max_step_halvings: int = 6
     ma: MAOptions = field(default_factory=MAOptions)
-    lin: LinSolveOptions = field(default_factory=LinSolveOptions)
 
     def __post_init__(self):
         if self.t_steps < 1:
@@ -79,11 +78,11 @@ def phi_map(w: ScalarField, t: float, problem: Problem,
                           f"{opts.w_floor:.3e}", w_min=w_min)
     grid = problem.grid
     g = ScalarField(grid, invert_w(problem.gspec, w.values))
-    u = solve_ma(grid, g, problem.phi, opts.ma, opts.lin, initial=u_init)
+    u = solve_ma(grid, g, problem.phi, opts.ma, initial=u_init)
     U = cofactor(hessian(u, grid), grid)
     f_t = ScalarField(grid, t * problem.f.values)
     w_tb = t * problem.psi + (1.0 - t)
-    w_t = solve_linearized(grid, U, f_t, w_tb, opts.lin)
+    w_t = solve_linearized(grid, U, f_t, w_tb)
     return w_t, u
 
 
@@ -159,6 +158,10 @@ def _newton_step(uv, wv, t, problem, opts):
                 float(np.max(np.abs(F[n:]))) / s2)
         return r, F, (Hu, A_w, theta)
 
+    # the grid's order with each node's u and w unknowns side by side
+    p = grid.nd_order
+    order = None if p is None else np.column_stack([p, p + n]).ravel()
+
     def jacobian(x, state):
         # A_w, the operator with cofactor coefficients of D²u, is also the
         # derivative of det D²u.
@@ -168,7 +171,7 @@ def _newton_step(uv, wv, t, problem, opts):
         if grid.dim == 2:
             Hw = hessian(ScalarField(grid, np.concatenate([x[n:], wb])), grid)
             C_wu = assemble_operator(grid, cofactor(Hw, grid))[0]
-        return _coupled_jacobian(A_w, -d_theta, C_wu)
+        return factorize(_coupled_jacobian(A_w, -d_theta, C_wu), order)
 
     def cap(x, step):
         # fraction-to-boundary: keep w positive along the step
@@ -176,13 +179,9 @@ def _newton_step(uv, wv, t, problem, opts):
         return min(1.0, 0.995 * float(np.min(x[n:][neg] / -step[n:][neg],
                                              initial=np.inf)))
 
-    # the grid's order with each node's u and w unknowns side by side
-    p = grid.nd_order
-    order = None if p is None else np.column_stack([p, p + n]).ravel()
     x = np.concatenate([uv[:n], wv[:n]])
     x, r, F, (Hu, A_w, _), steps, factorizations, exc = damped_newton(
-        x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS, opts.lin, cap,
-        order)
+        x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS, cap)
     error = (f"singular coupled Jacobian: {exc}"
              if isinstance(exc, SingularSystemError) else None)
     uv = np.concatenate([x[:n], ub])
@@ -202,7 +201,7 @@ def _newton_step(uv, wv, t, problem, opts):
         # data where t f <= 0 (maximum principle), so a step that is merely
         # too long for Newton is not taken for nonexistence.
         try:
-            w_alone = wv[:n] - solve_system(A_w, F[n:], opts.lin, p)
+            w_alone = wv[:n] - solve_system(A_w, F[n:], p)
             floor_hit = float(np.min(w_alone)) < opts.w_floor
         except SingularSystemError:
             pass  # no evidence either way
@@ -232,7 +231,7 @@ def solve_second_bvp(problem: Problem, opts: ContinuationOptions = None,
         if float(np.min(w0.values)) < opts.w_floor:
             raise ValueError("w0 must be >= w_floor everywhere")
     g = ScalarField(grid, invert_w(problem.gspec, w0.values))
-    uv = solve_ma(grid, g, problem.phi, opts.ma, opts.lin).values
+    uv = solve_ma(grid, g, problem.phi, opts.ma).values
     wv = w0.values
 
     trace = []

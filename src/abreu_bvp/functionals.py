@@ -68,13 +68,14 @@ def el_residual(u: ScalarField, problem: Problem) -> ScalarField:
     The boundary trace of w(det D^2 u) is the prescribed psi: the equation
     constrains w on the boundary, while a trace extrapolated from one-sided
     determinants would inject O(1/h) noise into near-boundary rows.
-    Boundary rows of the returned field are zero.
+    Boundary rows of the returned field are zero.  Raises ValueError when
+    u is not discretely convex.
     """
     grid = problem.grid
     H = hessian(u, grid)
-    dets = sym_det(H.data)
-    if np.any(dets <= 0.0):
+    if not np.all(is_positive_definite(H)):
         raise ValueError("field is not discretely convex")
+    dets = sym_det(H.data)
     w_int = g_eval(problem.gspec, dets).w
     A, B = assemble_operator(grid, cofactor(H, grid))
     r = A @ w_int + B @ problem.psi - problem.f.interior
@@ -169,56 +170,35 @@ def concavity_probe(u0: ScalarField, u1: ScalarField, gspec: GSpec,
 # --- properness ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TestFunctionFamily:
-    """Parametric convex test functions vanishing on the boundary.
+# The probe's test functions are sampled at these scales, and the skewed
+# parabolas tilt by these fractions of the width (mild, so convexity holds).
+_SCALES = np.geomspace(0.1, 1000.0, 13)
+_SKEWS = (-0.4, 0.4)
 
-    Three generators: the domain level function scaled, the same with a
-    linear skew in x (kept mild so convexity survives), and a boundary-layer
-    profile (-B)^{3/4} whose normal derivative concentrates at the boundary.
-    Members violating discrete convexity on a given grid are dropped.
-    """
 
-    __test__ = False  # "Test" prefix is descriptive, not a pytest marker
-
-    kinds: tuple = ("scaled_parabola", "skewed_parabola", "boundary_layer")
-    scales: tuple = tuple(float(s) for s in np.geomspace(0.1, 1000.0, 13))
-    skews: tuple = (-0.4, 0.4)
-
-    def __post_init__(self):
-        if len(self.scales) < 6 or np.any(np.diff(self.scales) <= 0):
-            raise ValueError("scales must be increasing, at least 6 values")
-        unknown = set(self.kinds) - {"scaled_parabola", "skewed_parabola",
-                                     "boundary_layer"}
-        if unknown:
-            raise ValueError(f"unknown generator kinds {sorted(unknown)}")
-
-    def shapes(self, grid: Grid):
-        """Unit-scale members (label, ScalarField); scaling is linear."""
-        base = level_bubble(grid)
-        xs = grid.points[:, 0]
-        if grid.dim == 1:
-            a, b = grid.domain.bounds
-            center, width = 0.5 * (a + b), b - a
-        else:
-            center, width = 0.0, 2.0 * grid.domain.semi_axes[0]
-        out = []
-        for kind in self.kinds:
-            if kind == "scaled_parabola":
-                out.append(("scaled_parabola", base))
-            elif kind == "skewed_parabola":
-                for kappa in self.skews:
-                    vals = base * (1.0 + kappa * (xs - center) / width)
-                    out.append((f"skewed_parabola[{kappa:+g}]", vals))
-            else:
-                vals = -np.maximum(-base, 0.0) ** 0.75
-                out.append(("boundary_layer", vals))
-        members = []
-        for label, vals in out:
-            field = ScalarField(grid, vals)
-            if np.all(is_positive_definite(hessian(field, grid))):
-                members.append((label, field))
-        return members
+def _test_shapes(grid: Grid):
+    """Unit-scale (label, ScalarField) test functions vanishing on the
+    boundary: the level function B, B skewed linearly in x, and (-B)^{3/4},
+    whose normal derivative concentrates at the boundary.  Members that
+    are not discretely convex on this grid are dropped."""
+    base = level_bubble(grid)
+    xs = grid.points[:, 0]
+    if grid.dim == 1:
+        a, b = grid.domain.bounds
+        center, width = 0.5 * (a + b), b - a
+    else:
+        center, width = 0.0, 2.0 * grid.domain.semi_axes[0]
+    out = [("scaled_parabola", base)]
+    for kappa in _SKEWS:
+        vals = base * (1.0 + kappa * (xs - center) / width)
+        out.append((f"skewed_parabola[{kappa:+g}]", vals))
+    out.append(("boundary_layer", -np.maximum(-base, 0.0) ** 0.75))
+    members = []
+    for label, vals in out:
+        field = ScalarField(grid, vals)
+        if np.all(is_positive_definite(hessian(field, grid))):
+            members.append((label, field))
+    return members
 
 
 @dataclass(frozen=True)
@@ -233,7 +213,8 @@ class PropernessResult:
         return self.verdict.startswith("not proper")
 
 
-DEFAULT_LAMBDAS = tuple(float(2.0**k) for k in range(-10, 11))
+# The growth rates lambda tested, in increasing order.
+_LAMBDAS = tuple(float(2.0**k) for k in range(-10, 11))
 
 # A tail shrinking by at least this factor per scale step (the sweep step is
 # ~2.15x) separates genuinely unbounded decay from the slowing descent ahead
@@ -247,24 +228,23 @@ def _tail_witness(g: np.ndarray) -> bool:
             and tail[-2] < 0.0 and tail[-1] <= _WITNESS_GROWTH * tail[-2])
 
 
-def properness_probe(problem: Problem, family: TestFunctionFamily = None,
-                     lambdas=DEFAULT_LAMBDAS) -> PropernessResult:
+def properness_probe(problem: Problem) -> PropernessResult:
     """Search for scaling sequences along which L(v) - lambda int v_nu
     is unbounded below.
 
+    The test functions are the fixed family of `_test_shapes`, scaled by
+    0.1 to 1000 in 13 geometric steps, and lambda runs over 2^-10 .. 2^10.
     A witness at every tested lambda means the growth condition fails on
     this family ("not proper").  Otherwise the largest witness-free lambda
     is reported together with the offset C making L(v) >= lambda int v_nu - C
     hold on every sampled member.
     """
     _require_zero_phi(problem, "properness_probe")
-    family = family or TestFunctionFamily()
     grid = problem.grid
     n = grid.dim
-    shapes = family.shapes(grid)
+    shapes = _test_shapes(grid)
     if not shapes:
         raise ValueError("test function family is empty on this grid")
-    scales = np.asarray(family.scales)
 
     rows = []  # (label, L values over scales, int v_nu values over scales)
     for label, V in shapes:
@@ -273,11 +253,11 @@ def properness_probe(problem: Problem, family: TestFunctionFamily = None,
         q = integrate_boundary(
             grid.boundary_curvature * problem.psi * v_nu**n, grid) / n
         r = integrate_boundary(v_nu, grid)
-        rows.append((label, p * scales + q * scales**n, r * scales))
+        rows.append((label, p * _SCALES + q * _SCALES**n, r * _SCALES))
 
     witnesses = []
     lambda_hat = None
-    for lam in sorted(lambdas):
+    for lam in _LAMBDAS:
         found = None
         for label, L_vals, I_vals in rows:
             if _tail_witness(L_vals - lam * I_vals):

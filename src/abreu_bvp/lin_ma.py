@@ -7,16 +7,14 @@ directional second derivatives; the resulting nonsymmetric sparse system is
 solved by a direct sparse factorization.  `factorize` is the package's one
 SuperLU call: the Newton solves reuse its LU across a line search and across
 chord steps, and every solve through it is checked for a finite solution and
-a small residual.  On a 2-d grid every caller passes the grid's
-nested-dissection order (`Grid.nd_order`, interleaved per node for the
-coupled (u, w) system), which leaves 30-50 % less LU fill than COLAMD,
-SuperLU's default, on the 9-point stencil; intervals keep COLAMD on their
-tridiagonal systems.
+a relative residual within LINEAR_TOL, one constant for every caller.  On
+a 2-d grid every caller passes the grid's nested-dissection order
+(`Grid.nd_order`, interleaved per node for the coupled (u, w) system), which
+leaves 30-50 % less LU fill than COLAMD, SuperLU's default, on the 9-point
+stencil; intervals keep COLAMD on their tridiagonal systems.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,13 +24,8 @@ from .exceptions import EllipticityError, SingularSystemError
 from .mesh import Grid, MatrixField, ScalarField, is_positive_definite
 
 
-@dataclass(frozen=True)
-class LinSolveOptions:
-    linear_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.linear_tol <= 0.0:
-            raise ValueError("linear_tol must be positive")
+# A checked solve fails when max|A x - rhs| exceeds this times max|rhs|.
+LINEAR_TOL = 1e-9
 
 
 def assemble_operator(grid: Grid, U: MatrixField):
@@ -60,14 +53,14 @@ def assemble_operator(grid: Grid, U: MatrixField):
     return M[:, :n], M[:, n:]
 
 
-def factorize(A, opts: LinSolveOptions, order=None):
+def factorize(A, order=None):
     """Sparse LU of A; returns solve(rhs), which checks every solution.
 
     With `order` (a permutation, such as `Grid.nd_order`) the LU is of the
     symmetrically permuted A[order][:, order] with no column reordering of
     its own; without it SuperLU orders the columns by COLAMD.  Either way
     solve(rhs) answers for A itself: a solution must be finite with
-    residual within linear_tol of max|rhs|, and a failed check, or a
+    residual within LINEAR_TOL of max|rhs|, and a failed check, or a
     failed factorization, raises SingularSystemError.  The LU lives as
     long as the returned function.
     """
@@ -92,7 +85,7 @@ def factorize(A, opts: LinSolveOptions, order=None):
         scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
         if scale > 0.0:
             resid = float(np.max(np.abs(A @ x - rhs)))
-            if resid > opts.linear_tol * scale:
+            if resid > LINEAR_TOL * scale:
                 raise SingularSystemError(
                     f"relative residual {resid / scale:.3e} exceeds "
                     "linear_tol")
@@ -100,22 +93,21 @@ def factorize(A, opts: LinSolveOptions, order=None):
     return solve
 
 
-def solve_system(A, rhs, opts: LinSolveOptions, order=None):
+def solve_system(A, rhs, order=None):
     """Solve the assembled interior system once, with residual verification."""
-    return factorize(A, opts, order)(rhs)
+    return factorize(A, order)(rhs)
 
 
-def solve_linearized(grid: Grid, U: MatrixField, f: ScalarField, w_b,
-                     opts: LinSolveOptions = None) -> ScalarField:
+def solve_linearized(grid: Grid, U: MatrixField, f: ScalarField,
+                     w_b) -> ScalarField:
     """Solve U^{ij} w_{ij} = f on the interior with w = w_b on the boundary."""
-    opts = opts or LinSolveOptions()
     if not np.all(is_positive_definite(U)):
         raise EllipticityError("coefficient matrix not positive definite "
                                "at every interior node")
     w_b = np.asarray(w_b, dtype=float) * np.ones(grid.n_boundary)
     A, B = assemble_operator(grid, U)
     rhs = f.interior - B @ w_b
-    w_int = solve_system(A, rhs, opts, grid.nd_order)
+    w_int = solve_system(A, rhs, grid.nd_order)
     return ScalarField(grid, np.concatenate([w_int, w_b]))
 
 

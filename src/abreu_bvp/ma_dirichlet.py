@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import (ConvexityLossError, NewtonDivergenceError,
                          SingularSystemError)
-from .lin_ma import LinSolveOptions, assemble_operator, factorize, solve_system
+from .lin_ma import assemble_operator, factorize, solve_system
 from .mesh import (Grid, MatrixField, ScalarField, cofactor, hessian,
                    is_positive_definite, level_bubble, sym_det)
 
@@ -58,13 +58,12 @@ def _identity_coeffs(grid: Grid) -> MatrixField:
     return MatrixField(grid, data)
 
 
-def _initial_guess(grid: Grid, g: ScalarField, phi_b,
-                   lin_opts: LinSolveOptions) -> np.ndarray:
+def _initial_guess(grid: Grid, g: ScalarField, phi_b) -> np.ndarray:
     n = grid.dim
     # trace D^2 u0 = n g^{1/n}: equality when D^2 u0 is a multiple of I.
     rhs = n * g.interior ** (1.0 / n)
     A, B = assemble_operator(grid, _identity_coeffs(grid))
-    u_int = solve_system(A, rhs - B @ phi_b, lin_opts, grid.nd_order)
+    u_int = solve_system(A, rhs - B @ phi_b, grid.nd_order)
     u = np.concatenate([u_int, phi_b])
 
     bubble = level_bubble(grid)
@@ -87,27 +86,27 @@ _DAMPING_MIN = 1e-2
 _THETA_MAX = 0.25
 
 
-def damped_newton(x, residual, jacobian, tol, max_iters,
-                  lin_opts: LinSolveOptions, cap=None, order=None):
+def damped_newton(x, residual, jacobian, tol, max_iters, cap=None):
     """Damped Newton for F(x) = 0 from x, until the scaled residual <= tol.
 
     `residual(x)` returns (r, F, state): the scaled residual norm (inf
-    rejects x), the residual vector, and what `jacobian(x, state)` needs to
-    build the sparse Jacobian.  `cap(x, step)` optionally bounds the
+    rejects x), the residual vector, and what `jacobian(x, state)` needs
+    to factorize the Jacobian at x and return its checked solve, as
+    `lin_ma.factorize` does.  `cap(x, step)` optionally bounds the
     damping of a step.  A trial at damping s is taken by Deuflhard's
     natural-monotonicity test: its simplified step J^{-1} F(trial) is at
-    most (1 - s/4) times the step.  A Newton iteration makes one checked
-    factorization, in the fill-reducing `order` of the unknowns if given,
-    which the simplified steps reuse.  When a full step (s = 1) is taken
-    with contraction |simplified step| <= _THETA_MAX |step| (sup norms),
-    the simplified step is the next iteration: a chord step with the live
-    LU, so no Jacobian and no factorization (Deuflhard's NLEQ-ERR).  A
-    chord step is never damped: if it fails the test, or the cap would cut
-    it, Newton refactorizes at the same iterate and takes a Newton step.
+    most (1 - s/4) times the step.  A Newton iteration drops the live LU
+    and calls `jacobian` once; the simplified steps reuse the new LU.
+    When a full step (s = 1) is taken with contraction |simplified step|
+    <= _THETA_MAX |step| (sup norms), the simplified step is the next
+    iteration: a chord step with the live LU, so no Jacobian and no
+    factorization (Deuflhard's NLEQ-ERR).  A chord step is never damped:
+    if it fails the test, or the cap would cut it, Newton refactorizes at
+    the same iterate and takes a Newton step.
 
     Returns (x, r, F, state, steps, factorizations, error) for the last
     accepted iterate, with steps the iterations run (chord steps included,
-    a failed chord trial not), factorizations the factorize calls made,
+    a failed chord trial not), factorizations the `jacobian` calls made,
     and error None or the SolverError that stopped Newton short: no trial
     above _DAMPING_MIN, max_iters steps, or a linear solve failing its
     check.
@@ -122,7 +121,7 @@ def damped_newton(x, residual, jacobian, tol, max_iters,
             if newton:
                 solve = None  # one factorization alive at a time
                 factorizations += 1
-                solve = factorize(jacobian(x, state), lin_opts, order)
+                solve = jacobian(x, state)
                 step = solve(-F)
                 s = 1.0 if cap is None else cap(x, step)
                 steps += 1
@@ -165,14 +164,12 @@ def damped_newton(x, residual, jacobian, tol, max_iters,
 
 
 def solve_ma(grid: Grid, g: ScalarField, phi_b, opts: MAOptions = None,
-             lin_opts: LinSolveOptions = None,
              initial: ScalarField = None) -> ScalarField:
     """Solve det D^2 u = g, u = phi_b on the boundary, u discretely convex.
 
     `initial` warm-starts Newton; its boundary values are replaced by phi_b.
     """
     opts = opts or MAOptions()
-    lin_opts = lin_opts or LinSolveOptions()
     _check_g(g)
     phi_b = np.asarray(phi_b, dtype=float) * np.ones(grid.n_boundary)
 
@@ -184,19 +181,19 @@ def solve_ma(grid: Grid, g: ScalarField, phi_b, opts: MAOptions = None,
         return float(np.max(np.abs(F))), F, H
 
     def jacobian(x, H):
-        return assemble_operator(grid, cofactor(H, grid))[0]
+        J = assemble_operator(grid, cofactor(H, grid))[0]
+        return factorize(J, grid.nd_order)
 
     x = None if initial is None else initial.interior
     if x is None or residual(x)[0] == np.inf:
-        x = _initial_guess(grid, g, phi_b, lin_opts)[: grid.n_interior]
+        x = _initial_guess(grid, g, phi_b)[: grid.n_interior]
 
     # The convergence test scales with the data: the discrete determinant
     # carries rounding noise proportional to its own size, so an absolute
     # sup-norm target is unreachable when g is large.
     tol = opts.newton_tol * max(1.0, float(np.max(np.abs(g.interior))))
     x, *_, error = damped_newton(x, residual, jacobian, tol,
-                                 opts.max_newton_iters, lin_opts,
-                                 order=grid.nd_order)
+                                 opts.max_newton_iters)
     if error is not None:
         raise error
     return ScalarField(grid, np.concatenate([x, phi_b]))

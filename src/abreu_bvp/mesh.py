@@ -173,28 +173,30 @@ class DomainSpec:
         return s_plus
 
 
-def gauss_curvature(domain: DomainSpec, point, tol: float = 1e-8) -> float:
-    """Gauss (here: plane) curvature of the boundary at a boundary point.
+def gauss_curvature(domain: DomainSpec, point, tol: float = 1e-8):
+    """Gauss (here: plane) curvature of the boundary at boundary points.
 
-    For n = 1 the convention K = 1 is used.  Raises DomainError when the
-    point is not on the boundary within the dimensionless level tolerance.
+    One point gives a float, an (m, 2) array of points an array.  For n = 1
+    the convention K = 1 is used.  Raises DomainError when a point is not
+    on the boundary within the dimensionless level tolerance.
     """
+    pts = np.asarray(point, dtype=float)
+    many = pts.ndim == 2
+    pts = pts if many else pts.ravel()[None, :]
     if domain.kind == "interval":
-        x = float(np.atleast_1d(np.asarray(point, dtype=float)).ravel()[0])
         a, b = domain.bounds
-        scale = b - a
-        if min(abs(x - a), abs(x - b)) > tol * scale:
-            raise DomainError("point not on boundary")
-        return 1.0
-    pt = np.asarray(point, dtype=float).ravel()
-    if abs(float(domain.level(pt[0], pt[1]))) > tol:
+        off = np.minimum(abs(pts[:, 0] - a), abs(pts[:, 0] - b)) / (b - a)
+        kappa = np.ones(len(pts))
+    else:
+        off = abs(domain.level(pts[:, 0], pts[:, 1]))
+        a, b = domain.semi_axes
+        gx, gy = 2.0 * pts[:, 0] / a**2, 2.0 * pts[:, 1] / b**2
+        lxx, lyy = 2.0 / a**2, 2.0 / b**2
+        # Implicit curve curvature with l_xy = 0 for these quadrics.
+        kappa = (gx**2 * lyy + gy**2 * lxx) / np.hypot(gx, gy) ** 3
+    if np.any(off > tol):
         raise DomainError("point not on boundary")
-    a, b = domain.semi_axes
-    gx, gy = 2.0 * pt[0] / a**2, 2.0 * pt[1] / b**2
-    lxx, lyy = 2.0 / a**2, 2.0 / b**2
-    grad3 = math.hypot(gx, gy) ** 3
-    # Implicit curve curvature with l_xy = 0 for these quadrics.
-    return float((gx**2 * lyy + gy**2 * lxx) / grad3)
+    return kappa if many else float(kappa[0])
 
 
 class ScalarField:
@@ -534,7 +536,7 @@ def _build_grid_2d(domain: DomainSpec, res: int) -> Grid:
 
     points = np.vstack([ipts, bpts])
     normals = domain.outward_normal(bpts)
-    curvature = np.array([gauss_curvature(domain, p, tol=1e-6) for p in bpts])
+    curvature = gauss_curvature(domain, bpts, tol=1e-6)
 
     # Trapezoid arc weights on the closed polygon of boundary nodes.
     nxt = np.roll(np.arange(n_bdy), -1)

@@ -14,7 +14,7 @@ from abreu_bvp import (
     solve_exact_1d,
     solve_second_bvp,
 )
-from abreu_bvp import ma_dirichlet
+from abreu_bvp import continuation
 from abreu_bvp.continuation import _coupled_jacobian
 from abreu_bvp.exceptions import (ContinuationError, SingularSystemError,
                                   WFloorError)
@@ -134,17 +134,17 @@ def test_singular_coupled_system_ends_only_its_step(disk32, monkeypatch):
     # A failed linear solve inside a coupled step becomes that step's trace
     # entry; the continuation halves the step and goes on.
     n = disk32.n_interior
-    real_factorize = ma_dirichlet.factorize
+    real_factorize = continuation.factorize
     coupled_calls = []
 
-    def factorize(A, opts, order=None):
+    def factorize(A, order=None):
         if A.shape[0] == 2 * n:
             coupled_calls.append(A.shape)
             if len(coupled_calls) == 1:
                 raise SingularSystemError("injected singular Jacobian")
-        return real_factorize(A, opts, order)
+        return real_factorize(A, order)
 
-    monkeypatch.setattr(ma_dirichlet, "factorize", factorize)
+    monkeypatch.setattr(continuation, "factorize", factorize)
     sol = solve_second_bvp(Problem(disk32, GSpec(0.0, 2), 2.0, 0.0, 1.0))
     failed, halved = sol.iterations[:2]
     assert not failed["converged"] and not failed["floor_hit"]

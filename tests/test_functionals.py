@@ -6,7 +6,6 @@ from abreu_bvp import (
     GSpec,
     Problem,
     ScalarField,
-    TestFunctionFamily,
     build_grid,
     concavity_probe,
     el_residual,
@@ -97,6 +96,18 @@ def test_el_residual_trivial_cases(disk64):
     prob1 = Problem(disk64, GSpec(0.0, 2), 1.0, 0.0, 1.0)
     r1 = el_residual(u, prob1)
     assert np.max(np.abs(r1.interior + 1.0)) < 1e-6
+
+
+def test_el_residual_rejects_concave_fields():
+    # D^2 u = -I has det 1 > 0 in two dimensions, but u is concave; the
+    # residual is defined for convex fields only, as F is.
+    g = build_grid(DomainSpec.disk(1.0), 16)
+    prob = Problem(g, GSpec(0.0, 2), 2.0, 0.0, 1.0)
+    u = paraboloid(g, scale=-0.5)
+    with pytest.raises(ValueError, match="not discretely convex"):
+        el_residual(u, prob)
+    with pytest.raises(ConvexityLossError):
+        eval_F(u, prob)
 
 
 def test_el_residual_1d_manufactured_order():
@@ -213,10 +224,3 @@ def test_properness_disk_strong_source(disk32):
     assert res.verdict == "no violation found"
     assert res.lambda_hat > 0.0
     assert res.c_hat >= 0.0
-
-
-def test_family_validation():
-    with pytest.raises(ValueError):
-        TestFunctionFamily(scales=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        TestFunctionFamily(kinds=("scaled_parabola", "mystery"))

@@ -5,7 +5,6 @@ import scipy.sparse.linalg as spla
 
 from abreu_bvp import (
     DomainSpec,
-    LinSolveOptions,
     MatrixField,
     ScalarField,
     assemble_operator,
@@ -15,6 +14,7 @@ from abreu_bvp import (
     linearized_residual,
     solve_linearized,
 )
+from abreu_bvp import lin_ma
 from abreu_bvp.exceptions import EllipticityError, SingularSystemError
 from abreu_bvp.lin_ma import factorize
 
@@ -146,26 +146,27 @@ def test_ordered_factorization_solves_the_unpermuted_system(disk32,
     for g in (disk32, ellipse32):
         A = ma_jacobian(g)
         rhs = rng.normal(size=g.n_interior)
-        x = factorize(A, LinSolveOptions())(rhs)
-        x_nd = factorize(A, LinSolveOptions(), g.nd_order)(rhs)
+        x = factorize(A)(rhs)
+        x_nd = factorize(A, g.nd_order)(rhs)
         assert np.max(np.abs(x_nd - x)) <= 1e-12 * np.max(np.abs(x))
         # the coupled step's order, each node's two unknowns side by side
         p = g.nd_order
+        pairs = np.column_stack([p, p + g.n_interior]).ravel()
         J = sp.bmat([[A, sp.eye(g.n_interior)], [None, A]], format="csc")
         rhs2 = rng.normal(size=2 * g.n_interior)
-        y = factorize(J, LinSolveOptions())(rhs2)
-        y_nd = factorize(J, LinSolveOptions(),
-                         np.column_stack([p, p + g.n_interior]).ravel())(rhs2)
+        y = factorize(J)(rhs2)
+        y_nd = factorize(J, pairs)(rhs2)
         assert np.max(np.abs(y_nd - y)) <= 1e-12 * np.max(np.abs(y))
 
 
-def test_ordered_factorization_keeps_its_checks(disk32):
+def test_ordered_factorization_keeps_its_checks(disk32, monkeypatch):
     A = ma_jacobian(disk32).tolil()
     A[5, :] = 0.0
     with pytest.raises(SingularSystemError):
-        factorize(A.tocsr(), LinSolveOptions(), disk32.nd_order)
-    strict = LinSolveOptions(linear_tol=1e-300)
-    solve = factorize(ma_jacobian(disk32), strict, disk32.nd_order)
+        factorize(A.tocsr(), disk32.nd_order)
+    # no solve meets a tolerance this strict, so the residual check must fire
+    monkeypatch.setattr(lin_ma, "LINEAR_TOL", 1e-300)
+    solve = factorize(ma_jacobian(disk32), disk32.nd_order)
     with pytest.raises(SingularSystemError, match="relative residual"):
         solve(np.ones(disk32.n_interior))
 
@@ -182,14 +183,9 @@ def test_nested_dissection_cuts_the_fill(ellipse128, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", splu)
     A = ma_jacobian(ellipse128)
-    factorize(A, LinSolveOptions())
-    factorize(A, LinSolveOptions(), ellipse128.nd_order)
+    factorize(A)
+    factorize(A, ellipse128.nd_order)
     (args0, kw0, colamd), (_, kw1, nd) = made
     assert args0 == () and kw0 == {}  # unordered: SuperLU's default call
     assert kw1 == {"permc_spec": "NATURAL"}
     assert nd.L.nnz + nd.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        LinSolveOptions(linear_tol=-1.0)

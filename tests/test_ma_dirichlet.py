@@ -19,7 +19,7 @@ from abreu_bvp import (
     solve_second_bvp,
 )
 from abreu_bvp.exceptions import NewtonDivergenceError
-from abreu_bvp.lin_ma import LinSolveOptions
+from abreu_bvp.lin_ma import factorize
 from abreu_bvp.ma_dirichlet import damped_newton
 
 
@@ -176,10 +176,10 @@ def test_failed_chord_step_refactorizes_at_the_same_iterate():
 
     def jacobian(x, state):
         jacobians.append(x[0])
-        return sp.csc_matrix([[2.0 * x[0]]])
+        return factorize(sp.csc_matrix([[2.0 * x[0]]]))
 
     x, *_, steps, factorizations, error = damped_newton(
-        np.array([2.0]), residual, jacobian, 1e-12, 30, LinSolveOptions())
+        np.array([2.0]), residual, jacobian, 1e-12, 30)
     assert error is None and abs(x[0] - 1.0) < 1e-12
     assert walled == [pytest.approx(1.25 - 0.5625 / 4.0)]
     assert jacobians[:2] == [2.0, 1.25]

@@ -66,6 +66,27 @@ def test_gauss_curvature_disk_and_ellipse():
         assert gauss_curvature(ell, p) == pytest.approx(kappa, rel=1e-8)
 
 
+def test_gauss_curvature_of_many_points_equals_the_per_point_calls():
+    for dom in (DomainSpec.disk(1.5), DomainSpec.ellipse(2.0, 1.0)):
+        pts = dom.boundary_point(np.linspace(-np.pi, np.pi, 17))
+        one_by_one = [gauss_curvature(dom, p) for p in pts]
+        assert all(isinstance(k, float) for k in one_by_one)
+        kappa = gauss_curvature(dom, pts)
+        assert kappa.shape == (17,)
+        np.testing.assert_array_equal(kappa, one_by_one)
+        # every point is checked, not only the first
+        off = pts.copy()
+        off[9] *= 1.01
+        with pytest.raises(DomainError):
+            gauss_curvature(dom, off)
+    iv = DomainSpec.interval(0.0, 2.0)
+    ends = np.array([[0.0, 0.0], [2.0, 0.0]])
+    np.testing.assert_array_equal(gauss_curvature(iv, ends), [1.0, 1.0])
+    assert gauss_curvature(iv, 2.0) == 1.0
+    with pytest.raises(DomainError):
+        gauss_curvature(iv, np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
 # ------------------------------------------------------------------ grids
 
 def test_grid_counts_match_brute_force_predicate(disk32):
