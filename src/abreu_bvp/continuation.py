@@ -17,6 +17,16 @@ has min w below w_floor, or when the w-equation solved alone on its last
 u would; if the halving budget runs out on such a step, the run reports
 suspected nonexistence (WFloorError).
 
+A 2-d grid finer than _COARSEST_RESOLUTION = 32 does not drive t itself
+(grid sequencing; Deuflhard's nested iteration).  It solves the same
+problem on the grid of half its resolution, recursively, moves that
+solution to its own nodes, and takes one Newton step at t = 1 from there:
+by mesh independence, Newton's iteration count does not grow with the
+resolution.  So t_steps, the halvings and w0 act on the coarsest grid.  If
+a coarser grid raises a SolverError, or the fine step does not converge,
+the grid runs the continuation itself, and its verdict is the run's.  Each
+trace entry records the resolution of its grid.
+
 phi_map, one sweep of the splitting (a Monge-Ampere solve, then the linear
 solve in cofactor form), is kept as an independent fixed-point check.
 """
@@ -29,14 +39,15 @@ import numpy as np
 from scipy import sparse
 
 from .estimates import DiagnosticsReport, standard_diagnostics
-from .exceptions import ContinuationError, SingularSystemError, WFloorError
+from .exceptions import (ContinuationError, SingularSystemError, SolverError,
+                         WFloorError)
 from .functionals import el_residual
 from .gfamily import invert_w
 from .lin_ma import (assemble_operator, factorize, solve_linearized,
                      solve_system)
 from .ma_dirichlet import MAOptions, damped_newton, solve_ma
-from .mesh import (ScalarField, cofactor, det_field, hessian,
-                   is_positive_definite, sym_det)
+from .mesh import (ScalarField, build_grid, cofactor, det_field, hessian,
+                   is_positive_definite, quadratic_transfer, sym_det)
 from .problem import Problem
 
 
@@ -214,27 +225,14 @@ def _newton_step(uv, wv, t, problem, opts):
     return uv, wv, outcome
 
 
-def solve_second_bvp(problem: Problem, opts: ContinuationOptions = None,
-                     w0: ScalarField = None) -> Solution:
-    """Drive t from 0 to 1 and return the converged solution fields.
+def _continuation(problem, opts, wv, trace):
+    """Drive t from 0 to 1 from w = wv at t = 0; return the (u, w) node values.
 
-    w0 optionally replaces the default initial iterate w = 1 (the solution
-    at t = 0).
+    Each step's entry is appended to `trace`.
     """
-    opts = opts or ContinuationOptions()
     grid = problem.grid
-    if w0 is None:
-        w0 = ScalarField.constant(grid, 1.0)
-    else:
-        if w0.grid is not grid:
-            raise ValueError("w0 lives on a different grid")
-        if float(np.min(w0.values)) < opts.w_floor:
-            raise ValueError("w0 must be >= w_floor everywhere")
-    g = ScalarField(grid, invert_w(problem.gspec, w0.values))
+    g = ScalarField(grid, invert_w(problem.gspec, wv))
     uv = solve_ma(grid, g, problem.phi, opts.ma).values
-    wv = w0.values
-
-    trace = []
     t_reached = 0.0
     dt = 1.0 / opts.t_steps
     halvings = 0
@@ -243,7 +241,8 @@ def solve_second_bvp(problem: Problem, opts: ContinuationOptions = None,
         if 1.0 - t_try < 1e-12:  # don't let roundoff add an extra step
             t_try = 1.0
         u_new, w_new, outcome = _newton_step(uv, wv, t_try, problem, opts)
-        trace.append({"t": t_try, "dt": dt, **outcome})
+        trace.append({"t": t_try, "dt": dt, "resolution": grid.resolution,
+                      **outcome})
         if outcome["converged"]:
             uv, wv = u_new, w_new
             t_reached = t_try
@@ -262,6 +261,88 @@ def solve_second_bvp(problem: Problem, opts: ContinuationOptions = None,
                 f"({outcome['error']})",
                 last_good_t=t_reached, trace=trace)
         dt *= 0.5
+    return uv, wv
+
+
+# A 2-d grid finer than this starts from the grid of half its resolution.
+_COARSEST_RESOLUTION = 32
+
+
+def _boundary_interp(fine, coarse, values):
+    """Boundary node values of `fine` at the boundary nodes of `coarse`."""
+    return np.interp(coarse.boundary_params, fine.boundary_params, values,
+                     period=2.0 * np.pi)
+
+
+def _from_coarse(problem, opts, wv, trace):
+    """The (u, w) node values at t = 1 from the half-resolution solution.
+
+    The problem, with w = wv at t = 0, is solved on the grid of half the
+    resolution by `_solve`.  Its u and log w move to this grid's interior
+    by `quadratic_transfer`, with the boundary values set exactly; u is
+    re-solved from there as at t = 0, u = solve_ma(Theta(w)), which makes
+    it discretely convex; then one Newton step is taken at t = 1.  Returns
+    None when that step does not converge.
+    """
+    grid = problem.grid
+    coarse = build_grid(grid.domain, (grid.resolution + 1) // 2)
+    f, s = quadratic_transfer(grid, coarse.points)(
+        np.column_stack([problem.f.values, np.log(wv)])).T
+    coarse_problem = Problem(
+        coarse, problem.gspec, ScalarField(coarse, f),
+        _boundary_interp(grid, coarse, problem.phi),
+        _boundary_interp(grid, coarse, problem.psi))
+    uc, wc = _solve(coarse_problem, opts, np.exp(s), trace)
+
+    u, s = quadratic_transfer(coarse, grid.interior_points)(
+        np.column_stack([uc, np.log(wc)])).T
+    wv = np.concatenate([np.exp(s), problem.psi])
+    u = solve_ma(grid, ScalarField(grid, invert_w(problem.gspec, wv)),
+                 problem.phi, opts.ma,
+                 initial=ScalarField(grid, np.concatenate([u, problem.phi])))
+    uv, wv, outcome = _newton_step(u.values, wv, 1.0, problem, opts)
+    trace.append({"t": 1.0, "dt": 1.0, "resolution": grid.resolution,
+                  **outcome})
+    return (uv, wv) if outcome["converged"] else None
+
+
+def _solve(problem, opts, wv, trace):
+    """The (u, w) node values at t = 1 from w = wv at t = 0.
+
+    A 2-d grid finer than _COARSEST_RESOLUTION starts from the solution at
+    half its resolution (`_from_coarse`).  If that raises a SolverError or
+    its step does not converge, the grid runs the continuation itself.
+    Each step's entry is appended to `trace`.
+    """
+    grid = problem.grid
+    if grid.dim == 2 and grid.resolution > _COARSEST_RESOLUTION:
+        try:
+            solved = _from_coarse(problem, opts, wv, trace)
+        except SolverError:
+            solved = None
+        if solved is not None:
+            return solved
+    return _continuation(problem, opts, wv, trace)
+
+
+def solve_second_bvp(problem: Problem, opts: ContinuationOptions = None,
+                     w0: ScalarField = None) -> Solution:
+    """Solve the problem at t = 1 and return the solution fields.
+
+    w0 optionally replaces the default initial iterate w = 1 (the solution
+    at t = 0).
+    """
+    opts = opts or ContinuationOptions()
+    grid = problem.grid
+    if w0 is None:
+        w0 = ScalarField.constant(grid, 1.0)
+    else:
+        if w0.grid is not grid:
+            raise ValueError("w0 lives on a different grid")
+        if float(np.min(w0.values)) < opts.w_floor:
+            raise ValueError("w0 must be >= w_floor everywhere")
+    trace = []
+    uv, wv = _solve(problem, opts, w0.values, trace)
 
     u = ScalarField(grid, uv)
     w = ScalarField(grid, wv)

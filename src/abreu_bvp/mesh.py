@@ -20,11 +20,12 @@ machine precision.  Boundary quadrature is the trapezoid rule on chords
 between boundary nodes ordered along the boundary.  Normal derivatives at
 boundary nodes use a second-order one-sided difference along the inward
 normal.  Off-lattice values come from batched least-squares quadratic fits
-on the nearest nodes, `Grid.boundary_fits`.  Nearness is measured in lattice
-coordinates (x/hx, y/hy), where the lattice has unit spacing on both axes.
-There an ellipse grid is the disk grid of its resolution (the snap test
-aside), so a thin ellipse gets the disk's weights times ab, and its fits
-draw neighbours from both axes.
+on the nearest nodes: `Grid.boundary_fits` near the boundary, and
+`quadratic_transfer` between two grids of one domain.  Nearness is measured
+in lattice coordinates (x/hx, y/hy), where the lattice has unit spacing on
+both axes.  There an ellipse grid is the disk grid of its resolution (the
+snap test aside), so a thin ellipse gets the disk's weights times ab, and
+its fits draw neighbours from both axes.
 """
 
 from __future__ import annotations
@@ -378,13 +379,11 @@ class Grid:
         """Least-squares quadratic fits at the boundary nodes, built once.
 
         Row d of `(idx, pinv)` holds the fits centered d h along the inward
-        normal, d = 0, 1, 2, in lattice coordinates (x/hx, y/hy): idx are
-        the 12 nodes of `tree` nearest the center and pinv the
-        pseudo-inverses of the basis 1, X, Y, X^2, XY, Y^2 in lattice
-        coordinates relative to the center, so `pinv @ values[idx]` are
-        the coefficients, exact for quadratic fields.  Raises
-        GridResolutionError when a center at depth h or 2h is not inside
-        the domain.
+        normal, d = 0, 1, 2: idx are the 12 nodes nearest the center and
+        pinv the pseudo-inverses of the basis of `_quadratic_basis`, so
+        `pinv @ values[idx]` are the coefficients, exact for quadratic
+        fields.  Raises GridResolutionError when a center at depth h or 2h
+        is not inside the domain.
         """
         if self._boundary_fits is None:
             if self.dim != 2:
@@ -394,16 +393,56 @@ class Grid:
             if np.any(self.domain.level(centers[1:, :, 0], centers[1:, :, 1]) >= 0.0):
                 raise GridResolutionError(
                     "normal-derivative stencil leaves the domain; refine the grid")
-            centers = centers / (self.hx, self.hy)
-            _, idx = self.tree.query(centers, k=12)
-            z = self.tree.data[idx] - centers[:, :, None, :]
-            x, y = z[..., 0], z[..., 1]
-            basis = np.stack([np.ones_like(x), x, y, x**2, x * y, y**2], axis=-1)
+            idx, basis = _quadratic_basis(self, centers / (self.hx, self.hy))
             fits = (idx, np.linalg.pinv(basis, rcond=1e-10))
             for arr in fits:
                 arr.setflags(write=False)
             self._boundary_fits = fits
         return self._boundary_fits
+
+
+def _quadratic_basis(grid: Grid, centers: np.ndarray):
+    """Nodes and basis of the local quadratic least-squares fits at centers.
+
+    centers are in lattice coordinates (x/hx, y/hy), shape (..., 2).
+    Returns idx, the 12 nodes of `grid.tree` nearest each center, and the
+    basis 1, X, Y, X^2, XY, Y^2 at those nodes in lattice coordinates
+    relative to the center, shape (..., 12, 6).
+    """
+    _, idx = grid.tree.query(centers, k=12)
+    z = grid.tree.data[idx] - centers[..., None, :]
+    x, y = z[..., 0], z[..., 1]
+    return idx, np.stack([np.ones_like(x), x, y, x**2, x * y, y**2], axis=-1)
+
+
+class Transfer(NamedTuple):
+    """Interpolation of node values at fixed points; see `quadratic_transfer`."""
+
+    idx: np.ndarray
+    weights: np.ndarray
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """Values at the points from node values of shape (n_nodes, ...)."""
+        return np.einsum("mk,mk...->m...", self.weights, values[self.idx])
+
+
+def quadratic_transfer(grid: Grid, points) -> Transfer:
+    """Interpolation from the nodes of a 2-d grid to the (m, 2) `points`.
+
+    A point's value is the constant term of the least-squares quadratic fit
+    of `Grid.boundary_fits` centered there, so the transfer is exact for
+    quadratic fields.  With the fit's basis B = QR, that term is
+    (Q R^{-T} e_0) . v, so the weights of every point come from one batched
+    QR and one batched 6 x 6 triangular solve, and each field then costs
+    one weighted sum over 12 nodes.  QR keeps the weights accurate to
+    roundoff where clustered boundary nodes make B^T B ill-conditioned.
+    """
+    idx, basis = _quadratic_basis(
+        grid, np.asarray(points, dtype=float) / (grid.hx, grid.hy))
+    q, r = np.linalg.qr(basis)
+    e0 = np.zeros((len(idx), 6, 1))
+    e0[:, 0] = 1.0
+    return Transfer(idx, (q @ np.linalg.solve(np.swapaxes(r, 1, 2), e0))[..., 0])
 
 
 def build_grid(domain: DomainSpec, resolution: int) -> Grid:

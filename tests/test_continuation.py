@@ -16,8 +16,8 @@ from abreu_bvp import (
 )
 from abreu_bvp import continuation
 from abreu_bvp.continuation import _coupled_jacobian
-from abreu_bvp.exceptions import (ContinuationError, SingularSystemError,
-                                  WFloorError)
+from abreu_bvp.exceptions import (ContinuationError, GridResolutionError,
+                                  SingularSystemError, WFloorError)
 from abreu_bvp.lin_ma import assemble_operator
 from abreu_bvp.mesh import cofactor, hessian
 
@@ -194,6 +194,101 @@ def test_coupled_jacobian_matches_bmat(disk32, interval64, rng):
         ref = sparse.bmat([[A, sparse.diags(d)], [C, A]], format="csr")
         assert J.shape == ref.shape and J.nnz == ref.nnz
         assert abs(J - ref).max() == 0.0
+
+
+def plain_continuation(problem, monkeypatch):
+    # no grid is finer than the coarsest, so the grid runs the continuation
+    with monkeypatch.context() as m:
+        m.setattr(continuation, "_COARSEST_RESOLUTION", 10**9)
+        return solve_second_bvp(problem)
+
+
+@pytest.mark.parametrize("grid_name, source", [("disk64", 50.0),
+                                               ("ellipse64", 5.0)])
+def test_sequenced_solve_equals_the_continuation(grid_name, source, request,
+                                                 monkeypatch):
+    grid = request.getfixturevalue(grid_name)
+    prob = Problem(grid, GSpec(0.0, 2), source, 0.0, 1.0)
+    seq = solve_second_bvp(prob)
+    plain = plain_continuation(prob, monkeypatch)
+    assert np.max(np.abs(seq.u.values - plain.u.values)) <= 1e-10
+    assert np.max(np.abs(seq.w.values - plain.w.values)) <= 1e-10
+    # t is driven on the coarse grid; the fine grid takes one step at t = 1
+    assert {e["resolution"] for e in plain.iterations} == {64}
+    assert [e["resolution"] for e in seq.iterations] == [32] * 10 + [64]
+    last = seq.iterations[-1]
+    assert (last["t"], last["dt"], last["converged"]) == (1.0, 1.0, True)
+
+
+def test_each_level_of_the_sequence_is_in_the_trace(interval64):
+    disk65 = build_grid(DomainSpec.disk(1.0), 65)
+    trace = solve_second_bvp(trivial_problem(disk65)).iterations
+    assert [e["resolution"] for e in trace] == [17] * 10 + [33, 65]
+    assert all(e["converged"] for e in trace)
+    assert [(e["t"], e["dt"]) for e in trace[-2:]] == [(1.0, 1.0)] * 2
+    # an interval keeps the continuation at any resolution
+    trace = solve_second_bvp(trivial_problem(interval64)).iterations
+    assert [e["resolution"] for e in trace] == [64] * 10
+
+
+def disk48_problem():
+    return Problem(build_grid(DomainSpec.disk(1.0), 48), GSpec(0.0, 2), 2.0,
+                   0.0, 1.0)
+
+
+def test_failed_fine_step_falls_back_to_the_continuation(monkeypatch):
+    prob = disk48_problem()
+    plain = plain_continuation(prob, monkeypatch)
+    real_step = continuation._newton_step
+    fine_steps = []
+
+    def newton_step(uv, wv, t, problem, opts):
+        uv, wv, outcome = real_step(uv, wv, t, problem, opts)
+        if problem.grid is prob.grid and not fine_steps:
+            fine_steps.append(t)
+            outcome = {**outcome, "converged": False, "error": "injected"}
+        return uv, wv, outcome
+
+    monkeypatch.setattr(continuation, "_newton_step", newton_step)
+    sol = solve_second_bvp(prob)
+    assert fine_steps == [1.0]
+    assert np.array_equal(sol.u.values, plain.u.values)
+    assert np.array_equal(sol.w.values, plain.w.values)
+    coarse = [e for e in sol.iterations if e["resolution"] == 24]
+    failed = sol.iterations[len(coarse)]
+    assert (failed["t"], failed["dt"], failed["resolution"]) == (1.0, 1.0, 48)
+    assert not failed["converged"] and failed["error"] == "injected"
+    assert sol.iterations[len(coarse) + 1:] == plain.iterations
+
+
+@pytest.mark.parametrize("failure", ["grid", "continuation"])
+def test_coarse_solver_error_falls_back_to_the_continuation(failure,
+                                                            monkeypatch):
+    prob = disk48_problem()
+    plain = plain_continuation(prob, monkeypatch)
+    if failure == "grid":
+        def build_grid(domain, resolution):
+            raise GridResolutionError("injected")
+        monkeypatch.setattr(continuation, "build_grid", build_grid)
+    else:
+        real_step = continuation._newton_step
+
+        def newton_step(uv, wv, t, problem, opts):
+            if problem.grid is prob.grid:
+                return real_step(uv, wv, t, problem, opts)
+            return uv, wv, {"iterations": 0, "factorizations": 0,
+                            "residual": 1.0, "w_min": 1.0, "converged": False,
+                            "floor_hit": False, "error": "injected"}
+        monkeypatch.setattr(continuation, "_newton_step", newton_step)
+    sol = solve_second_bvp(prob)
+    assert np.array_equal(sol.u.values, plain.u.values)
+    assert np.array_equal(sol.w.values, plain.w.values)
+    # the coarse grid's failed steps, if any, then the plain continuation
+    failed = (0 if failure == "grid"
+              else ContinuationOptions().max_step_halvings + 1)
+    assert [e["resolution"] for e in sol.iterations[:failed]] == [24] * failed
+    assert not any(e["converged"] for e in sol.iterations[:failed])
+    assert sol.iterations[failed:] == plain.iterations
 
 
 def test_options_validation():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import abreu_bvp
 
 
@@ -6,3 +11,17 @@ def test_every_exported_name_resolves():
                if not hasattr(abreu_bvp, name)]
     assert not missing
     assert len(set(abreu_bvp.__all__)) == len(abreu_bvp.__all__)
+
+
+def test_the_package_does_not_load_scipy_interpolate():
+    # scipy.interpolate adds about 11 MB to a process's resident set; the
+    # grid transfer of the sequenced solve does without it.
+    code = ("import sys, abreu_bvp as b\n"
+            "g = b.build_grid(b.DomainSpec.disk(1.0), 40)\n"
+            "b.solve_second_bvp(b.Problem(g, b.GSpec(0.0, 2), 0.0, 0.0, 1.0))\n"
+            "print('scipy.interpolate' in sys.modules)\n")
+    src = str(Path(abreu_bvp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

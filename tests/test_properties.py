@@ -16,6 +16,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from abreu_bvp import (DomainSpec, ScalarField, build_grid, hessian,
                        parse_config, parse_expression)
 from abreu_bvp.exceptions import ConfigError, ExpressionError
+from abreu_bvp.mesh import quadratic_transfer
 
 # Set at import: the pytest plugin fills its caches during collection.
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(),
@@ -48,6 +49,30 @@ def test_every_ellipse_grid_builds_with_a_positive_quadrature(
 
     bx, by = g.boundary_points[:, 0], g.boundary_points[:, 1]
     assert np.max(np.abs(domain.level(bx, by))) <= 1e-10
+
+
+@settings(FIXED, max_examples=60)
+@given(semi_a=st.floats(0.2, 3.0), semi_b=st.floats(0.2, 3.0),
+       resolution=st.integers(8, 96),
+       quad=st.tuples(*[coefficient] * 6),
+       polar=st.lists(st.tuples(st.floats(0.0, 0.999),
+                                st.floats(0.0, 2.0 * np.pi)),
+                      min_size=1, max_size=20))
+def test_grid_transfer_reproduces_quadratic_fields(semi_a, semi_b,
+                                                   resolution, quad, polar):
+    g = build_grid(DomainSpec.ellipse(semi_a, semi_b), resolution)
+    r, angle = np.array(polar).T
+    pts = np.column_stack([semi_a * r * np.cos(angle),
+                           semi_b * r * np.sin(angle)])
+
+    def field(x, y):
+        a, b, c, d, e, f0 = quad
+        return a * x**2 + b * x * y + c * y**2 + d * x + e * y + f0
+
+    values = field(g.points[:, 0], g.points[:, 1])
+    moved = quadratic_transfer(g, pts)(values)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    assert np.max(np.abs(moved - field(pts[:, 0], pts[:, 1]))) <= 1e-12 * scale
 
 
 # Random text draws from printable ASCII and a few non-ASCII characters
