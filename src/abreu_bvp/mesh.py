@@ -13,14 +13,17 @@ regular or irregular.  The center weight is computed as minus the sum of the
 arm weights, so the discrete operators annihilate constants exactly in
 floating point.
 
-Interior quadrature assigns each full lattice cell a midpoint weight at its
-node and gives the exact clipped area of each boundary cell, whole, to the
-node nearest its centroid, so the weights are positive and sum to |Omega| to
-machine precision.  Boundary quadrature is the trapezoid rule on chords
-between boundary nodes ordered along the boundary.  Normal derivatives at
-boundary nodes use a second-order one-sided difference along the inward
-normal.  Off-lattice values come from batched least-squares quadratic fits
-on the nearest nodes: `Grid.boundary_fits` near the boundary, and
+Crossings reached from two arms become one boundary node by one sort along
+the boundary parameter.  Interior quadrature assigns each full lattice cell
+a midpoint weight at its node and gives the exact clipped area of each
+boundary cell, whole, to the node nearest its centroid, so the weights are
+positive and sum to |Omega| to machine precision; the moments of all
+boundary cells come from one vectorized pass.  Boundary quadrature is the
+trapezoid rule on chords between boundary nodes ordered along the boundary.
+Normal derivatives at boundary nodes use a second-order one-sided
+difference along the inward normal.  Off-lattice values come from
+least-squares quadratic fits on the nearest nodes, all solved by batched QR
+(`_quadratic_fit`): `Grid.boundary_fits` near the boundary, and
 `quadratic_transfer` between two grids of one domain.  Nearness is measured
 in lattice coordinates (x/hx, y/hy), where the lattice has unit spacing on
 both axes.  There an ellipse grid is the disk grid of its resolution (the
@@ -378,12 +381,11 @@ class Grid:
     def boundary_fits(self) -> Tuple[np.ndarray, np.ndarray]:
         """Least-squares quadratic fits at the boundary nodes, built once.
 
-        Row d of `(idx, pinv)` holds the fits centered d h along the inward
-        normal, d = 0, 1, 2: idx are the 12 nodes nearest the center and
-        pinv the pseudo-inverses of the basis of `_quadratic_basis`, so
-        `pinv @ values[idx]` are the coefficients, exact for quadratic
-        fields.  Raises GridResolutionError when a center at depth h or 2h
-        is not inside the domain.
+        Row d of `(idx, coef)` holds the fits of `_quadratic_fit` centered
+        d h along the inward normal, d = 0, 1, 2, so `coef @ values[idx]`
+        are the coefficients, exact for quadratic fields.  Raises
+        GridResolutionError when a center at depth h or 2h is not inside
+        the domain.
         """
         if self._boundary_fits is None:
             if self.dim != 2:
@@ -393,26 +395,30 @@ class Grid:
             if np.any(self.domain.level(centers[1:, :, 0], centers[1:, :, 1]) >= 0.0):
                 raise GridResolutionError(
                     "normal-derivative stencil leaves the domain; refine the grid")
-            idx, basis = _quadratic_basis(self, centers / (self.hx, self.hy))
-            fits = (idx, np.linalg.pinv(basis, rcond=1e-10))
+            fits = _quadratic_fit(self, centers / (self.hx, self.hy))
             for arr in fits:
                 arr.setflags(write=False)
             self._boundary_fits = fits
         return self._boundary_fits
 
 
-def _quadratic_basis(grid: Grid, centers: np.ndarray):
-    """Nodes and basis of the local quadratic least-squares fits at centers.
+def _quadratic_fit(grid: Grid, centers: np.ndarray):
+    """Local quadratic least-squares fits at centers, from one batched QR.
 
     centers are in lattice coordinates (x/hx, y/hy), shape (..., 2).
-    Returns idx, the 12 nodes of `grid.tree` nearest each center, and the
-    basis 1, X, Y, X^2, XY, Y^2 at those nodes in lattice coordinates
-    relative to the center, shape (..., 12, 6).
+    Returns idx, the 12 nodes of `grid.tree` nearest each center, and coef,
+    shape (..., 6, 12), with `coef @ values[idx]` the coefficients of
+    1, X, Y, X^2, XY, Y^2 in lattice coordinates relative to the center.
+    With the basis B = QR at those nodes, coef = R^{-1} Q^T; QR keeps it
+    accurate to roundoff where clustered boundary nodes make B^T B
+    ill-conditioned.
     """
     _, idx = grid.tree.query(centers, k=12)
     z = grid.tree.data[idx] - centers[..., None, :]
     x, y = z[..., 0], z[..., 1]
-    return idx, np.stack([np.ones_like(x), x, y, x**2, x * y, y**2], axis=-1)
+    q, r = np.linalg.qr(np.stack([np.ones_like(x), x, y, x**2, x * y, y**2],
+                                 axis=-1))
+    return idx, np.linalg.solve(r, np.swapaxes(q, -1, -2))
 
 
 class Transfer(NamedTuple):
@@ -429,20 +435,13 @@ class Transfer(NamedTuple):
 def quadratic_transfer(grid: Grid, points) -> Transfer:
     """Interpolation from the nodes of a 2-d grid to the (m, 2) `points`.
 
-    A point's value is the constant term of the least-squares quadratic fit
-    of `Grid.boundary_fits` centered there, so the transfer is exact for
-    quadratic fields.  With the fit's basis B = QR, that term is
-    (Q R^{-T} e_0) . v, so the weights of every point come from one batched
-    QR and one batched 6 x 6 triangular solve, and each field then costs
-    one weighted sum over 12 nodes.  QR keeps the weights accurate to
-    roundoff where clustered boundary nodes make B^T B ill-conditioned.
+    A point's value is the constant term of the fit of `_quadratic_fit`
+    centered there, so the transfer is exact for quadratic fields, and each
+    field costs one weighted sum over 12 nodes.
     """
-    idx, basis = _quadratic_basis(
+    idx, coef = _quadratic_fit(
         grid, np.asarray(points, dtype=float) / (grid.hx, grid.hy))
-    q, r = np.linalg.qr(basis)
-    e0 = np.zeros((len(idx), 6, 1))
-    e0[:, 0] = 1.0
-    return Transfer(idx, (q @ np.linalg.solve(np.swapaxes(r, 1, 2), e0))[..., 0])
+    return Transfer(idx, coef[:, 0])
 
 
 def build_grid(domain: DomainSpec, resolution: int) -> Grid:
@@ -506,72 +505,52 @@ def _build_grid_2d(domain: DomainSpec, res: int) -> Grid:
     diag = math.hypot(hx, hy)
 
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    inside = domain.inside_distance(X, Y) > SNAP_FRACTION * h
+    dist = domain.inside_distance(X, Y)
+    inside = dist > SNAP_FRACTION * h
     ii, jj = np.nonzero(inside)
     n_int = ii.size
     if n_int == 0:
         raise GridResolutionError("no interior nodes; refine the grid")
-    index2d = np.full((res, res), -1, dtype=np.int64)
-    index2d[ii, jj] = np.arange(n_int)
+    # One ring of exterior lattice points around the lattice, so every arm
+    # end has an index; -1 marks a point that is not an interior node.
+    index2d = np.full((res + 2, res + 2), -1, dtype=np.int64)
+    index2d[ii + 1, jj + 1] = np.arange(n_int)
     ipts = np.column_stack([xs[ii], ys[jj]])
 
-    arm_len = (hx, hx, hy, hy, diag, diag, diag, diag)
-    arm_kind = np.zeros((n_int, 8), dtype=np.int8)
-    arm_index = np.full((n_int, 8), -1, dtype=np.int64)
-    arm_dist = np.zeros((n_int, 8))
+    di, dj = np.array(_ARMS_2D).T
+    arm_len = np.array([hx, hx, hy, hy, diag, diag, diag, diag])
+    arm_index = index2d[ii[:, None] + di + 1, jj[:, None] + dj + 1]
+    arm_kind = (arm_index < 0).astype(np.int8)
+    arm_dist = np.tile(arm_len, (n_int, 1))
 
-    cand_pos = []
-    cand_ref = []  # (interior node row, arm)
-    for arm, (di, dj) in enumerate(_ARMS_2D):
-        ni, nj = ii + di, jj + dj
-        in_bounds = (ni >= 0) & (ni < res) & (nj >= 0) & (nj < res)
-        nbr_interior = np.zeros(n_int, dtype=bool)
-        nbr_interior[in_bounds] = inside[ni[in_bounds], nj[in_bounds]]
-        arm_dist[nbr_interior, arm] = arm_len[arm]
-        arm_index[nbr_interior, arm] = index2d[ni[nbr_interior], nj[nbr_interior]]
-        cross = ~nbr_interior
-        if not np.any(cross):
-            continue
-        arm_kind[cross, arm] = 1
-        ux = di * hx / arm_len[arm]
-        uy = dj * hy / arm_len[arm]
-        s = domain.ray_boundary_distance(ipts[cross, 0], ipts[cross, 1], ux, uy)
-        if np.any(~np.isfinite(s)) or np.any(s <= 0) or np.any(s > 2.0 * arm_len[arm]):
-            raise GridResolutionError("boundary crossing outside expected range")
-        arm_dist[cross, arm] = s
-        cand_pos.append(np.column_stack([ipts[cross, 0] + s * ux, ipts[cross, 1] + s * uy]))
-        rows = np.nonzero(cross)[0]
-        cand_ref.extend((r, arm) for r in rows)
-
-    cand_pos = np.vstack(cand_pos)
+    # Crossings, arm by arm and then by row, with the unit arm direction u.
+    arm, row = np.nonzero(arm_kind.T)
+    ux, uy = (di * hx / arm_len)[arm], (dj * hy / arm_len)[arm]
+    s = domain.ray_boundary_distance(ipts[row, 0], ipts[row, 1], ux, uy)
+    if np.any(~np.isfinite(s)) or np.any(s <= 0) or np.any(s > 2.0 * arm_len[arm]):
+        raise GridResolutionError("boundary crossing outside expected range")
+    arm_dist[row, arm] = s
+    cand_pos = np.column_stack([ipts[row, 0] + s * ux, ipts[row, 1] + s * uy])
     cand_t = domain.boundary_param(cand_pos)
-    order = np.argsort(cand_t, kind="stable")
 
-    # Cluster candidates that coincide (same crossing reached from two arms).
+    # Crossings within tol_t of the previous one along the boundary are one
+    # node (the same crossing reached from several arms); the first in
+    # order represents it.  The last node merges into the first across the
+    # -pi/+pi seam.
     tol_t = 1e-10
-    cluster_of = np.empty(len(order), dtype=np.int64)
-    rep_rows = []
-    prev_t = None
-    for rank, ci in enumerate(order):
-        t = cand_t[ci]
-        if prev_t is None or t - prev_t > tol_t:
-            rep_rows.append(ci)
-        cluster_of[ci] = len(rep_rows) - 1
-        prev_t = t
-    # wrap-around merge at the -pi/+pi seam
-    if len(rep_rows) > 1:
-        t_first = cand_t[rep_rows[0]]
-        t_last = cand_t[rep_rows[-1]]
-        if (t_first + 2.0 * math.pi) - t_last <= tol_t:
-            last_id = len(rep_rows) - 1
-            cluster_of[cluster_of == last_id] = 0
-            rep_rows.pop()
+    order = np.argsort(cand_t, kind="stable")
+    starts = np.concatenate([[True], np.diff(cand_t[order]) > tol_t])
+    cluster_of = np.empty(order.size, dtype=np.int64)
+    cluster_of[order] = np.cumsum(starts) - 1
+    reps = order[starts]
+    if reps.size > 1 and (cand_t[reps[0]] + 2.0 * math.pi) - cand_t[reps[-1]] <= tol_t:
+        cluster_of[cluster_of == reps.size - 1] = 0
+        reps = reps[:-1]
+    arm_index[row, arm] = cluster_of
 
-    bpts = cand_pos[rep_rows]
-    bparams = cand_t[rep_rows]
-    n_bdy = len(rep_rows)
-    for k, (row, arm) in enumerate(cand_ref):
-        arm_index[row, arm] = cluster_of[k]
+    bpts = cand_pos[reps]
+    bparams = cand_t[reps]
+    n_bdy = reps.size
 
     points = np.vstack([ipts, bpts])
     normals = domain.outward_normal(bpts)
@@ -583,7 +562,8 @@ def _build_grid_2d(domain: DomainSpec, res: int) -> Grid:
     arcweights = 0.5 * (chord + np.roll(chord, 1))
 
     tree = cKDTree(points / (hx, hy))
-    quad = _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, tree)
+    quad = _interior_quadrature(domain, xs, ys, hx, hy, dist,
+                                index2d[1:-1, 1:-1], tree)
 
     grid = Grid(domain, res, hx, hy, points, n_int, arm_kind, arm_index,
                 arm_dist, normals, curvature, bparams, arcweights, quad, tree)
@@ -595,58 +575,56 @@ def _build_grid_2d(domain: DomainSpec, res: int) -> Grid:
 
 
 def _disk_rect_moments(x0, x1, y0, y1):
-    """Exact (area, int x dA, int y dA) of [x0,x1]x[y0,y1] within the unit disk."""
-    lo, hi = max(x0, -1.0), min(x1, 1.0)
-    if lo >= hi:
-        return 0.0, 0.0, 0.0
+    """Exact (area, int x dA, int y dA) of [x0,x1]x[y0,y1] within the unit disk.
 
-    cuts = {lo, hi}
+    Takes four arrays of one shape and returns three.  The x cuts of a
+    rectangle are its clipped sides and the points where its bottom and top
+    edges meet the circle; a cut outside the sides is replaced by the left
+    side, so every rectangle has five pieces between sorted cuts, some
+    empty.  On each piece the upper and lower limits are each an edge or
+    the circle, so its moments are differences of closed-form
+    antiderivatives at the cuts.
+    """
+    lo = np.maximum(x0, -1.0)
+    hi = np.maximum(lo, np.minimum(x1, 1.0))  # lo = hi beside the disk
+    cuts = [lo, hi]
     for yv in (y0, y1):
-        if abs(yv) < 1.0:
-            xc = math.sqrt(1.0 - yv * yv)
-            for c in (-xc, xc):
-                if lo < c < hi:
-                    cuts.add(c)
-    xs = sorted(cuts)
+        xc = np.sqrt(np.maximum(0.0, 1.0 - yv * yv))
+        for c in (-xc, xc):
+            cuts.append(np.where((abs(yv) < 1.0) & (lo < c) & (c < hi), c, lo))
+    xs = np.sort(np.stack(cuts, axis=-1), axis=-1)
+    p, q = xs[..., :-1], xs[..., 1:]
+    y0, y1 = y0[..., None], y1[..., None]
 
     def F_c(x):  # integral of sqrt(1-x^2)
-        x = min(1.0, max(-1.0, x))
-        return 0.5 * (x * math.sqrt(max(0.0, 1.0 - x * x)) + math.asin(x))
+        x = np.clip(x, -1.0, 1.0)
+        return 0.5 * (x * np.sqrt(np.maximum(0.0, 1.0 - x * x)) + np.arcsin(x))
 
     def F_xc(x):  # integral of x*sqrt(1-x^2)
-        return -((max(0.0, 1.0 - x * x)) ** 1.5) / 3.0
+        return -(np.maximum(0.0, 1.0 - x * x) ** 1.5) / 3.0
 
     def F_c2(x):  # integral of (1-x^2)
         return x - x**3 / 3.0
 
-    area = mx = my = 0.0
-    for p, q in zip(xs[:-1], xs[1:]):
-        if q - p < 1e-15:
-            continue
-        xm = 0.5 * (p + q)
-        c = math.sqrt(max(0.0, 1.0 - xm * xm))
-        yu_cap = y1 >= c  # upper limit is the circle on this piece
-        yl_cap = y0 <= -c  # lower limit is the circle
-        yu = c if yu_cap else y1
-        yl = -c if yl_cap else y0
-        if yu <= yl:
-            continue
-        # area terms
-        ua = F_c(q) - F_c(p) if yu_cap else y1 * (q - p)
-        la = -(F_c(q) - F_c(p)) if yl_cap else y0 * (q - p)
-        area += ua - la
-        # x-moment terms
-        uxm = F_xc(q) - F_xc(p) if yu_cap else y1 * 0.5 * (q * q - p * p)
-        lxm = -(F_xc(q) - F_xc(p)) if yl_cap else y0 * 0.5 * (q * q - p * p)
-        mx += uxm - lxm
-        # y-moment: integral of (yu^2 - yl^2)/2
-        uy2 = (F_c2(q) - F_c2(p)) if yu_cap else y1 * y1 * (q - p)
-        ly2 = (F_c2(q) - F_c2(p)) if yl_cap else y0 * y0 * (q - p)
-        my += 0.5 * (uy2 - ly2)
-    return area, mx, my
+    xm = 0.5 * (p + q)
+    c = np.sqrt(np.maximum(0.0, 1.0 - xm * xm))
+    yu_cap = y1 >= c  # upper limit is the circle on this piece
+    yl_cap = y0 <= -c  # lower limit is the circle
+    empty = (q - p < 1e-15) | (np.where(yu_cap, c, y1) <= np.where(yl_cap, -c, y0))
+    dc, dxc, dc2 = (np.diff(F(xs), axis=-1) for F in (F_c, F_xc, F_c2))
+
+    def limit(cap, y, sign):
+        """Integrals of v, x v and v^2/2 over each piece for the limit v,
+        sign * sqrt(1-x^2) where cap holds and the edge y elsewhere."""
+        return (np.where(cap, sign * dc, y * (q - p)),
+                np.where(cap, sign * dxc, y * 0.5 * (q * q - p * p)),
+                0.5 * np.where(cap, dc2, y * y * (q - p)))
+
+    return tuple(np.where(empty, 0.0, up - low).sum(axis=-1) for up, low
+                 in zip(limit(yu_cap, y1, 1.0), limit(yl_cap, y0, -1.0)))
 
 
-def _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, tree):
+def _interior_quadrature(domain, xs, ys, hx, hy, dist, index2d, tree):
     a, b = domain.semi_axes
     w = np.zeros(tree.n)
 
@@ -658,32 +636,22 @@ def _interior_quadrature(domain, xs, ys, hx, hy, inside, index2d, tree):
     corner_in = domain.level(XC, YC) < 0.0
     cell_full = (corner_in[:-1, :-1] & corner_in[1:, :-1]
                  & corner_in[:-1, 1:] & corner_in[1:, 1:])
-
-    full_and_interior = cell_full & inside
-    if np.any(cell_full & ~inside):
+    if np.any(index2d[cell_full] < 0):
         # A cell strictly inside the domain always has an interior center.
         raise GridResolutionError("inconsistent cell classification")
-    w_idx = index2d[full_and_interior]
-    np.add.at(w, w_idx, hx * hy)
+    w[index2d[cell_full]] = hx * hy
 
-    # Remaining cells: exact clipped area, whole, at the node nearest the
-    # centroid in lattice coordinates.
-    cell_area = hx * hy
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    dist = domain.inside_distance(X, Y)
-    reject = dist < -2.0 * math.hypot(hx, hy)
-    partial = ~cell_full & ~reject
-    centroids, areas = [], []
-    for i, j in zip(*np.nonzero(partial)):
-        x0, x1 = (xs[i] - hx / 2.0) / a, (xs[i] + hx / 2.0) / a
-        y0, y1 = (ys[j] - hy / 2.0) / b, (ys[j] + hy / 2.0) / b
-        ar, mx, my = _disk_rect_moments(x0, x1, y0, y1)
-        area = ar * a * b
-        if area > 1e-14 * cell_area:
-            centroids.append((a * mx / ar / hx, b * my / ar / hy))
-            areas.append(area)
-    _, idx = tree.query(np.array(centroids))
-    np.add.at(w, idx, areas)  # cell by cell in lattice order
+    # Cells near the boundary: exact clipped area, whole, at the node
+    # nearest the centroid in lattice coordinates.
+    i, j = np.nonzero(~cell_full & (dist >= -2.0 * math.hypot(hx, hy)))
+    ar, mx, my = _disk_rect_moments(
+        (xs[i] - hx / 2.0) / a, (xs[i] + hx / 2.0) / a,
+        (ys[j] - hy / 2.0) / b, (ys[j] + hy / 2.0) / b)
+    area = ar * a * b
+    cut = area > 1e-14 * hx * hy
+    _, idx = tree.query(np.column_stack([a * mx[cut] / ar[cut] / hx,
+                                         b * my[cut] / ar[cut] / hy]))
+    np.add.at(w, idx, area[cut])  # cell by cell in lattice order
     return w
 
 
@@ -835,8 +803,8 @@ def boundary_normal_derivative(u: ScalarField, grid: Grid = None) -> np.ndarray:
         inner1, inner2 = vals[[0, nb - 1]], vals[[1, nb - 2]]
         return (3.0 * vals[nb:] - 4.0 * inner1 + inner2) / (2.0 * grid.hx)
 
-    idx, pinv = grid.boundary_fits
-    u1, u2 = (np.einsum("ij,ij->i", pinv[d, :, 0], vals[idx[d]]) for d in (1, 2))
+    idx, coef = grid.boundary_fits
+    u1, u2 = (np.einsum("ij,ij->i", coef[d, :, 0], vals[idx[d]]) for d in (1, 2))
     return (3.0 * vals[nb:] - 4.0 * u1 + u2) / (2.0 * grid.h)
 
 
@@ -848,9 +816,9 @@ def boundary_hessian(u: ScalarField, grid: Grid = None) -> np.ndarray:
     by 1/hx^2, 1/(hx hy), 1/hy^2; exact for quadratic fields.
     """
     grid = grid or u.grid
-    idx, pinv = grid.boundary_fits
+    idx, coef = grid.boundary_fits
     scale = (grid.hx**2, grid.hx * grid.hy, grid.hy**2)
-    c = (pinv[0] @ u.values[idx[0]][..., None])[:, 3:, 0] / scale
+    c = (coef[0] @ u.values[idx[0]][..., None])[:, 3:, 0] / scale
     return np.stack([2.0 * c[:, 0], c[:, 1], c[:, 1], 2.0 * c[:, 2]],
                     axis=1).reshape(-1, 2, 2)
 

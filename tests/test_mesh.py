@@ -103,6 +103,33 @@ def test_grid_counts_match_brute_force_predicate(disk32):
     assert xs.size > 1
 
 
+@pytest.mark.parametrize("domain, resolution", [
+    (DomainSpec.disk(1.0), 5), (DomainSpec.disk(1.0), 17),
+    (DomainSpec.disk(0.37), 33), (DomainSpec.disk(1.0), 65),
+    (DomainSpec.ellipse(1.5, 0.75), 48)])
+def test_boundary_nodes_are_distinct_and_end_their_arms(domain, resolution):
+    g = build_grid(domain, resolution)
+    bpts = g.boundary_points
+    a, _ = domain.semi_axes
+    if resolution % 2:
+        # the lattice row y = 0 crosses at the -pi/+pi seam, from three arms
+        seam = np.linalg.norm(bpts - (-a, 0.0), axis=1)
+        assert np.sum(seam <= 1e-12 * g.h) == 1
+
+    gap = np.linalg.norm(bpts[:, None] - bpts[None], axis=-1)
+    np.fill_diagonal(gap, np.inf)
+    assert gap.min() > 1e-9 * g.h
+
+    steps = np.array([(1, 0), (-1, 0), (0, 1), (0, -1),
+                      (1, 1), (-1, -1), (1, -1), (-1, 1)]) * (g.hx, g.hy)
+    u = steps / np.linalg.norm(steps, axis=1)[:, None]
+    row, arm = np.nonzero(g.arm_kind == 1)
+    node = g.arm_index[row, arm]
+    ends = g.interior_points[row] + g.arm_dist[row, arm, None] * u[arm]
+    assert np.max(np.linalg.norm(ends - bpts[node], axis=1)) <= 1e-12 * g.h
+    assert np.array_equal(np.unique(node), np.arange(g.n_boundary))
+
+
 def test_grid_1d_layout(interval64):
     g = interval64
     assert g.dim == 1

@@ -5,6 +5,7 @@ checks the same cases.  Hypothesis keeps its other caches in the system's
 temporary directory, so a run leaves nothing in the checkout.
 """
 
+import math
 import os
 import string
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from abreu_bvp import (DomainSpec, ScalarField, build_grid, hessian,
                        parse_config, parse_expression)
 from abreu_bvp.exceptions import ConfigError, ExpressionError
-from abreu_bvp.mesh import quadratic_transfer
+from abreu_bvp.mesh import _disk_rect_moments, quadratic_transfer
 
 # Set at import: the pytest plugin fills its caches during collection.
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(),
@@ -73,6 +74,88 @@ def test_grid_transfer_reproduces_quadratic_fields(semi_a, semi_b,
     moved = quadratic_transfer(g, pts)(values)
     scale = max(1.0, float(np.max(np.abs(values))))
     assert np.max(np.abs(moved - field(pts[:, 0], pts[:, 1]))) <= 1e-12 * scale
+
+
+# A rectangle by two x and two y values in any order, and a fraction at
+# which it is split.
+rectangle = st.tuples(*[st.floats(-1.3, 1.3)] * 4, st.floats(0.0, 1.0))
+
+
+def _disk_rect_moments_one_by_one(x0, x1, y0, y1):
+    """The moments of one rectangle, piece by piece in scalar arithmetic."""
+    lo, hi = max(x0, -1.0), min(x1, 1.0)
+    if lo >= hi:
+        return 0.0, 0.0, 0.0
+    cuts = {lo, hi}
+    for yv in (y0, y1):
+        if abs(yv) < 1.0:
+            xc = math.sqrt(1.0 - yv * yv)
+            cuts.update(c for c in (-xc, xc) if lo < c < hi)
+    xs = sorted(cuts)
+
+    def F_c(x):
+        x = min(1.0, max(-1.0, x))
+        return 0.5 * (x * math.sqrt(max(0.0, 1.0 - x * x)) + math.asin(x))
+
+    def F_xc(x):
+        return -((max(0.0, 1.0 - x * x)) ** 1.5) / 3.0
+
+    def F_c2(x):
+        return x - x**3 / 3.0
+
+    area = mx = my = 0.0
+    for p, q in zip(xs[:-1], xs[1:]):
+        c = math.sqrt(max(0.0, 1.0 - (0.5 * (p + q)) ** 2))
+        yu_cap, yl_cap = y1 >= c, y0 <= -c
+        if q - p < 1e-15 or (c if yu_cap else y1) <= (-c if yl_cap else y0):
+            continue
+        dc, dxc, dc2 = (F(q) - F(p) for F in (F_c, F_xc, F_c2))
+        area += ((dc if yu_cap else y1 * (q - p))
+                 - (-dc if yl_cap else y0 * (q - p)))
+        mx += ((dxc if yu_cap else y1 * 0.5 * (q * q - p * p))
+               - (-dxc if yl_cap else y0 * 0.5 * (q * q - p * p)))
+        my += 0.5 * ((dc2 if yu_cap else y1 * y1 * (q - p))
+                     - (dc2 if yl_cap else y0 * y0 * (q - p)))
+    return area, mx, my
+
+
+@settings(FIXED, max_examples=100)
+@given(rects=st.lists(rectangle, min_size=1, max_size=30))
+def test_disk_rect_moments_are_exact_additive_symmetric_and_bounded(rects):
+    xa, xb, ya, yb, frac = np.array(rects).T
+    x0, x1 = np.minimum(xa, xb), np.maximum(xa, xb)
+    y0, y1 = np.minimum(ya, yb), np.maximum(ya, yb)
+    whole = np.array(_disk_rect_moments(x0, x1, y0, y1))
+
+    one_by_one = np.array([_disk_rect_moments_one_by_one(*r)
+                           for r in zip(x0, x1, y0, y1)]).T
+    # arcsin and the order of the sums may differ in the last bits: a few
+    # ulps of the largest moment, which is below 8
+    assert np.max(np.abs(whole - one_by_one)) <= 32 * np.finfo(float).eps
+
+    xm, ym = x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
+    for first, second in (((x0, xm, y0, y1), (xm, x1, y0, y1)),
+                          ((x0, x1, y0, ym), (x0, x1, ym, y1))):
+        parts = (np.array(_disk_rect_moments(*first))
+                 + np.array(_disk_rect_moments(*second)))
+        assert np.max(np.abs(parts - whole)) <= 1e-14
+
+    area, mx, my = whole
+    m_area, m_mx, m_my = _disk_rect_moments(-x1, -x0, y0, y1)
+    assert np.max(np.abs(m_area - area)) <= 1e-14
+    assert np.max(np.abs(m_mx + mx)) <= 1e-14
+    assert np.max(np.abs(m_my - my)) <= 1e-14
+
+    # the area lies in [0, rectangle area], up to roundoff
+    assert np.all(area >= 0.0)
+    assert np.all(area <= (x1 - x0) * (y1 - y0) + 1e-14)
+
+
+def test_disk_rect_moments_of_a_covering_square_are_the_disk():
+    area, mx, my = _disk_rect_moments(np.array([-2.0]), np.array([2.0]),
+                                      np.array([-2.0]), np.array([2.0]))
+    assert np.allclose([area[0], mx[0], my[0]], [np.pi, 0.0, 0.0],
+                       rtol=0.0, atol=1e-15)
 
 
 # Random text draws from printable ASCII and a few non-ASCII characters
