@@ -22,7 +22,8 @@ from .mesh import (DomainSpec, Grid, MatrixField, ScalarField,
                    gauss_curvature, hessian, integrate_boundary,
                    integrate_interior, is_positive_definite)
 from .gfamily import GSpec, g_eval, invert_w, verify_assumptions
-from .lin_ma import assemble_operator, linearized_residual, solve_linearized
+from .lin_ma import (apply_operator, assemble_operator, linearized_residual,
+                     solve_linearized)
 from .ma_dirichlet import MAOptions, ma_residual, solve_ma
 from .problem import Problem
 from .continuation import (ContinuationOptions, Solution, phi_map,
@@ -52,7 +53,8 @@ __all__ = [
     "gauss_curvature", "hessian", "integrate_boundary", "integrate_interior",
     "is_positive_definite",
     "GSpec", "g_eval", "invert_w", "verify_assumptions",
-    "assemble_operator", "linearized_residual", "solve_linearized",
+    "apply_operator", "assemble_operator", "linearized_residual",
+    "solve_linearized",
     "MAOptions", "ma_residual", "solve_ma",
     "Problem",
     "ContinuationOptions", "Solution", "phi_map", "solve_second_bvp",

@@ -4,10 +4,19 @@ The coefficient field is a symmetric positive definite MatrixField (in
 practice the cofactor matrix of a convex iterate).  The discretization is
 central differences, with the mixed derivative taken from the two diagonal
 directional second derivatives; the resulting nonsymmetric sparse system is
-solved by a direct sparse factorization.  `factorize` is the package's one
-SuperLU call: the Newton solves reuse its LU across a line search and across
-chord steps, and every solve through it is checked for a finite solution and
-a relative residual within LINEAR_TOL, one constant for every caller.  On
+solved by a direct sparse factorization.
+
+`stencil_weights` is the one place the coefficients meet the stencil.
+`apply_operator` sums the weighted stencil values without building a
+matrix.  `assemble_operator` fills the interior and boundary CSR patterns
+that each grid splits from its stencil once, on first use, and returns
+matrices that own copies of those index arrays; exact zeros are dropped
+only where present.
+
+`factorize` is the package's one SuperLU call: the Newton solves reuse its
+LU across a line search and across chord steps, and every solve through it
+is checked for a finite solution and a relative residual within
+LINEAR_TOL, one constant for every caller.  On
 a 2-d grid every caller passes the grid's nested-dissection order
 (`Grid.nd_order`, interleaved per node for the coupled (u, w) system), which
 leaves 30-50 % less LU fill than COLAMD, SuperLU's default, on the 9-point
@@ -15,6 +24,8 @@ stencil; intervals keep COLAMD on their tridiagonal systems.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,16 +39,47 @@ from .mesh import Grid, MatrixField, ScalarField, is_positive_definite
 LINEAR_TOL = 1e-9
 
 
-def assemble_operator(grid: Grid, U: MatrixField):
-    """Sparse form of w |-> U^{ij} w_{ij} at interior nodes.
+class _OperatorSplit(NamedTuple):
+    """The interior/boundary column split of a grid's stencil, built once.
 
-    Returns (A, B) with the operator equal to A @ w_interior + B @ w_boundary.
-    Also the exact Jacobian of u |-> det of the discrete Hessian, since
-    delta(det H) = U^{ij} delta H_{ij}.  Each axis of `grid.second_ops` is
-    weighted by its coefficient U : to_hessian[a], and the weighted stencils
-    fill one CSR matrix on the grid's fixed pattern.  Entries that cancel
-    (the diagonal arms when U^{xy} = 0) are dropped before the split into
-    interior and boundary columns.
+    `interior[n, j]` says whether column j of `second_ops.cols` row n is an
+    interior node.  (a_indptr, a_indices) and (b_indptr, b_indices) are the
+    CSR patterns of the interior block A and the boundary block B with
+    every stencil entry, in stencil order within each row; b_indices count
+    boundary nodes from 0.
+    """
+
+    interior: np.ndarray
+    a_indptr: np.ndarray
+    a_indices: np.ndarray
+    b_indptr: np.ndarray
+    b_indices: np.ndarray
+
+
+def _operator_split(grid: Grid) -> _OperatorSplit:
+    cols = grid.second_ops.cols
+    n = grid.n_interior
+    interior = cols < n
+
+    def indptr(mask):
+        ptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(mask.sum(axis=1), out=ptr[1:])
+        return ptr
+
+    split = _OperatorSplit(
+        interior, indptr(interior), cols[interior].astype(np.int32),
+        indptr(~interior), (cols[~interior] - n).astype(np.int32))
+    for arr in split:
+        arr.setflags(write=False)  # shared by every operator on the grid
+    return split
+
+
+def stencil_weights(grid: Grid, U: MatrixField) -> np.ndarray:
+    """Weights of w |-> U^{ij} w_{ij} on the stencil columns, per row.
+
+    Entry [n, j] multiplies the value at node `grid.second_ops.cols[n, j]`.
+    Each axis of `second_ops` is weighted by its coefficient
+    U : to_hessian[a]; the center's weight is the sum over the axes.
     """
     ops = grid.second_ops
     n = grid.n_interior
@@ -47,10 +89,66 @@ def assemble_operator(grid: Grid, U: MatrixField):
     data[:, 0] = np.einsum("na,na->n", c, w[..., 0])
     np.multiply(c, w[..., 1], out=data[:, 1::2])
     np.multiply(c, w[..., 2], out=data[:, 2::2])
-    M = sp.csr_matrix((data.ravel(), ops.cols.ravel(), ops.indptr),
-                      shape=(n, grid.n_nodes), copy=True)
-    M.eliminate_zeros()
-    return M[:, :n], M[:, n:]
+    return data
+
+
+def _on_pattern(matrix, data, indptr, indices, shape, keep):
+    """matrix((data, indices, indptr)) on a shared pattern, for matrix
+    sp.csr_matrix or sp.csc_matrix, owning copies of its index arrays.
+
+    The entries where `keep` is False are left out, and only then is the
+    pattern compacted.
+    """
+    if keep.all():
+        indptr, indices = indptr.copy(), indices.copy()
+    else:
+        at = np.zeros(keep.size + 1, dtype=indptr.dtype)
+        np.cumsum(keep, out=at[1:])
+        indptr, indices, data = at[indptr], indices[keep], data[keep]
+    return matrix((data, indices, indptr), shape=shape)
+
+
+def assemble_operator(grid: Grid, U: MatrixField):
+    """Sparse form of w |-> U^{ij} w_{ij} at interior nodes.
+
+    Returns (A, B) with the operator equal to A @ w_interior + B @ w_boundary.
+    Also the exact Jacobian of u |-> det of the discrete Hessian, since
+    delta(det H) = U^{ij} delta H_{ij}.  The `stencil_weights` fill the
+    grid's interior and boundary CSR patterns, which are split from
+    `second_ops.cols` once per grid (`Grid.cached`).  Each matrix owns
+    copies of its index arrays, so scipy may sort or compact it in place
+    without touching the shared patterns.  Entries that are exactly zero
+    (the diagonal arms when U^{xy} = 0) are dropped, and the patterns are
+    compacted only when one is present.
+    """
+    split = grid.cached(_operator_split)
+    data = stencil_weights(grid, U)
+    n = grid.n_interior
+    a, b = data[split.interior], data[~split.interior]
+    return (_on_pattern(sp.csr_matrix, a, split.a_indptr, split.a_indices,
+                        (n, n), a != 0.0),
+            _on_pattern(sp.csr_matrix, b, split.b_indptr, split.b_indices,
+                        (n, grid.n_boundary), b != 0.0))
+
+
+def apply_operator(grid: Grid, U: MatrixField, v) -> np.ndarray:
+    """U^{ij} v_{ij} at interior nodes, from node values v, with no matrix.
+
+    Each row's interior products are summed in stencil order, then its
+    boundary products, and the two sums added: the same operations as
+    A @ v[:n] + B @ v[n:] with (A, B) from `assemble_operator`, so for
+    finite v the result is bitwise equal.
+    """
+    split = grid.cached(_operator_split)
+    terms = stencil_weights(grid, U) * np.asarray(v)[grid.second_ops.cols]
+    sums = []
+    for part in (np.where(split.interior, terms, 0.0),
+                 np.where(split.interior, 0.0, terms)):
+        total = np.zeros(grid.n_interior)
+        for column in part.T:
+            total += column
+        sums.append(total)
+    return sums[0] + sums[1]
 
 
 def factorize(A, order=None):
@@ -114,6 +212,5 @@ def solve_linearized(grid: Grid, U: MatrixField, f: ScalarField,
 def linearized_residual(grid: Grid, U: MatrixField, w: ScalarField,
                         f: ScalarField) -> ScalarField:
     """Pointwise U^{ij} w_{ij} - f at interior nodes (boundary rows zero)."""
-    A, B = assemble_operator(grid, U)
-    r = A @ w.interior + B @ w.boundary - f.interior
+    r = apply_operator(grid, U, w.values) - f.interior
     return ScalarField(grid, np.concatenate([r, np.zeros(grid.n_boundary)]))

@@ -263,7 +263,6 @@ class SecondOps(NamedTuple):
     cols: np.ndarray
     weights: np.ndarray
     to_hessian: np.ndarray
-    indptr: np.ndarray
 
 
 class Grid:
@@ -278,7 +277,8 @@ class Grid:
     A 2-d grid has one k-d tree over all nodes in lattice coordinates
     (x/hx, y/hy) (`tree`; None for an interval), which places the cut-cell
     quadrature and the boundary fits.  `second_ops`, `boundary_fits` and
-    `nd_order` are built on first use.
+    `nd_order` are built on first use, and so is whatever a module keeps
+    per grid through `cached`.
     """
 
     def __init__(self, domain, resolution, hx, hy, points, n_interior,
@@ -307,6 +307,7 @@ class Grid:
         self._boundary_fits = None
         self._nd_order = None
         self._nearest_interior = None
+        self._cache = {}
 
     @property
     def dim(self) -> int:
@@ -351,8 +352,7 @@ class Grid:
         and - arm.  Row a of `to_hessian` is the flattened dim x dim matrix
         that the second derivative along axis a contributes to the Hessian,
         so H = d2 @ to_hessian, and the operator U^{ij} w_ij weights axis a
-        by U : to_hessian[a].  `indptr` is the CSR row pointer of the
-        fixed pattern.
+        by U : to_hessian[a] (`lin_ma.stencil_weights`).
         """
         if self._second_ops is None:
             self._second_ops = _build_second_ops(self)
@@ -376,6 +376,18 @@ class Grid:
         if self._nd_order is None:
             self._nd_order = _nested_dissection(self)
         return self._nd_order
+
+    def cached(self, build):
+        """build(self), made on first use and kept with the grid.
+
+        For structure fixed per grid that one module derives for itself,
+        such as the operator's sparsity patterns (`lin_ma`, `continuation`).
+        Every later caller shares the result, so `build` returns read-only
+        arrays.
+        """
+        if build not in self._cache:
+            self._cache[build] = build(self)
+        return self._cache[build]
 
     @property
     def boundary_fits(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -674,8 +686,7 @@ def _build_second_ops(grid: Grid) -> SecondOps:
         s = (grid.hx**2 + grid.hy**2) / (4.0 * grid.hx * grid.hy)
         to_hessian = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
                                [0.0, s, s, 0.0], [0.0, -s, -s, 0.0]])
-    indptr = np.arange(0, cols.size + 1, cols.shape[1])
-    ops = SecondOps(cols, weights, to_hessian, indptr)
+    ops = SecondOps(cols, weights, to_hessian)
     for arr in ops:
         arr.setflags(write=False)  # shared by every operator on the grid
     return ops

@@ -6,6 +6,7 @@ from abreu_bvp import (
     ContinuationOptions,
     DomainSpec,
     GSpec,
+    MatrixField,
     OneDProblem,
     Problem,
     ScalarField,
@@ -177,23 +178,55 @@ def test_custom_initial_iterate(disk32):
         solve_second_bvp(prob, w0=ScalarField.constant(g, 1e-12))
 
 
+def coupled_reference(grid, U, d, W):
+    A = assemble_operator(grid, U)[0]
+    C = None if W is None else assemble_operator(grid, W)[0]
+    return sparse.bmat([[A, sparse.diags(d)], [C, A]], format="csr")
+
+
 def test_coupled_jacobian_matches_bmat(disk32, interval64, rng):
-    # [[A, diag(d)], [C, A]], with C = None a zero block, filled directly
+    # [[A, diag(d)], [C, A]], with W = None a zero block C, filled directly
     for grid in (disk32, interval64):
         n = grid.n_interior
         pts = grid.points
-        blocks = []
+        coeffs = []
         for _ in range(2 if grid.dim == 2 else 1):
             bump = rng.uniform(0.0, 0.1, len(pts))
             v = ScalarField(grid, (pts**2).sum(axis=1) + bump)
-            blocks.append(assemble_operator(
-                grid, cofactor(hessian(v, grid), grid))[0])
-        A, C = blocks[0], blocks[1] if len(blocks) == 2 else None
+            coeffs.append(cofactor(hessian(v, grid), grid))
+        U, W = coeffs[0], coeffs[1] if len(coeffs) == 2 else None
         d = -rng.uniform(0.5, 2.0, n)
-        J = _coupled_jacobian(A, d, C)
-        ref = sparse.bmat([[A, sparse.diags(d)], [C, A]], format="csr")
+        J = _coupled_jacobian(grid, U, d, W)
+        ref = coupled_reference(grid, U, d, W)
         assert J.shape == ref.shape and J.nnz == ref.nnz
         assert abs(J - ref).max() == 0.0
+
+
+def test_coupled_jacobian_drops_the_zeros_it_finds(disk32, interval64, rng):
+    # Zero coefficients (the cofactor of a linear w) make C all zero;
+    # identity coefficients leave the diagonal arms of A and C at zero.
+    for grid in (disk32, interval64):
+        n = grid.n_interior
+        pts = grid.points
+        v = ScalarField(grid, (pts**2).sum(axis=1)
+                        + rng.uniform(0.0, 0.1, len(pts)))
+        U = cofactor(hessian(v, grid), grid)
+        identity = MatrixField(grid, np.tile(np.eye(grid.dim),
+                                             (n, 1, 1)))
+        cases = [(identity, identity if grid.dim == 2 else None)]
+        if grid.dim == 2:
+            cases.append((U, MatrixField(grid, np.zeros((n, 2, 2)))))
+        for U_case, W_case in cases:
+            d = -rng.uniform(0.5, 2.0, n)
+            J = _coupled_jacobian(grid, U_case, d, W_case)
+            ref = coupled_reference(grid, U_case, d, W_case)
+            assert J.shape == ref.shape and J.nnz == ref.nnz
+            assert abs(J - ref).max() == 0.0
+            assert np.all(J.data != 0.0)
+        # a pattern compacted for one call leaves the next one whole
+        J = _coupled_jacobian(grid, U, d, None if grid.dim == 1 else U)
+        assert J.nnz == coupled_reference(grid, U, d,
+                                          None if grid.dim == 1 else U).nnz
 
 
 def plain_continuation(problem, monkeypatch):

@@ -7,6 +7,7 @@ from abreu_bvp import (
     DomainSpec,
     MatrixField,
     ScalarField,
+    apply_operator,
     assemble_operator,
     build_grid,
     cofactor,
@@ -16,7 +17,7 @@ from abreu_bvp import (
 )
 from abreu_bvp import lin_ma
 from abreu_bvp.exceptions import EllipticityError, SingularSystemError
-from abreu_bvp.lin_ma import factorize
+from abreu_bvp.lin_ma import factorize, stencil_weights
 
 
 def identity_coeffs(grid):
@@ -132,6 +133,92 @@ def test_assembled_operator_stores_no_zeros(interval64, disk32):
         axis_arms = g.arm_kind[:, :2 * g.dim]
         assert A.nnz == g.n_interior + np.count_nonzero(axis_arms == 0)
         assert B.nnz == np.count_nonzero(axis_arms == 1)
+
+
+def csr_from_scratch(g, U):
+    # the whole stencil in one CSR matrix, zeros dropped, split by column
+    ops, n = g.second_ops, g.n_interior
+    k = ops.cols.shape[1]
+    M = sp.csr_matrix((stencil_weights(g, U).ravel(), ops.cols.ravel(),
+                       np.arange(0, n * k + 1, k)), shape=(n, g.n_nodes),
+                      copy=True)
+    M.eliminate_zeros()
+    return M[:, :n], M[:, n:]
+
+
+def same_csr(M, R):
+    return (M.shape == R.shape
+            and all(np.array_equal(getattr(M, k), getattr(R, k))
+                    and getattr(M, k).dtype == getattr(R, k).dtype
+                    for k in ("data", "indices", "indptr")))
+
+
+def convex_cofactor(g):
+    x, y = g.points[:, 0], g.points[:, 1]
+    u = ScalarField(g, 0.5 * (x**2 + y**2) + 0.1 * x**4 + 0.05 * x * y**3)
+    return cofactor(hessian(u, g), g)
+
+
+def test_in_place_edits_leave_the_shared_patterns_whole():
+    # scipy sorts and compacts index arrays in place: the assembled
+    # matrices must own theirs, or the grid's next operator is corrupted.
+    # Fresh grids, so that a failure here cannot spread to other tests.
+    for domain in (DomainSpec.interval(0.0, 1.0), DomainSpec.disk(1.0),
+                   DomainSpec.ellipse(1.5, 0.75)):
+        g = build_grid(domain, 32)
+        split = g.cached(lin_ma._operator_split)
+        generic = convex_cofactor(g)
+        for U in (identity_coeffs(g), generic):
+            for M in assemble_operator(g, U):
+                for arr in (M.indices, M.indptr):
+                    assert not any(np.shares_memory(arr, shared)
+                                   for shared in split[1:])
+                M.tolil()
+                M.sum_duplicates()
+                M.indices[:] = 0
+            for M, R in zip(assemble_operator(g, generic),
+                            csr_from_scratch(g, generic)):
+                assert same_csr(M, R)
+        assert all(arr.flags.writeable is False for arr in split)
+        assert split.interior.dtype == bool
+        assert {arr.dtype for arr in split[1:]} == {np.dtype(np.int32)}
+
+
+def test_assembly_equals_the_whole_stencil_split_by_column(interval64,
+                                                           disk32, ellipse32):
+    # bitwise: the cached split fills the same arrays as one CSR matrix of
+    # the whole stencil, zeros dropped, split by column slicing
+    disk33 = build_grid(DomainSpec.disk(1.0), 33)
+    for g in (interval64, disk32, disk33, ellipse32):
+        for U in (identity_coeffs(g), convex_cofactor(g)):
+            for M, R in zip(assemble_operator(g, U), csr_from_scratch(g, U)):
+                assert same_csr(M, R)
+
+
+def test_apply_operator_is_the_assembled_action(interval64, disk32,
+                                                ellipse32, rng):
+    # disk33: at an odd resolution three arms end at the seam node (-R, 0).
+    # No disk or ellipse grid of resolution 8 to 96 has a row with two arms
+    # ending at one boundary node.
+    disk33 = build_grid(DomainSpec.disk(1.0), 33)
+    for g in (interval64, disk32, ellipse32, disk33):
+        n = g.n_interior
+        for U in (identity_coeffs(g), convex_cofactor(g)):
+            A, B = assemble_operator(g, U)
+            v = rng.normal(size=g.n_nodes)
+            assert np.array_equal(apply_operator(g, U, v),
+                                  A @ v[:n] + B @ v[n:])
+
+
+def test_linearized_residual_is_the_operator_action(disk32, rng):
+    g = disk32
+    U = convex_cofactor(g)
+    w = ScalarField(g, rng.normal(size=g.n_nodes))
+    f = ScalarField(g, rng.normal(size=g.n_nodes))
+    r = linearized_residual(g, U, w, f)
+    assert np.array_equal(r.interior,
+                          apply_operator(g, U, w.values) - f.interior)
+    assert not r.boundary.any()
 
 
 def ma_jacobian(g):

@@ -340,6 +340,21 @@ def test_nd_order_is_lazy_cached_and_read_only():
         order[0] = order[1]
 
 
+def test_cached_structure_is_built_once_per_grid_on_first_use():
+    built = []
+
+    def build(grid):
+        built.append(grid)
+        return object()
+
+    g, h = (build_grid(DomainSpec.disk(1.0), 16) for _ in range(2))
+    g.second_ops
+    assert g._cache == {}  # the grid's set-up builds no cached pattern
+    first = g.cached(build)
+    assert g.cached(build) is first and built == [g]
+    assert h.cached(build) is not first and built == [g, h]
+
+
 def test_nd_order_interval_is_none(interval64):
     assert interval64.nd_order is None
 

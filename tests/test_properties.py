@@ -14,8 +14,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from abreu_bvp import (DomainSpec, ScalarField, build_grid, hessian,
-                       parse_config, parse_expression)
+from abreu_bvp import (DomainSpec, MatrixField, ScalarField,
+                       apply_operator, assemble_operator, build_grid, cofactor,
+                       hessian, parse_config, parse_expression)
 from abreu_bvp.exceptions import ConfigError, ExpressionError
 from abreu_bvp.mesh import _disk_rect_moments, quadratic_transfer
 
@@ -75,6 +76,27 @@ def test_grid_transfer_reproduces_quadratic_fields(semi_a, semi_b,
     scale = max(1.0, float(np.max(np.abs(values))))
     assert np.max(np.abs(moved - field(pts[:, 0], pts[:, 1]))) <= 1e-12 * scale
 
+
+
+@settings(FIXED, max_examples=40)
+@given(semi_a=st.floats(0.2, 3.0), semi_b=st.floats(0.2, 3.0),
+       resolution=st.integers(8, 64),
+       quad=st.tuples(*[coefficient] * 3), seed=st.integers(0, 2**32 - 1))
+def test_operator_action_is_the_assembled_matrices_action(
+        semi_a, semi_b, resolution, quad, seed):
+    # bitwise, for cofactor coefficients of a convex potential and for the
+    # identity, whose zero diagonal weights the matrices drop
+    g = build_grid(DomainSpec.ellipse(semi_a, semi_b), resolution)
+    n = g.n_interior
+    x, y = g.points[:, 0], g.points[:, 1]
+    a, b, c = quad
+    u = ScalarField(g, (1.5 + a) * x**2 + b * x * y + (1.5 + c) * y**2
+                    + 0.1 * np.exp(x - y))
+    identity = MatrixField(g, np.tile(np.eye(2), (n, 1, 1)))
+    v = np.random.default_rng(seed).normal(size=g.n_nodes)
+    for U in (cofactor(hessian(u, g), g), identity):
+        A, B = assemble_operator(g, U)
+        assert np.array_equal(apply_operator(g, U, v), A @ v[:n] + B @ v[n:])
 
 # A rectangle by two x and two y values in any order, and a fraction at
 # which it is split.
