@@ -34,19 +34,16 @@ solve in cofactor form), is kept as an independent fixed-point check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .estimates import DiagnosticsReport, standard_diagnostics
 from .exceptions import (ContinuationError, SingularSystemError, SolverError,
                          WFloorError)
 from .functionals import el_residual
 from .gfamily import invert_w
-from .lin_ma import (_on_pattern, _operator_split, apply_operator,
-                     assemble_operator, factorize, solve_linearized,
-                     solve_system, stencil_weights)
+from .lin_ma import (apply_weights, assemble_operator, factorize_coupled,
+                     solve_linearized, solve_system, stencil_weights)
 from .ma_dirichlet import MAOptions, damped_newton, solve_ma
 from .mesh import (ScalarField, build_grid, cofactor, det_field, hessian,
                    is_positive_definite, quadratic_transfer, sym_det)
@@ -104,91 +101,6 @@ _NEWTON_ACCEPT = 1e-8     # still converged if the line search stalls here
 _NEWTON_MAX_ITERS = 30
 
 
-class _CoupledPattern(NamedTuple):
-    """The CSC pattern of a grid's coupled Jacobian, built once.
-
-    `take` gathers the stored values, in CSC order, from the flat
-    concatenation (u-weights, d, w-weights) of two `stencil_weights`
-    arrays and the diagonal block; `order` is the grid's nested-dissection
-    order with each node's u and w unknowns side by side (None for an
-    interval).
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    take: np.ndarray
-    order: np.ndarray
-
-
-def _coupled_pattern(grid):
-    """[[A, diag(d)], [C, A]] on the full interior pattern of A, as CSC.
-
-    C, the coupling block, is present on a 2-d grid only: in one dimension
-    the cofactor is constant.  Row i holds A's row i, then d[i]; row n + i
-    holds C's row i, then A's row i shifted by n columns.  The CSR form is
-    laid out with positions in the concatenated weights as its values and
-    converted to CSC once, so the conversion's order is `take`.
-    """
-    split = grid.cached(_operator_split)
-    n = grid.n_interior
-    size = split.interior.size  # the length of one flattened weights array
-    a_ptr = split.a_indptr.astype(np.int64)
-    a_pos = np.flatnonzero(split.interior)
-    c_ptr = a_ptr if grid.dim == 2 else np.zeros(n + 1, dtype=np.int64)
-    nnz_a, nnz_c = int(a_ptr[-1]), int(c_ptr[-1])
-    rows = np.arange(n)
-    a_at = np.arange(nnz_a)
-    a_row = np.repeat(rows, np.diff(a_ptr))
-    bottom = nnz_a + n  # where row n starts
-    indptr = np.concatenate([a_ptr + np.arange(n + 1),
-                             bottom + a_ptr[1:] + c_ptr[1:]])
-    indices = np.empty(bottom + nnz_c + nnz_a, dtype=np.int64)
-    take = np.empty(indices.size, dtype=np.int64)
-    at = a_at + a_row  # A in the top rows
-    indices[at], take[at] = split.a_indices, a_pos
-    at = a_ptr[1:] + rows  # the diagonal block
-    indices[at], take[at] = rows + n, size + rows
-    at = bottom + a_at + c_ptr[1:][a_row]  # A, bottom right
-    indices[at], take[at] = split.a_indices + n, a_pos
-    if grid.dim == 2:
-        at = bottom + a_at + a_ptr[a_row]  # C, bottom left
-        indices[at], take[at] = split.a_indices, size + n + a_pos
-    J = sparse.csr_matrix((take, indices, indptr),
-                          shape=(2 * n, 2 * n)).tocsc()
-    p = grid.nd_order
-    order = None if p is None else np.column_stack([p, p + n]).ravel()
-    pattern = _CoupledPattern(J.indptr.astype(np.int32),
-                              J.indices.astype(np.int32), J.data, order)
-    for arr in pattern:
-        if arr is not None:
-            arr.setflags(write=False)  # shared by every Jacobian on the grid
-    return pattern
-
-
-def _coupled_jacobian(grid, U, d, W=None):
-    """[[A, diag(d)], [C, A]] in CSC form, for the factorization.
-
-    A and C are the operators with coefficients U and W (`assemble_operator`'s
-    interior blocks); W = None leaves C out, as on an interval.  One gather
-    fills the grid's cached pattern.  Entries of A and C that are exactly
-    zero are dropped, as `assemble_operator` drops them, and the pattern is
-    compacted only when one is present; d is stored as given.  The matrix
-    owns copies of its index arrays.
-    """
-    pattern = grid.cached(_coupled_pattern)
-    n = grid.n_interior
-    parts = [stencil_weights(grid, U).ravel(), d]
-    if W is not None:
-        parts.append(stencil_weights(grid, W).ravel())
-    values = np.concatenate(parts)
-    keep = values != 0.0
-    at_d = parts[0].size
-    keep[at_d:at_d + n] = True  # d is stored as given
-    return _on_pattern(sparse.csc_matrix, values[pattern.take],
-                       pattern.indptr, pattern.indices, (2 * n, 2 * n),
-                       keep[pattern.take])
-
-
 def _newton_step(uv, wv, t, problem, opts):
     """Newton on the coupled system at parameter t, from node values (uv, wv).
 
@@ -198,10 +110,9 @@ def _newton_step(uv, wv, t, problem, opts):
     (cof(A):B = cof(B):A), so the derivative of U^{ij}w_{ij} in u
     assembles with cofactor coefficients built from D²w.  `damped_newton`
     runs the iteration; its steps are cut short so that w stays positive.
-    No residual builds a matrix: the w-equation is `apply_operator`.  Each
-    Jacobian is one gather of (u-weights, d, w-weights) into the grid's
-    cached CSC pattern (`_coupled_pattern`), factorized in the cached
-    interleaved order.
+    No residual builds a matrix: the w-equation is `apply_weights` with the
+    u-weights, which the residual keeps for the Jacobian at the same
+    iterate, `lin_ma.factorize_coupled`.
 
     Returns the final (uv, wv) and the step's outcome for the trace: its
     Newton iterations (chord steps included), factorizations, final scaled
@@ -219,25 +130,25 @@ def _newton_step(uv, wv, t, problem, opts):
         Hu = hessian(ScalarField(grid, np.concatenate([x[:n], ub])), grid)
         theta = invert_w(gspec, x[n:])
         U = cofactor(Hu, grid)
+        a = stencil_weights(grid, U)
         F = np.concatenate([
             sym_det(Hu.data) - theta,
-            apply_operator(grid, U, np.concatenate([x[n:], wb])) - f_int])
+            apply_weights(grid, a, np.concatenate([x[n:], wb])) - f_int])
         s1 = max(1.0, float(np.max(theta)))
         r = max(float(np.max(np.abs(F[:n]))) / s1,
                 float(np.max(np.abs(F[n:]))) / s2)
-        return r, F, (Hu, U, theta)
+        return r, F, (Hu, U, a, theta)
 
     def jacobian(x, state):
         # The operator with cofactor coefficients of D²u is also the
         # derivative of det D²u.
-        _, U, theta = state
+        _, _, a, theta = state
         d_theta = theta / (gspec.theta - 1.0) / x[n:]
-        W = None  # in one dimension the cofactor is constant
+        c = None  # in one dimension the cofactor is constant
         if grid.dim == 2:
             Hw = hessian(ScalarField(grid, np.concatenate([x[n:], wb])), grid)
-            W = cofactor(Hw, grid)
-        return factorize(_coupled_jacobian(grid, U, -d_theta, W),
-                         grid.cached(_coupled_pattern).order)
+            c = stencil_weights(grid, cofactor(Hw, grid))
+        return factorize_coupled(grid, a, -d_theta, c)
 
     def cap(x, step):
         # fraction-to-boundary: keep w positive along the step
@@ -246,7 +157,7 @@ def _newton_step(uv, wv, t, problem, opts):
                                              initial=np.inf)))
 
     x = np.concatenate([uv[:n], wv[:n]])
-    x, r, F, (Hu, U, _), steps, factorizations, exc = damped_newton(
+    x, r, F, (Hu, U, _, _), steps, factorizations, exc = damped_newton(
         x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS, cap)
     error = (f"singular coupled Jacobian: {exc}"
              if isinstance(exc, SingularSystemError) else None)

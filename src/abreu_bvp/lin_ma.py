@@ -7,11 +7,12 @@ directional second derivatives; the resulting nonsymmetric sparse system is
 solved by a direct sparse factorization.
 
 `stencil_weights` is the one place the coefficients meet the stencil.
-`apply_operator` sums the weighted stencil values without building a
-matrix.  `assemble_operator` fills the interior and boundary CSR patterns
-that each grid splits from its stencil once, on first use, and returns
-matrices that own copies of those index arrays; exact zeros are dropped
-only where present.
+`apply_weights` sums the weighted stencil values without building a
+matrix.  Every sparsity pattern on the stencil lives here and is built
+once per grid, on first use (`Grid.cached`): `assemble_operator` fills the
+interior and boundary CSR patterns, and `factorize_coupled` the CSC pattern
+of the coupled (u, w) Newton Jacobian.  The matrices own copies of those
+index arrays; exact zeros are dropped only where present.
 
 `factorize` is the package's one SuperLU call: the Newton solves reuse its
 LU across a line search and across chord steps, and every solve through it
@@ -134,13 +135,22 @@ def assemble_operator(grid: Grid, U: MatrixField):
 def apply_operator(grid: Grid, U: MatrixField, v) -> np.ndarray:
     """U^{ij} v_{ij} at interior nodes, from node values v, with no matrix.
 
+    `apply_weights` with the `stencil_weights` of U: for finite v, bitwise
+    equal to A @ v[:n] + B @ v[n:] with (A, B) from `assemble_operator`.
+    """
+    return apply_weights(grid, stencil_weights(grid, U), v)
+
+
+def apply_weights(grid: Grid, weights, v) -> np.ndarray:
+    """The operator with the given `stencil_weights`, applied to node values v.
+
     Each row's interior products are summed in stencil order, then its
-    boundary products, and the two sums added: the same operations as
-    A @ v[:n] + B @ v[n:] with (A, B) from `assemble_operator`, so for
-    finite v the result is bitwise equal.
+    boundary products, and the two sums added: the same operations as the
+    sparse product with the matrices that `assemble_operator` fills with
+    these weights.
     """
     split = grid.cached(_operator_split)
-    terms = stencil_weights(grid, U) * np.asarray(v)[grid.second_ops.cols]
+    terms = weights * np.asarray(v)[grid.second_ops.cols]
     sums = []
     for part in (np.where(split.interior, terms, 0.0),
                  np.where(split.interior, 0.0, terms)):
@@ -149,6 +159,89 @@ def apply_operator(grid: Grid, U: MatrixField, v) -> np.ndarray:
             total += column
         sums.append(total)
     return sums[0] + sums[1]
+
+
+class _CoupledPattern(NamedTuple):
+    """The CSC pattern of a grid's coupled Jacobian, built once.
+
+    `take` gathers the stored values, in CSC order, from the flat
+    concatenation (u-weights, d, w-weights) of two `stencil_weights`
+    arrays and the diagonal block; `order` is the grid's nested-dissection
+    order with each node's u and w unknowns side by side (None for an
+    interval).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    take: np.ndarray
+    order: np.ndarray
+
+
+def _coupled_pattern(grid: Grid) -> _CoupledPattern:
+    """[[A, diag(d)], [C, A]] on the full interior pattern of A, as CSC.
+
+    C, the coupling block, is present on a 2-d grid only: in one dimension
+    the cofactor is constant.  Each block holds, as its values, the
+    positions of its entries in the concatenated weights plus 1, so that
+    no position is an explicit zero; one `sp.bmat` lays the blocks out in
+    CSC, and its values less 1 are `take`.
+    """
+    split = grid.cached(_operator_split)
+    n = grid.n_interior
+    size = split.interior.size  # the length of one flattened weights array
+    at = np.flatnonzero(split.interior) + 1
+    rows = np.arange(n)
+
+    def block(values, indices=split.a_indices, indptr=split.a_indptr):
+        return sp.csr_matrix((values, indices, indptr), shape=(n, n))
+
+    A = block(at)
+    D = block(size + 1 + rows, rows, np.arange(n + 1))
+    C = block(size + n + at) if grid.dim == 2 else None
+    J = sp.bmat([[A, D], [C, A]], format="csc")
+    p = grid.nd_order
+    order = None if p is None else np.column_stack([p, p + n]).ravel()
+    pattern = _CoupledPattern(J.indptr.astype(np.int32),
+                              J.indices.astype(np.int32), J.data - 1, order)
+    for arr in pattern:
+        if arr is not None:
+            arr.setflags(write=False)  # shared by every Jacobian on the grid
+    return pattern
+
+
+def _coupled_jacobian(grid: Grid, a_weights, d, c_weights=None):
+    """[[A, diag(d)], [C, A]] in CSC form, for the factorization.
+
+    A and C are the interior blocks of the operators with the
+    `stencil_weights` a_weights and c_weights; c_weights = None leaves C
+    out, as on an interval.  One gather fills the grid's cached pattern.
+    Entries of A and C that are exactly zero are dropped, as
+    `assemble_operator` drops them, and the pattern is compacted only when
+    one is present; d is stored as given.  The matrix owns copies of its
+    index arrays.
+    """
+    pattern = grid.cached(_coupled_pattern)
+    n = grid.n_interior
+    parts = [a_weights.ravel(), d]
+    if c_weights is not None:
+        parts.append(c_weights.ravel())
+    values = np.concatenate(parts)
+    keep = values != 0.0
+    keep[a_weights.size:a_weights.size + n] = True  # d is stored as given
+    return _on_pattern(sp.csc_matrix, values[pattern.take], pattern.indptr,
+                       pattern.indices, (2 * n, 2 * n), keep[pattern.take])
+
+
+def factorize_coupled(grid: Grid, a_weights, d, c_weights=None):
+    """The checked solve of the coupled Jacobian [[A, diag(d)], [C, A]].
+
+    A and C are the operators with the `stencil_weights` a_weights and
+    c_weights (None: no C, as on an interval).  The matrix fills the
+    grid's cached CSC pattern and is factorized in its cached order, the
+    nested-dissection order with each node's two unknowns side by side.
+    """
+    return factorize(_coupled_jacobian(grid, a_weights, d, c_weights),
+                     grid.cached(_coupled_pattern).order)
 
 
 def factorize(A, order=None):

@@ -10,8 +10,10 @@ becomes a boundary node and the shortened arm length is recorded
 three-point formula on unequal arms, which is exact for quadratics, so
 Hessians of quadratic fields are reproduced exactly at every interior node,
 regular or irregular.  The center weight is computed as minus the sum of the
-arm weights, so the discrete operators annihilate constants exactly in
-floating point.
+arm weights, so a constant's second differences vanish exactly on rows
+whose arms are all interior (equal arms, equal weights), and on
+Shortley-Weller rows only up to rounding: a few units of roundoff in the
+constant times the row's largest weight.
 
 Crossings reached from two arms become one boundary node by one sort along
 the boundary parameter.  Interior quadrature assigns each full lattice cell
@@ -194,7 +196,7 @@ def gauss_curvature(domain: DomainSpec, point, tol: float = 1e-8):
     else:
         off = abs(domain.level(pts[:, 0], pts[:, 1]))
         a, b = domain.semi_axes
-        gx, gy = 2.0 * pts[:, 0] / a**2, 2.0 * pts[:, 1] / b**2
+        gx, gy = domain.level_gradient(pts[:, 0], pts[:, 1])
         lxx, lyy = 2.0 / a**2, 2.0 / b**2
         # Implicit curve curvature with l_xy = 0 for these quadrics.
         kappa = (gx**2 * lyy + gy**2 * lxx) / np.hypot(gx, gy) ** 3
@@ -258,7 +260,19 @@ class MatrixField:
 
 
 class SecondOps(NamedTuple):
-    """The stencil layout of one grid; see `Grid.second_ops`."""
+    """The Shortley-Weller stencil of one grid, in one fixed layout.
+
+    Row n of `cols` lists the stencil nodes of interior node n: the node
+    itself, then the + and - arm of each axis (x, y and for n = 2 the two
+    lattice diagonals) in arm order, as node columns (interior nodes, then
+    boundary nodes offset by n_interior).  `weights[n, a]` holds the
+    second-difference weights of axis a on its center, + arm and - arm.
+    Row a of `to_hessian` is the flattened dim x dim matrix that the second
+    derivative along axis a contributes to the Hessian, so
+    H = d2 @ to_hessian, and the operator U^{ij} w_ij weights axis a by
+    U : to_hessian[a] (`lin_ma.stencil_weights`).  The sparsity patterns
+    of the operators on this stencil live in `lin_ma`.
+    """
 
     cols: np.ndarray
     weights: np.ndarray
@@ -269,20 +283,21 @@ class Grid:
     """Cartesian grid with boundary-fitted stencil data for one domain.
 
     Nodes are ordered interior first (lattice row-major) and boundary second
-    (by boundary parameter).  Per interior node the eight stencil arms are
-    stored as (kind, index, distance) triples, kind 0 pointing at an interior
-    node and kind 1 at a boundary node.  Arm order: +x, -x, +y, -y, and for
-    n = 2 the diagonals +(hx,hy), -(hx,hy), +(hx,-hy), -(hx,-hy).
+    (by boundary parameter).  The stencil is `second_ops`, written once by
+    `build_grid`; `arm_dist[n, k]` is the length of arm k of interior node
+    n, shortened where the arm crosses the boundary.  Arm order: +x, -x,
+    +y, -y, and for n = 2 the diagonals +(hx,hy), -(hx,hy), +(hx,-hy),
+    -(hx,-hy).
 
     A 2-d grid has one k-d tree over all nodes in lattice coordinates
     (x/hx, y/hy) (`tree`; None for an interval), which places the cut-cell
-    quadrature and the boundary fits.  `second_ops`, `boundary_fits` and
-    `nd_order` are built on first use, and so is whatever a module keeps
-    per grid through `cached`.
+    quadrature and the boundary fits.  `nd_order`, `boundary_fits` and
+    `nearest_interior` are built on first use through `cached`, which also
+    keeps what other modules derive per grid.
     """
 
     def __init__(self, domain, resolution, hx, hy, points, n_interior,
-                 arm_kind, arm_index, arm_dist,
+                 cols, arm_dist,
                  boundary_normals, boundary_curvature, boundary_params,
                  boundary_arcweights, quad_weights, tree=None):
         self.domain = domain
@@ -293,20 +308,14 @@ class Grid:
         self.points = points
         self.n_interior = n_interior
         self.n_boundary = points.shape[0] - n_interior
-        self.arm_kind = arm_kind
-        self.arm_index = arm_index
         self.arm_dist = arm_dist
         self.boundary_normals = boundary_normals
         self.boundary_curvature = boundary_curvature
         self.boundary_params = boundary_params
         self.boundary_arcweights = boundary_arcweights
         self.quad_weights = quad_weights
-        self.regular_mask = np.all(arm_kind == 0, axis=1)
         self.tree = tree
-        self._second_ops = None
-        self._boundary_fits = None
-        self._nd_order = None
-        self._nearest_interior = None
+        self.second_ops = _build_second_ops(cols, arm_dist, hx, hy)
         self._cache = {}
 
     @property
@@ -332,31 +341,23 @@ class Grid:
         bp = self.boundary_points
         return np.asarray(fn(bp[:, 0], bp[:, 1]), dtype=float) * np.ones(self.n_boundary)
 
+    def cached(self, build):
+        """build(self), made on first use and kept with the grid.
+
+        For structure fixed per grid that is derived from the stencil or
+        the nodes: the grid's own `nd_order`, `boundary_fits` and
+        `nearest_interior`, and the operators' sparsity patterns (`lin_ma`).
+        Every later caller shares the result, so `build` returns read-only
+        arrays.
+        """
+        if build not in self._cache:
+            self._cache[build] = build(self)
+        return self._cache[build]
+
     @property
     def nearest_interior(self) -> np.ndarray:
         """Index of the nearest interior node for each boundary node."""
-        if self._nearest_interior is None:
-            _, idx = cKDTree(self.interior_points).query(self.boundary_points)
-            self._nearest_interior = np.asarray(idx, dtype=int)
-        return self._nearest_interior
-
-    @property
-    def second_ops(self) -> "SecondOps":
-        """The Shortley-Weller stencil in one fixed layout, built once.
-
-        Row n of `cols` lists the stencil nodes of interior node n: the node
-        itself, then the + and - arm of each axis (x, y and for n = 2 the
-        two lattice diagonals) in arm order, as node columns (interior
-        nodes, then boundary nodes offset by n_interior).  `weights[n, a]`
-        holds the second-difference weights of axis a on its center, + arm
-        and - arm.  Row a of `to_hessian` is the flattened dim x dim matrix
-        that the second derivative along axis a contributes to the Hessian,
-        so H = d2 @ to_hessian, and the operator U^{ij} w_ij weights axis a
-        by U : to_hessian[a] (`lin_ma.stencil_weights`).
-        """
-        if self._second_ops is None:
-            self._second_ops = _build_second_ops(self)
-        return self._second_ops
+        return self.cached(_nearest_interior)
 
     @property
     def nd_order(self):
@@ -371,23 +372,7 @@ class Grid:
         keep lattice order.  None for an interval, whose lattice order is
         already tridiagonal.
         """
-        if self.dim == 1:
-            return None
-        if self._nd_order is None:
-            self._nd_order = _nested_dissection(self)
-        return self._nd_order
-
-    def cached(self, build):
-        """build(self), made on first use and kept with the grid.
-
-        For structure fixed per grid that one module derives for itself,
-        such as the operator's sparsity patterns (`lin_ma`, `continuation`).
-        Every later caller shares the result, so `build` returns read-only
-        arrays.
-        """
-        if build not in self._cache:
-            self._cache[build] = build(self)
-        return self._cache[build]
+        return None if self.dim == 1 else self.cached(_nested_dissection)
 
     @property
     def boundary_fits(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -399,19 +384,28 @@ class Grid:
         GridResolutionError when a center at depth h or 2h is not inside
         the domain.
         """
-        if self._boundary_fits is None:
-            if self.dim != 2:
-                raise ValueError("boundary fits require a 2-d grid")
-            depth = self.h * np.arange(3.0)[:, None, None]
-            centers = self.boundary_points - depth * self.boundary_normals
-            if np.any(self.domain.level(centers[1:, :, 0], centers[1:, :, 1]) >= 0.0):
-                raise GridResolutionError(
-                    "normal-derivative stencil leaves the domain; refine the grid")
-            fits = _quadratic_fit(self, centers / (self.hx, self.hy))
-            for arr in fits:
-                arr.setflags(write=False)
-            self._boundary_fits = fits
-        return self._boundary_fits
+        return self.cached(_boundary_fits)
+
+
+def _nearest_interior(grid: Grid) -> np.ndarray:
+    _, idx = cKDTree(grid.interior_points).query(grid.boundary_points)
+    idx = np.asarray(idx, dtype=int)
+    idx.setflags(write=False)
+    return idx
+
+
+def _boundary_fits(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    if grid.dim != 2:
+        raise ValueError("boundary fits require a 2-d grid")
+    depth = grid.h * np.arange(3.0)[:, None, None]
+    centers = grid.boundary_points - depth * grid.boundary_normals
+    if np.any(grid.domain.level(centers[1:, :, 0], centers[1:, :, 1]) >= 0.0):
+        raise GridResolutionError(
+            "normal-derivative stencil leaves the domain; refine the grid")
+    fits = _quadratic_fit(grid, centers / (grid.hx, grid.hy))
+    for arr in fits:
+        arr.setflags(write=False)
+    return fits
 
 
 def _quadratic_fit(grid: Grid, centers: np.ndarray):
@@ -481,16 +475,11 @@ def _build_grid_1d(domain: DomainSpec, res: int) -> Grid:
     points[n_int, 0] = a
     points[n_int + 1, 0] = b
 
-    arm_kind = np.zeros((n_int, 2), dtype=np.int8)
-    arm_index = np.zeros((n_int, 2), dtype=np.int64)
+    # the node, its +x arm, its -x arm
+    cols = np.arange(n_int, dtype=np.int64)[:, None] + np.array([0, 1, -1])
+    cols[-1, 1] = n_int + 1  # right endpoint
+    cols[0, 2] = n_int  # left endpoint
     arm_dist = np.full((n_int, 2), h)
-    # arm 0: +x, arm 1: -x
-    arm_index[:, 0] = np.arange(1, n_int + 1)
-    arm_index[:, 1] = np.arange(-1, n_int - 1)
-    arm_kind[-1, 0] = 1
-    arm_index[-1, 0] = 1  # right endpoint
-    arm_kind[0, 1] = 1
-    arm_index[0, 1] = 0  # left endpoint
 
     normals = np.array([[-1.0, 0.0], [1.0, 0.0]])
     curvature = np.ones(2)
@@ -500,8 +489,8 @@ def _build_grid_1d(domain: DomainSpec, res: int) -> Grid:
     quad = np.full(res, h)
     quad[n_int:] = h / 2.0  # trapezoid end weights
 
-    return Grid(domain, res, h, h, points, n_int, arm_kind, arm_index,
-                arm_dist, normals, curvature, params, arcweights, quad)
+    return Grid(domain, res, h, h, points, n_int, cols, arm_dist, normals,
+                curvature, params, arcweights, quad)
 
 
 _ARMS_2D = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
@@ -529,14 +518,15 @@ def _build_grid_2d(domain: DomainSpec, res: int) -> Grid:
     index2d[ii + 1, jj + 1] = np.arange(n_int)
     ipts = np.column_stack([xs[ii], ys[jj]])
 
+    # The stencil columns (`SecondOps`): the node, then its arm ends.
     di, dj = np.array(_ARMS_2D).T
+    cols = index2d[ii[:, None] + np.r_[0, di] + 1,
+                   jj[:, None] + np.r_[0, dj] + 1]
     arm_len = np.array([hx, hx, hy, hy, diag, diag, diag, diag])
-    arm_index = index2d[ii[:, None] + di + 1, jj[:, None] + dj + 1]
-    arm_kind = (arm_index < 0).astype(np.int8)
     arm_dist = np.tile(arm_len, (n_int, 1))
 
     # Crossings, arm by arm and then by row, with the unit arm direction u.
-    arm, row = np.nonzero(arm_kind.T)
+    arm, row = np.nonzero(cols[:, 1:].T < 0)
     ux, uy = (di * hx / arm_len)[arm], (dj * hy / arm_len)[arm]
     s = domain.ray_boundary_distance(ipts[row, 0], ipts[row, 1], ux, uy)
     if np.any(~np.isfinite(s)) or np.any(s <= 0) or np.any(s > 2.0 * arm_len[arm]):
@@ -558,7 +548,7 @@ def _build_grid_2d(domain: DomainSpec, res: int) -> Grid:
     if reps.size > 1 and (cand_t[reps[0]] + 2.0 * math.pi) - cand_t[reps[-1]] <= tol_t:
         cluster_of[cluster_of == reps.size - 1] = 0
         reps = reps[:-1]
-    arm_index[row, arm] = cluster_of
+    cols[row, 1 + arm] = n_int + cluster_of
 
     bpts = cand_pos[reps]
     bparams = cand_t[reps]
@@ -577,8 +567,8 @@ def _build_grid_2d(domain: DomainSpec, res: int) -> Grid:
     quad = _interior_quadrature(domain, xs, ys, hx, hy, dist,
                                 index2d[1:-1, 1:-1], tree)
 
-    grid = Grid(domain, res, hx, hy, points, n_int, arm_kind, arm_index,
-                arm_dist, normals, curvature, bparams, arcweights, quad, tree)
+    grid = Grid(domain, res, hx, hy, points, n_int, cols, arm_dist, normals,
+                curvature, bparams, arcweights, quad, tree)
     total = quad.sum()
     if abs(total - domain.measure) > 1e-8 * domain.measure:
         raise GridResolutionError(
@@ -667,23 +657,21 @@ def _interior_quadrature(domain, xs, ys, hx, hy, dist, index2d, tree):
     return w
 
 
-def _build_second_ops(grid: Grid) -> SecondOps:
-    n_int, n_axes = grid.n_interior, grid.arm_kind.shape[1] // 2
-    cols = np.empty((n_int, 1 + 2 * n_axes), dtype=np.int64)
-    cols[:, 0] = np.arange(n_int)
-    cols[:, 1:] = np.where(grid.arm_kind == 0, grid.arm_index,
-                           grid.arm_index + n_int)
-    dp = grid.arm_dist[:, 0::2]
-    dm = grid.arm_dist[:, 1::2]
+def _build_second_ops(cols, arm_dist, hx, hy) -> SecondOps:
+    dp = arm_dist[:, 0::2]
+    dm = arm_dist[:, 1::2]
     cp = 2.0 / (dp * (dp + dm))
     cm = 2.0 / (dm * (dp + dm))
-    # center weight minus the arm weights: constants are annihilated exactly
+    # Center weight minus the arm weights.  A constant's second difference
+    # is then exactly 0 where the arms are equal (cp == cm); on unequal
+    # arms the center weight and the sum are rounded, which leaves a few
+    # units of roundoff in the constant times the largest weight.
     weights = np.stack([-(cp + cm), cp, cm], axis=2)
-    if grid.dim == 1:
+    if dp.shape[1] == 1:
         to_hessian = np.ones((1, 1))
     else:
         # u_xy = (u_pp - u_mm) * ell^2 / (4 hx hy) with the diagonal stencils.
-        s = (grid.hx**2 + grid.hy**2) / (4.0 * grid.hx * grid.hy)
+        s = (hx**2 + hy**2) / (4.0 * hx * hy)
         to_hessian = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
                                [0.0, s, s, 0.0], [0.0, -s, -s, 0.0]])
     ops = SecondOps(cols, weights, to_hessian)
@@ -862,21 +850,15 @@ def cofactor_divergence(U: MatrixField, grid: Grid = None):
     if grid.dim != 2:
         raise ValueError("cofactor divergence check requires a 2-d grid")
     n_int = grid.n_interior
-    kind = grid.arm_kind
-    idx = grid.arm_index
-    reg = grid.regular_mask
-
-    has_axis = (kind[:, 0] == 0) & (kind[:, 1] == 0) & (kind[:, 2] == 0) & (kind[:, 3] == 0)
-    mask = reg & has_axis
-    for arm in range(4):
-        nbr_ok = np.zeros(n_int, dtype=bool)
-        rows = has_axis
-        nbr_ok[rows] = reg[idx[rows, arm]]
-        mask &= nbr_ok
+    cols = grid.second_ops.cols
+    # per node: an interior node whose stencil is all interior
+    regular = np.zeros(grid.n_nodes, dtype=bool)
+    regular[:n_int] = np.all(cols < n_int, axis=1)
+    mask = regular[:n_int] & np.all(regular[cols[:, 1:5]], axis=1)
 
     div = np.zeros((n_int, 2))
     rows = np.nonzero(mask)[0]
-    e, wst, nth, sth = (idx[rows, 0], idx[rows, 1], idx[rows, 2], idx[rows, 3])
+    e, wst, nth, sth = cols[rows, 1:5].T
     d = U.data
     for comp in range(2):
         dx = (d[e, comp, 0] - d[wst, comp, 0]) / (2.0 * grid.hx)

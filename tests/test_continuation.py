@@ -16,10 +16,10 @@ from abreu_bvp import (
     solve_second_bvp,
 )
 from abreu_bvp import continuation
-from abreu_bvp.continuation import _coupled_jacobian
 from abreu_bvp.exceptions import (ContinuationError, GridResolutionError,
                                   SingularSystemError, WFloorError)
-from abreu_bvp.lin_ma import assemble_operator
+from abreu_bvp.lin_ma import (_coupled_jacobian, assemble_operator,
+                              stencil_weights)
 from abreu_bvp.mesh import cofactor, hessian
 
 
@@ -134,18 +134,16 @@ def test_threshold_verdicts_bracket_the_discrete_threshold(interval64):
 def test_singular_coupled_system_ends_only_its_step(disk32, monkeypatch):
     # A failed linear solve inside a coupled step becomes that step's trace
     # entry; the continuation halves the step and goes on.
-    n = disk32.n_interior
-    real_factorize = continuation.factorize
+    real_factorize = continuation.factorize_coupled
     coupled_calls = []
 
-    def factorize(A, order=None):
-        if A.shape[0] == 2 * n:
-            coupled_calls.append(A.shape)
-            if len(coupled_calls) == 1:
-                raise SingularSystemError("injected singular Jacobian")
-        return real_factorize(A, order)
+    def factorize_coupled(*args):
+        coupled_calls.append(args)
+        if len(coupled_calls) == 1:
+            raise SingularSystemError("injected singular Jacobian")
+        return real_factorize(*args)
 
-    monkeypatch.setattr(continuation, "factorize", factorize)
+    monkeypatch.setattr(continuation, "factorize_coupled", factorize_coupled)
     sol = solve_second_bvp(Problem(disk32, GSpec(0.0, 2), 2.0, 0.0, 1.0))
     failed, halved = sol.iterations[:2]
     assert not failed["converged"] and not failed["floor_hit"]
@@ -178,6 +176,12 @@ def test_custom_initial_iterate(disk32):
         solve_second_bvp(prob, w0=ScalarField.constant(g, 1e-12))
 
 
+def coupled_jacobian(grid, U, d, W):
+    # the Jacobian from the coefficient fields rather than their weights
+    return _coupled_jacobian(grid, stencil_weights(grid, U), d,
+                             None if W is None else stencil_weights(grid, W))
+
+
 def coupled_reference(grid, U, d, W):
     A = assemble_operator(grid, U)[0]
     C = None if W is None else assemble_operator(grid, W)[0]
@@ -196,7 +200,7 @@ def test_coupled_jacobian_matches_bmat(disk32, interval64, rng):
             coeffs.append(cofactor(hessian(v, grid), grid))
         U, W = coeffs[0], coeffs[1] if len(coeffs) == 2 else None
         d = -rng.uniform(0.5, 2.0, n)
-        J = _coupled_jacobian(grid, U, d, W)
+        J = coupled_jacobian(grid, U, d, W)
         ref = coupled_reference(grid, U, d, W)
         assert J.shape == ref.shape and J.nnz == ref.nnz
         assert abs(J - ref).max() == 0.0
@@ -218,13 +222,13 @@ def test_coupled_jacobian_drops_the_zeros_it_finds(disk32, interval64, rng):
             cases.append((U, MatrixField(grid, np.zeros((n, 2, 2)))))
         for U_case, W_case in cases:
             d = -rng.uniform(0.5, 2.0, n)
-            J = _coupled_jacobian(grid, U_case, d, W_case)
+            J = coupled_jacobian(grid, U_case, d, W_case)
             ref = coupled_reference(grid, U_case, d, W_case)
             assert J.shape == ref.shape and J.nnz == ref.nnz
             assert abs(J - ref).max() == 0.0
             assert np.all(J.data != 0.0)
         # a pattern compacted for one call leaves the next one whole
-        J = _coupled_jacobian(grid, U, d, None if grid.dim == 1 else U)
+        J = coupled_jacobian(grid, U, d, None if grid.dim == 1 else U)
         assert J.nnz == coupled_reference(grid, U, d,
                                           None if grid.dim == 1 else U).nnz
 

@@ -130,9 +130,10 @@ def test_assembled_operator_stores_no_zeros(interval64, disk32):
     for g in (interval64, disk32, ellipse):
         A, B = assemble_operator(g, identity_coeffs(g))
         assert np.all(A.data != 0.0) and np.all(B.data != 0.0)
-        axis_arms = g.arm_kind[:, :2 * g.dim]
-        assert A.nnz == g.n_interior + np.count_nonzero(axis_arms == 0)
-        assert B.nnz == np.count_nonzero(axis_arms == 1)
+        axis_arms = g.second_ops.cols[:, 1:1 + 2 * g.dim]
+        assert A.nnz == g.n_interior + np.count_nonzero(
+            axis_arms < g.n_interior)
+        assert B.nnz == np.count_nonzero(axis_arms >= g.n_interior)
 
 
 def csr_from_scratch(g, U):

@@ -21,6 +21,7 @@ from abreu_bvp import (
     solve_second_bvp,
 )
 from abreu_bvp.exceptions import DomainError, GridResolutionError
+from abreu_bvp import mesh
 from abreu_bvp.mesh import boundary_hessian
 
 
@@ -123,8 +124,8 @@ def test_boundary_nodes_are_distinct_and_end_their_arms(domain, resolution):
     steps = np.array([(1, 0), (-1, 0), (0, 1), (0, -1),
                       (1, 1), (-1, -1), (1, -1), (-1, 1)]) * (g.hx, g.hy)
     u = steps / np.linalg.norm(steps, axis=1)[:, None]
-    row, arm = np.nonzero(g.arm_kind == 1)
-    node = g.arm_index[row, arm]
+    row, arm = np.nonzero(g.second_ops.cols[:, 1:] >= g.n_interior)
+    node = g.second_ops.cols[row, 1 + arm] - g.n_interior
     ends = g.interior_points[row] + g.arm_dist[row, arm, None] * u[arm]
     assert np.max(np.linalg.norm(ends - bpts[node], axis=1)) <= 1e-12 * g.h
     assert np.array_equal(np.unique(node), np.arange(g.n_boundary))
@@ -163,6 +164,28 @@ def test_hessian_constant_annihilation(disk64):
     u = ScalarField.constant(disk64, 7.3)
     H = hessian(u, disk64)
     assert np.max(np.abs(H.data)) < 1e-10
+
+
+def test_hessian_of_a_constant_is_exactly_zero_on_full_stencils(
+        disk32, ellipse64, rng):
+    # Where every arm is interior the arms are equal and so are their
+    # weights, and c w0 + c w + c w cancels exactly.  On Shortley-Weller
+    # rows the center weight -(cp + cm) and the three-term sum are rounded:
+    # within 7 u = 3.5 eps of |c| times the largest weight per axis
+    # (u = eps / 2), scaled by the column sums of |to_hessian|.
+    disk48 = build_grid(DomainSpec.disk(1.0), 48)
+    eps = np.finfo(float).eps
+    for g in (disk32, disk48, ellipse64):
+        ops, n = g.second_ops, g.n_interior
+        full = np.all(ops.cols < n, axis=1)
+        largest = np.abs(ops.weights).reshape(n, -1).max(axis=1)
+        scale = np.abs(ops.to_hessian).sum(axis=0)
+        for c in (1.0, *rng.uniform(-100.0, 100.0, 8)):
+            H = hessian(ScalarField.constant(g, c), g).data.reshape(n, -1)
+            assert not np.any(H[full])
+            bound = 4.0 * eps * abs(c) * largest[:, None] * scale
+            assert np.all(np.abs(H[~full]) <= bound[~full])
+            assert np.any(H[~full])  # not exact there
 
 
 def test_hessian_1d_second_derivative(interval64):
@@ -332,7 +355,7 @@ def test_nd_order_is_a_permutation(disk32, disk64, disk128, ellipse32,
 def test_nd_order_is_lazy_cached_and_read_only():
     g = build_grid(DomainSpec.disk(1.0), 32)
     g.second_ops
-    assert g._nd_order is None  # the grid's set-up does not pay for it
+    assert g._cache == {}  # the grid's set-up does not pay for it
     order = g.nd_order
     assert g.nd_order is order
     assert not order.flags.writeable
@@ -340,7 +363,7 @@ def test_nd_order_is_lazy_cached_and_read_only():
         order[0] = order[1]
 
 
-def test_cached_structure_is_built_once_per_grid_on_first_use():
+def test_cached_structure_is_built_once_per_grid_on_first_use(monkeypatch):
     built = []
 
     def build(grid):
@@ -353,6 +376,25 @@ def test_cached_structure_is_built_once_per_grid_on_first_use():
     first = g.cached(build)
     assert g.cached(build) is first and built == [g]
     assert h.cached(build) is not first and built == [g, h]
+
+    # the grid's own structure goes through the same cache
+    for name, builder in (("nd_order", "_nested_dissection"),
+                          ("boundary_fits", "_boundary_fits"),
+                          ("nearest_interior", "_nearest_interior")):
+        built = []
+        real = getattr(mesh, builder)
+
+        def counted(grid, real=real, built=built):
+            built.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(mesh, builder, counted)
+        g, h = (build_grid(DomainSpec.disk(1.0), 16) for _ in range(2))
+        assert built == [] and g._cache == {}
+        first = getattr(g, name)
+        assert getattr(g, name) is first and built == [g]
+        assert getattr(h, name) is not first and built == [g, h]
+        assert g._cache == {counted: first}
 
 
 def test_nd_order_interval_is_none(interval64):
@@ -403,6 +445,29 @@ def test_cofactor_divergence_second_order(disk32, disk64, disk128):
     assert sups[0] > sups[1] > sups[2]
     slope = np.log2(sups[0] / sups[2]) / 2.0
     assert slope > 1.7
+
+
+def test_cofactor_divergence_mask_is_the_full_stencil_core(disk32,
+                                                           ellipse64):
+    # From lattice positions alone: a node is full when its eight lattice
+    # neighbours are interior nodes, and the mask holds where the node and
+    # its four axis neighbours are full.
+    for g in (disk32, ellipse64):
+        a, b = g.domain.semi_axes
+        ij = np.rint((g.interior_points + (a, b)) / (g.hx, g.hy)).astype(int)
+        inside = set(map(tuple, ij))
+
+        def full(i, j):
+            return all((i + di, j + dj) in inside
+                       for di in (-1, 0, 1) for dj in (-1, 0, 1))
+
+        expected = [full(i, j) and all(full(i + di, j + dj) for di, dj
+                                       in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+                    for i, j in ij]
+        U = cofactor(hessian(ScalarField.constant(g, 0.0), g), g)
+        _, mask = cofactor_divergence(U, g)
+        assert np.array_equal(mask, expected)
+        assert 0 < mask.sum() < g.n_interior
 
 
 def test_extend_to_boundary(disk32):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -25,3 +26,18 @@ def test_the_package_does_not_load_scipy_interpolate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_no_module_imports_another_modules_private_names():
+    # A module's underscore names, such as lin_ma's sparsity patterns, stay
+    # behind its public functions.
+    package = Path(abreu_bvp.__file__).resolve().parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{path.name}: from {'.' * node.level}"
+                            f"{node.module or ''} import {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []
