@@ -17,6 +17,13 @@ has min w below w_floor, or when the w-equation solved alone on its last
 u would; if the halving budget runs out on such a step, the run reports
 suspected nonexistence (WFloorError).
 
+An interval takes an exact path instead (`_exact_1d`).  There the cofactor
+is 1, so the system is w'' = t f, u'' = Theta(w): linear and triangular,
+with w affine in t.  Two linear solves give the solution at t = 1, and the
+t at which w first reaches w_floor has a closed form, which is the
+nonexistence verdict's last_good_t.  t_steps, max_step_halvings and w0 do
+nothing on an interval (w0 is still validated).
+
 A 2-d grid finer than _COARSEST_RESOLUTION = 32 does not drive t itself
 (grid sequencing; Deuflhard's nested iteration).  It solves the same
 problem on the grid of half its resolution, recursively, moves that
@@ -45,8 +52,8 @@ from .gfamily import invert_w
 from .lin_ma import (apply_weights, assemble_operator, factorize_coupled,
                      solve_linearized, solve_system, stencil_weights)
 from .ma_dirichlet import MAOptions, damped_newton, solve_ma
-from .mesh import (ScalarField, build_grid, cofactor, det_field, hessian,
-                   is_positive_definite, quadratic_transfer, sym_det)
+from .mesh import (MatrixField, ScalarField, build_grid, cofactor, det_field,
+                   hessian, is_positive_definite, quadratic_transfer, sym_det)
 from .problem import Problem
 
 
@@ -104,6 +111,8 @@ _NEWTON_MAX_ITERS = 30
 def _newton_step(uv, wv, t, problem, opts):
     """Newton on the coupled system at parameter t, from node values (uv, wv).
 
+    2-d grids only; an interval takes `_exact_1d`.
+
     The unknowns are the interior values of u and w, stacked.  The Jacobian
     is exact: the determinant block assembles with cofactor coefficients of
     D²u, and in two dimensions the cofactor pairing is symmetric
@@ -144,10 +153,8 @@ def _newton_step(uv, wv, t, problem, opts):
         # derivative of det D²u.
         _, _, a, theta = state
         d_theta = theta / (gspec.theta - 1.0) / x[n:]
-        c = None  # in one dimension the cofactor is constant
-        if grid.dim == 2:
-            Hw = hessian(ScalarField(grid, np.concatenate([x[n:], wb])), grid)
-            c = stencil_weights(grid, cofactor(Hw, grid))
+        Hw = hessian(ScalarField(grid, np.concatenate([x[n:], wb])), grid)
+        c = stencil_weights(grid, cofactor(Hw, grid))
         return factorize_coupled(grid, a, -d_theta, c)
 
     def cap(x, step):
@@ -231,6 +238,53 @@ def _continuation(problem, opts, wv, trace):
     return uv, wv
 
 
+def _exact_1d(problem, opts, trace):
+    """The (u, w) node values at t = 1 on an interval, by two linear solves.
+
+    With unit coefficients (the cofactor in one dimension), w_1 solves
+    w'' = f with w = psi.  The path in t is then known: w_t = (1 - t) + t w_1
+    solves w'' = t f with w = t psi + (1 - t), so a node with w_1 < 1 meets
+    w_floor at t = (1 - w_floor) / (1 - w_1).  If min w_1, boundary
+    included, is below w_floor, the least such t is the verdict's
+    last_good_t (WFloorError); otherwise u solves u'' = Theta(w_1) with
+    u = phi.  One trace entry, at t = 1, records the outcome; its residual
+    is that of the equations solved, scaled as in `_newton_step`.
+    """
+    grid = problem.grid
+    n = grid.n_interior
+    ones = MatrixField(grid, np.ones((n, 1, 1)))
+    a = stencil_weights(grid, ones)
+
+    def scaled_residual(v, rhs):
+        return (float(np.max(np.abs(apply_weights(grid, a, v) - rhs)))
+                / max(1.0, float(np.max(np.abs(rhs)))))
+
+    wv = solve_linearized(grid, ones, problem.f, problem.psi).values
+    w_min = float(np.min(wv))
+    r = scaled_residual(wv, problem.f.interior)
+    entry = {"t": 1.0, "dt": 1.0, "resolution": grid.resolution,
+             "iterations": 0}
+    if w_min < opts.w_floor:
+        drop = 1.0 - wv
+        t_star = (1.0 - opts.w_floor) / float(np.max(drop))
+        trace.append({**entry, "factorizations": 1, "residual": r,
+                      "w_min": w_min, "converged": False, "floor_hit": True,
+                      "error": f"w at t = 1 has min w = {w_min:.3e} below "
+                               "the floor"})
+        raise WFloorError(
+            f"w reaches the floor {opts.w_floor:.3e} at t = {t_star:.6g}: "
+            "nonexistence (closed form on an interval)",
+            last_good_t=t_star, w_min=float(np.min(1.0 - t_star * drop)),
+            trace=trace)
+    theta = invert_w(problem.gspec, wv)
+    uv = solve_linearized(grid, ones, ScalarField(grid, theta),
+                          problem.phi).values
+    r = max(r, scaled_residual(uv, theta[:n]))
+    trace.append({**entry, "factorizations": 2, "residual": r,
+                  "w_min": w_min, "converged": True, "floor_hit": False})
+    return uv, wv
+
+
 # A 2-d grid finer than this starts from the grid of half its resolution.
 _COARSEST_RESOLUTION = 32
 
@@ -276,13 +330,16 @@ def _from_coarse(problem, opts, wv, trace):
 def _solve(problem, opts, wv, trace):
     """The (u, w) node values at t = 1 from w = wv at t = 0.
 
-    A 2-d grid finer than _COARSEST_RESOLUTION starts from the solution at
+    An interval takes the exact path (`_exact_1d`), which ignores wv.  A
+    2-d grid finer than _COARSEST_RESOLUTION starts from the solution at
     half its resolution (`_from_coarse`).  If that raises a SolverError or
     its step does not converge, the grid runs the continuation itself.
     Each step's entry is appended to `trace`.
     """
     grid = problem.grid
-    if grid.dim == 2 and grid.resolution > _COARSEST_RESOLUTION:
+    if grid.dim == 1:
+        return _exact_1d(problem, opts, trace)
+    if grid.resolution > _COARSEST_RESOLUTION:
         try:
             solved = _from_coarse(problem, opts, wv, trace)
         except SolverError:

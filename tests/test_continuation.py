@@ -95,7 +95,7 @@ def test_1d_negative_source_closed_form():
 
 
 def test_nonexistence_exits_through_the_floor():
-    # beyond the 1-d existence threshold the iterates drive w negative
+    # beyond the 1-d existence threshold w at t = 1 falls below the floor
     g = build_grid(DomainSpec.interval(0.0, 1.0), 64)
     prob = Problem(g, GSpec(0.0, 1), 20.0, 0.0, 1.0)
     with pytest.raises(WFloorError) as ei:
@@ -129,6 +129,99 @@ def test_threshold_verdicts_bracket_the_discrete_threshold(interval64):
         with pytest.raises(WFloorError) as ei:
             solve_second_bvp(prob)
         assert 0.95 * 8.0 <= ei.value.last_good_t * c <= f_star_h
+
+
+ENTRY_KEYS = {"t", "dt", "resolution", "iterations", "factorizations",
+              "residual", "w_min", "converged", "floor_hit"}
+
+
+def closed_form_w1(grid, c):
+    # constant f = c, psi = 1: the discrete w at t = 1 is exact at the nodes
+    x = grid.points[:, 0]
+    return 1.0 - 0.5 * c * x * (1.0 - x)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("c", [9.1287, 9.0322, 8.9690])
+def test_verdicts_just_above_the_threshold(interval64, c, theta):
+    # Sources a little above f* = 8, where halved steps once ended next to
+    # the discrete threshold and Newton stalled: the verdict is exit 4.
+    opts = ContinuationOptions()
+    with pytest.raises(WFloorError) as ei:
+        solve_second_bvp(Problem(interval64, GSpec(theta, 1), c, 0.0, 1.0),
+                         opts)
+    err = ei.value
+    f_star_h = 8.0 / (1.0 - interval64.hx**2)
+    assert 0.95 * 8.0 <= err.last_good_t * c <= f_star_h
+    # w_min is that of w at last_good_t, where w just reaches the floor
+    assert err.w_min == pytest.approx(opts.w_floor, rel=1e-6)
+    [entry] = err.trace
+    assert set(entry) == ENTRY_KEYS | {"error"}
+    assert not entry["converged"] and entry["floor_hit"]
+    assert all(np.isfinite(v) for k, v in entry.items() if k != "error")
+    assert entry["w_min"] == pytest.approx(
+        float(np.min(closed_form_w1(interval64, c))), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_interval_exits_4_exactly_when_w1_crosses_the_floor(interval64,
+                                                           theta):
+    opts = ContinuationOptions()
+    f_star_h = 8.0 / (1.0 - interval64.hx**2)
+    edge = f_star_h * (1.0 - opts.w_floor)  # min w_1 = w_floor here
+    sources = list(np.linspace(7.9, 8.1, 11)) + [edge * (1.0 - 1e-9),
+                                                 edge * (1.0 + 1e-9)]
+    for c in sources:
+        w1 = closed_form_w1(interval64, c)
+        prob = Problem(interval64, GSpec(theta, 1), c, 0.0, 1.0)
+        if np.min(w1) < opts.w_floor:
+            with pytest.raises(WFloorError):
+                solve_second_bvp(prob, opts)
+            continue
+        sol = solve_second_bvp(prob, opts)
+        assert np.max(np.abs(sol.w.values - w1)) <= 1e-12
+        [entry] = sol.iterations
+        assert set(entry) == ENTRY_KEYS
+        assert entry["converged"] and not entry["floor_hit"]
+        assert all(np.isfinite(v) for v in entry.values())
+
+
+def sine_source(x, y):
+    return 2.0 + 2.0 * np.sin(3.0 * x)
+
+
+@pytest.mark.parametrize("source, theta, phi, psi", [
+    (4.0, 0.0, 0.0, 1.0), (7.0, 0.0, 0.0, 1.0), (-30.0, 0.0, 0.0, 1.0),
+    (sine_source, 0.3, [0.2, -0.1], [0.7, 1.4])])
+def test_interval_solution_is_a_fixed_point(interval64, source, theta, phi,
+                                            psi):
+    prob = Problem(interval64, GSpec(theta, 1), source, phi, psi)
+    sol = solve_second_bvp(prob)
+    w_again, u_again = phi_map(sol.w, 1.0, prob, u_init=sol.u)
+    assert np.max(np.abs(w_again.values - sol.w.values)) <= 1e-10
+    assert np.max(np.abs(u_again.values - sol.u.values)) <= 1e-10
+
+
+def test_interval_takes_no_newton_step(interval64, monkeypatch):
+    # The interval's system is linear and triangular: no coupled Newton,
+    # no coupled Jacobian.  The step schedule and w0 change nothing there.
+    def refuse(*args, **kwargs):
+        raise AssertionError("coupled Newton on an interval")
+
+    prob = Problem(interval64, GSpec(0.0, 1), 4.0, 0.0, 1.0)
+    plain = solve_second_bvp(prob)
+    monkeypatch.setattr(continuation, "_newton_step", refuse)
+    monkeypatch.setattr(continuation, "factorize_coupled", refuse)
+    opts = ContinuationOptions(t_steps=1, max_step_halvings=0)
+    sol = solve_second_bvp(prob, opts,
+                           w0=ScalarField.constant(interval64, 2.0))
+    assert np.array_equal(sol.u.values, plain.u.values)
+    assert np.array_equal(sol.w.values, plain.w.values)
+    with pytest.raises(WFloorError):
+        solve_second_bvp(Problem(interval64, GSpec(0.0, 1), 20.0, 0.0, 1.0))
+    # w0 is still validated
+    with pytest.raises(ValueError):
+        solve_second_bvp(prob, w0=ScalarField.constant(interval64, 1e-12))
 
 
 def test_singular_coupled_system_ends_only_its_step(disk32, monkeypatch):
@@ -263,9 +356,9 @@ def test_each_level_of_the_sequence_is_in_the_trace(interval64):
     assert [e["resolution"] for e in trace] == [17] * 10 + [33, 65]
     assert all(e["converged"] for e in trace)
     assert [(e["t"], e["dt"]) for e in trace[-2:]] == [(1.0, 1.0)] * 2
-    # an interval keeps the continuation at any resolution
+    # an interval takes the exact path: one entry, at t = 1
     trace = solve_second_bvp(trivial_problem(interval64)).iterations
-    assert [e["resolution"] for e in trace] == [64] * 10
+    assert [e["resolution"] for e in trace] == [64]
 
 
 def disk48_problem():
