@@ -5,7 +5,9 @@ solver, functional evaluation, the properness probe, and a diagnostics run.
 Every run writes `fields.txt` and/or `report.txt` into the output directory.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure to converge,
-4 detected nonexistence (1D certificate or a positivity-floor breach).
+4 detected nonexistence, a verdict on an interval only: the 1D certificate,
+or w at t = 1 below its floor on the exact path.  A 2-d problem has a
+solution for every f, so a 2-d run never exits 4.
 """
 
 from __future__ import annotations

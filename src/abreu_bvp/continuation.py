@@ -8,14 +8,13 @@ with u = phi and w = t psi + (1 - t) on the boundary, where U is the
 cofactor matrix of D^2 u and Theta inverts G'.  At t = 0 the solution is
 w = 1 (or a given initial w0) with u from one Monge-Ampere solve.  t is
 then driven to 1 in t_steps equal steps; each step is a Newton solve of the
-coupled system on the stacked (u, w) unknowns, started from the previous
+coupled system on the stacked (u, log w) unknowns, started from the previous
 step's solution, by the package's one damped Newton
-(`ma_dirichlet.damped_newton`).  A failed step is retried at half the size,
-within a budget of max_step_halvings halvings for the whole run.  Newton
-keeps w > 0.  A failed step shows the floor (floor_hit) when its last iterate
-has min w below w_floor, or when the w-equation solved alone on its last
-u would; if the halving budget runs out on such a step, the run reports
-suspected nonexistence (WFloorError).
+(`ma_dirichlet.damped_newton`), so w > 0 by construction.  A failed step is
+retried at half the size, within a budget of max_step_halvings halvings
+for the whole run; when that runs out, the run ends in ContinuationError.
+In two dimensions the problem has a solution for every f, so no 2-d step
+gives a nonexistence verdict, and w_floor does not bound w there.
 
 An interval takes an exact path instead (`_exact_1d`).  There the cofactor
 is 1, so the system is w'' = t f, u'' = Theta(w): linear and triangular,
@@ -31,7 +30,7 @@ solution to its own nodes, and takes one Newton step at t = 1 from there:
 by mesh independence, Newton's iteration count does not grow with the
 resolution.  So t_steps, the halvings and w0 act on the coarsest grid.  If
 a coarser grid raises a SolverError, or the fine step does not converge,
-the grid runs the continuation itself, and its verdict is the run's.  Each
+the grid runs the continuation itself, and its outcome is the run's.  Each
 trace entry records the resolution of its grid.
 
 phi_map, one sweep of the splitting (a Monge-Ampere solve, then the linear
@@ -49,8 +48,11 @@ from .exceptions import (ContinuationError, SingularSystemError, SolverError,
                          WFloorError)
 from .functionals import el_residual
 from .gfamily import invert_w
-from .lin_ma import (apply_weights, assemble_operator, factorize_coupled,
-                     solve_linearized, solve_system, stencil_weights)
+from .lin_ma import (apply_weights, factorize_coupled, solve_linearized,
+                     stencil_weights)
+# Not called here: perfbench's tracer test wraps this name as an example of
+# a from-import binding site.
+from .lin_ma import assemble_operator  # noqa: F401
 from .ma_dirichlet import MAOptions, damped_newton, solve_ma
 from .mesh import (MatrixField, ScalarField, build_grid, cofactor, det_field,
                    hessian, is_positive_definite, quadratic_transfer, sym_det)
@@ -113,19 +115,21 @@ def _newton_step(uv, wv, t, problem, opts):
 
     2-d grids only; an interval takes `_exact_1d`.
 
-    The unknowns are the interior values of u and w, stacked.  The Jacobian
-    is exact: the determinant block assembles with cofactor coefficients of
-    D²u, and in two dimensions the cofactor pairing is symmetric
-    (cof(A):B = cof(B):A), so the derivative of U^{ij}w_{ij} in u
-    assembles with cofactor coefficients built from D²w.  `damped_newton`
-    runs the iteration; its steps are cut short so that w stays positive.
-    No residual builds a matrix: the w-equation is `apply_weights` with the
-    u-weights, which the residual keeps for the Jacobian at the same
-    iterate, `lin_ma.factorize_coupled`.
+    The unknowns are the interior values of u and of s = log w, stacked,
+    so w = e^s stays positive with no bound on the step.  The Jacobian is
+    exact: the determinant block assembles with cofactor coefficients of
+    D²u; in s, -Theta(w) has the derivative -Theta/(theta - 1), and the
+    w-equation's block is A diag(w); and in two dimensions the cofactor
+    pairing is symmetric (cof(A):B = cof(B):A), so the derivative of
+    U^{ij}w_{ij} in u assembles with cofactor coefficients built from D²w.
+    `damped_newton` runs the iteration.  No residual builds a matrix: the
+    w-equation is `apply_weights` with the u-weights, which the residual
+    keeps for the Jacobian at the same iterate, `lin_ma.factorize_coupled`.
 
     Returns the final (uv, wv) and the step's outcome for the trace: its
     Newton iterations (chord steps included), factorizations, final scaled
-    residual, min w, and whether it converged or hit the floor.
+    residual, min w, and whether it converged; floor_hit is always False,
+    since no 2-d step gives a nonexistence verdict.
     """
     grid = problem.grid
     n = grid.n_interior
@@ -136,64 +140,46 @@ def _newton_step(uv, wv, t, problem, opts):
     s2 = max(1.0, float(np.max(np.abs(f_int))))
 
     def residual(x):
+        # Far out in s, e^s or Theta(e^s) leaves the floating-point range;
+        # such a trial has residual inf, which the line search rejects.
+        with np.errstate(over="ignore"):
+            w = np.concatenate([np.exp(x[n:]), wb])
+            theta = (invert_w(gspec, w[:n])
+                     if np.all((w > 0.0) & (w < np.inf)) else np.inf)
+        if not np.all(theta < np.inf):
+            return np.inf, None, None
         Hu = hessian(ScalarField(grid, np.concatenate([x[:n], ub])), grid)
-        theta = invert_w(gspec, x[n:])
         U = cofactor(Hu, grid)
         a = stencil_weights(grid, U)
-        F = np.concatenate([
-            sym_det(Hu.data) - theta,
-            apply_weights(grid, a, np.concatenate([x[n:], wb])) - f_int])
+        F = np.concatenate([sym_det(Hu.data) - theta,
+                            apply_weights(grid, a, w) - f_int])
         s1 = max(1.0, float(np.max(theta)))
         r = max(float(np.max(np.abs(F[:n]))) / s1,
                 float(np.max(np.abs(F[n:]))) / s2)
-        return r, F, (Hu, U, a, theta)
+        return r, F, (Hu, a, theta, w)
 
     def jacobian(x, state):
         # The operator with cofactor coefficients of D²u is also the
         # derivative of det D²u.
-        _, _, a, theta = state
-        d_theta = theta / (gspec.theta - 1.0) / x[n:]
-        Hw = hessian(ScalarField(grid, np.concatenate([x[n:], wb])), grid)
-        c = stencil_weights(grid, cofactor(Hw, grid))
-        return factorize_coupled(grid, a, -d_theta, c)
+        _, a, theta, w = state
+        c = stencil_weights(grid, cofactor(hessian(ScalarField(grid, w),
+                                                   grid), grid))
+        return factorize_coupled(grid, a, -theta / (gspec.theta - 1.0), c, w)
 
-    def cap(x, step):
-        # fraction-to-boundary: keep w positive along the step
-        neg = step[n:] < 0.0
-        return min(1.0, 0.995 * float(np.min(x[n:][neg] / -step[n:][neg],
-                                             initial=np.inf)))
-
-    x = np.concatenate([uv[:n], wv[:n]])
-    x, r, F, (Hu, U, _, _), steps, factorizations, exc = damped_newton(
-        x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS, cap)
+    x = np.concatenate([uv[:n], np.log(wv[:n])])
+    x, r, _, (Hu, _, _, _), steps, factorizations, exc = damped_newton(
+        x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS)
     error = (f"singular coupled Jacobian: {exc}"
              if isinstance(exc, SingularSystemError) else None)
     uv = np.concatenate([x[:n], ub])
-    wv = np.concatenate([x[n:], wb])
-    w_min = float(np.min(wv))
-    convex = bool(np.all(is_positive_definite(Hu)))
-    floor_hit = w_min < opts.w_floor
+    wv = np.concatenate([np.exp(x[n:]), wb])
     if error is None and r > _NEWTON_ACCEPT:
         error = f"coupled Newton stalled with scaled residual {r:.3e}"
-    if error is None and floor_hit:
-        error = f"Newton point has min w = {w_min:.3e} below the floor"
-    if error is None and not convex:
+    if error is None and not np.all(is_positive_definite(Hu)):
         error = "coupled Newton left a nonconvex iterate"
-    if error is not None and not floor_hit and convex:
-        # Floor evidence from the w-equation alone on the last u.  Unlike
-        # the coupled step's w-part, its solution stays above the boundary
-        # data where t f <= 0 (maximum principle), so a step that is merely
-        # too long for Newton is not taken for nonexistence.
-        try:
-            A_w = assemble_operator(grid, U)[0]
-            w_alone = wv[:n] - solve_system(A_w, F[n:], grid.nd_order)
-            floor_hit = float(np.min(w_alone)) < opts.w_floor
-        except SingularSystemError:
-            pass  # no evidence either way
     outcome = {"iterations": steps, "factorizations": factorizations,
-               "residual": r, "w_min": w_min,
-               "converged": error is None,
-               "floor_hit": error is not None and floor_hit}
+               "residual": r, "w_min": float(np.min(wv)),
+               "converged": error is None, "floor_hit": False}
     if error is not None:
         outcome["error"] = error
     return uv, wv, outcome
@@ -223,12 +209,6 @@ def _continuation(problem, opts, wv, trace):
             continue
         halvings += 1
         if halvings > opts.max_step_halvings:
-            if outcome["floor_hit"]:
-                raise WFloorError(
-                    f"w-floor breach persisting at t = {t_try:.6g}: "
-                    "suspected nonexistence",
-                    last_good_t=t_reached, w_min=outcome["w_min"],
-                    trace=trace)
             raise ContinuationError(
                 f"no convergence at t = {t_try:.6g} after "
                 f"{opts.max_step_halvings} step halvings "

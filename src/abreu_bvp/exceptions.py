@@ -47,10 +47,11 @@ class ContinuationError(SolverError):
 
 
 class WFloorError(SolverError):
-    """w fell below its positivity floor (in continuation: at every halving).
+    """w fell below its positivity floor.
 
-    Interpreted as suspected nonexistence of a solution (exit code 4 in the
-    command line interface).
+    Raised by `solve_second_bvp` on an interval only, where it is the
+    closed-form nonexistence verdict (exit code 4 in the command line
+    interface), and by `phi_map` for an iterate below the floor.
     """
 
     def __init__(self, message, last_good_t=0.0, w_min=None, trace=None):

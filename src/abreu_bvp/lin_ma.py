@@ -11,15 +11,15 @@ solved by a direct sparse factorization.
 matrix.  Every sparsity pattern on the stencil lives here and is built
 once per grid, on first use (`Grid.cached`): `assemble_operator` fills the
 interior and boundary CSR patterns, and `factorize_coupled` the CSC pattern
-of the coupled (u, w) Newton Jacobian.  The matrices own copies of those
-index arrays; exact zeros are dropped only where present.
+of the coupled (u, log w) Newton Jacobian on a 2-d grid.  The matrices own
+copies of those index arrays; exact zeros are dropped only where present.
 
 `factorize` is the package's one SuperLU call: the Newton solves reuse its
 LU across a line search and across chord steps, and every solve through it
 is checked for a finite solution and a relative residual within
 LINEAR_TOL, one constant for every caller.  On
 a 2-d grid every caller passes the grid's nested-dissection order
-(`Grid.nd_order`, interleaved per node for the coupled (u, w) system), which
+(`Grid.nd_order`, interleaved per node for the coupled system), which
 leaves 30-50 % less LU fill than COLAMD, SuperLU's default, on the 9-point
 stencil; intervals keep COLAMD on their tridiagonal systems.
 """
@@ -165,10 +165,9 @@ class _CoupledPattern(NamedTuple):
     """The CSC pattern of a grid's coupled Jacobian, built once.
 
     `take` gathers the stored values, in CSC order, from the flat
-    concatenation (u-weights, d, w-weights) of two `stencil_weights`
-    arrays and the diagonal block; `order` is the grid's nested-dissection
-    order with each node's u and w unknowns side by side (None for an
-    interval).
+    concatenation (u-weights, d, c-weights, u-weights times w) of the
+    four blocks' data; `order` is the grid's nested-dissection order with
+    each node's two unknowns side by side.
     """
 
     indptr: np.ndarray
@@ -178,13 +177,12 @@ class _CoupledPattern(NamedTuple):
 
 
 def _coupled_pattern(grid: Grid) -> _CoupledPattern:
-    """[[A, diag(d)], [C, A]] on the full interior pattern of A, as CSC.
+    """[[A, diag(d)], [C, A diag(w)]] on the interior pattern of A, as CSC.
 
-    C, the coupling block, is present on a 2-d grid only: in one dimension
-    the cofactor is constant.  Each block holds, as its values, the
-    positions of its entries in the concatenated weights plus 1, so that
-    no position is an explicit zero; one `sp.bmat` lays the blocks out in
-    CSC, and its values less 1 are `take`.
+    2-d grids only.  Each block holds, as its values, the positions of its
+    entries in the concatenated data plus 1, so that no position is an
+    explicit zero; one `sp.bmat` lays the blocks out in CSC, and its
+    values less 1 are `take`.
     """
     split = grid.cached(_operator_split)
     n = grid.n_interior
@@ -195,52 +193,51 @@ def _coupled_pattern(grid: Grid) -> _CoupledPattern:
     def block(values, indices=split.a_indices, indptr=split.a_indptr):
         return sp.csr_matrix((values, indices, indptr), shape=(n, n))
 
-    A = block(at)
-    D = block(size + 1 + rows, rows, np.arange(n + 1))
-    C = block(size + n + at) if grid.dim == 2 else None
-    J = sp.bmat([[A, D], [C, A]], format="csc")
+    J = sp.bmat([[block(at), block(size + 1 + rows, rows, np.arange(n + 1))],
+                 [block(size + n + at), block(2 * size + n + at)]],
+                format="csc")
     p = grid.nd_order
-    order = None if p is None else np.column_stack([p, p + n]).ravel()
     pattern = _CoupledPattern(J.indptr.astype(np.int32),
-                              J.indices.astype(np.int32), J.data - 1, order)
+                              J.indices.astype(np.int32), J.data - 1,
+                              np.column_stack([p, p + n]).ravel())
     for arr in pattern:
-        if arr is not None:
-            arr.setflags(write=False)  # shared by every Jacobian on the grid
+        arr.setflags(write=False)  # shared by every Jacobian on the grid
     return pattern
 
 
-def _coupled_jacobian(grid: Grid, a_weights, d, c_weights=None):
-    """[[A, diag(d)], [C, A]] in CSC form, for the factorization.
+def _coupled_jacobian(grid: Grid, a_weights, d, c_weights, w):
+    """[[A, diag(d)], [C, A diag(w)]] in CSC form, for the factorization.
 
     A and C are the interior blocks of the operators with the
-    `stencil_weights` a_weights and c_weights; c_weights = None leaves C
-    out, as on an interval.  One gather fills the grid's cached pattern.
-    Entries of A and C that are exactly zero are dropped, as
-    `assemble_operator` drops them, and the pattern is compacted only when
-    one is present; d is stored as given.  The matrix owns copies of its
-    index arrays.
+    `stencil_weights` a_weights and c_weights, and w holds node values: the
+    lower-right block is A with each column scaled by w at its node, the
+    u-weights times w on the stencil columns.  One gather fills the grid's
+    cached pattern.  Entries of the three stencil blocks that are exactly
+    zero are dropped, as `assemble_operator` drops them, and the pattern
+    is compacted only when one is present; d is stored as given.  The
+    matrix owns copies of its index arrays.
     """
     pattern = grid.cached(_coupled_pattern)
     n = grid.n_interior
-    parts = [a_weights.ravel(), d]
-    if c_weights is not None:
-        parts.append(c_weights.ravel())
-    values = np.concatenate(parts)
+    values = np.concatenate([
+        a_weights.ravel(), d, c_weights.ravel(),
+        (a_weights * np.asarray(w)[grid.second_ops.cols]).ravel()])
     keep = values != 0.0
     keep[a_weights.size:a_weights.size + n] = True  # d is stored as given
     return _on_pattern(sp.csc_matrix, values[pattern.take], pattern.indptr,
                        pattern.indices, (2 * n, 2 * n), keep[pattern.take])
 
 
-def factorize_coupled(grid: Grid, a_weights, d, c_weights=None):
-    """The checked solve of the coupled Jacobian [[A, diag(d)], [C, A]].
+def factorize_coupled(grid: Grid, a_weights, d, c_weights, w):
+    """The checked solve of the coupled Jacobian of `_coupled_jacobian`.
 
     A and C are the operators with the `stencil_weights` a_weights and
-    c_weights (None: no C, as on an interval).  The matrix fills the
-    grid's cached CSC pattern and is factorized in its cached order, the
-    nested-dissection order with each node's two unknowns side by side.
+    c_weights, and w holds node values (`_coupled_jacobian`).  The matrix
+    fills the grid's cached CSC pattern and is factorized in its cached
+    order, the nested-dissection order with each node's two unknowns side
+    by side.
     """
-    return factorize(_coupled_jacobian(grid, a_weights, d, c_weights),
+    return factorize(_coupled_jacobian(grid, a_weights, d, c_weights, w),
                      grid.cached(_coupled_pattern).order)
 
 

@@ -86,14 +86,13 @@ _DAMPING_MIN = 1e-2
 _THETA_MAX = 0.25
 
 
-def damped_newton(x, residual, jacobian, tol, max_iters, cap=None):
+def damped_newton(x, residual, jacobian, tol, max_iters):
     """Damped Newton for F(x) = 0 from x, until the scaled residual <= tol.
 
     `residual(x)` returns (r, F, state): the scaled residual norm (inf
     rejects x), the residual vector, and what `jacobian(x, state)` needs
     to factorize the Jacobian at x and return its checked solve, as
-    `lin_ma.factorize` does.  `cap(x, step)` optionally bounds the
-    damping of a step.  A trial at damping s is taken by Deuflhard's
+    `lin_ma.factorize` does.  A trial at damping s is taken by Deuflhard's
     natural-monotonicity test: its simplified step J^{-1} F(trial) is at
     most (1 - s/4) times the step.  A Newton iteration drops the live LU
     and calls `jacobian` once; the simplified steps reuse the new LU.
@@ -101,8 +100,8 @@ def damped_newton(x, residual, jacobian, tol, max_iters, cap=None):
     <= _THETA_MAX |step| (sup norms), the simplified step is the next
     iteration: a chord step with the live LU, so no Jacobian and no
     factorization (Deuflhard's NLEQ-ERR).  A chord step is never damped:
-    if it fails the test, or the cap would cut it, Newton refactorizes at
-    the same iterate and takes a Newton step.
+    if it fails the test, Newton refactorizes at the same iterate and
+    takes a Newton step.
 
     Returns (x, r, F, state, steps, factorizations, error) for the last
     accepted iterate, with steps the iterations run (chord steps included,
@@ -123,12 +122,10 @@ def damped_newton(x, residual, jacobian, tol, max_iters, cap=None):
                 factorizations += 1
                 solve = jacobian(x, state)
                 step = solve(-F)
-                s = 1.0 if cap is None else cap(x, step)
                 steps += 1
             else:
-                step, chord, s = chord, None, 1.0
-                if cap is not None and cap(x, step) < 1.0:
-                    continue
+                step, chord = chord, None
+            s = 1.0
             norm = float(np.max(np.abs(step)))
             while s > _DAMPING_MIN:
                 x_try = x + s * step

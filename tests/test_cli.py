@@ -129,6 +129,16 @@ def test_continuation_nonexistence_exits_4(tmp_path, capsys):
     assert "trace:" in report and "floor_hit: true" in report
 
 
+def test_strong_source_on_a_disk_solves(tmp_path):
+    # in two dimensions there is a solution for every f: no exit 4
+    cfg = write(tmp_path, "f1000.cfg", DISK.replace("f = 0", "f = 1000"))
+    out = tmp_path / "f1000"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert "command: solve" in report
+    assert not any(ln.startswith("verdict:") for ln in report.splitlines())
+
+
 def test_solver_failure_exits_3(tmp_path):
     text = DISK.replace("psi = 1", "psi = 1\ng = exp(8*x)")
     text = text.replace("resolution = 16",

@@ -18,9 +18,10 @@ from abreu_bvp import (
 from abreu_bvp import continuation
 from abreu_bvp.exceptions import (ContinuationError, GridResolutionError,
                                   SingularSystemError, WFloorError)
+from abreu_bvp.functionals import el_residual
 from abreu_bvp.lin_ma import (_coupled_jacobian, assemble_operator,
                               stencil_weights)
-from abreu_bvp.mesh import cofactor, hessian
+from abreu_bvp.mesh import cofactor, det_field, hessian
 
 
 def trivial_problem(grid):
@@ -269,61 +270,161 @@ def test_custom_initial_iterate(disk32):
         solve_second_bvp(prob, w0=ScalarField.constant(g, 1e-12))
 
 
-def coupled_jacobian(grid, U, d, W):
+def coupled_jacobian(grid, U, d, W, w):
     # the Jacobian from the coefficient fields rather than their weights
     return _coupled_jacobian(grid, stencil_weights(grid, U), d,
-                             None if W is None else stencil_weights(grid, W))
+                             stencil_weights(grid, W), w)
 
 
-def coupled_reference(grid, U, d, W):
+def coupled_reference(grid, U, d, W, w):
     A = assemble_operator(grid, U)[0]
-    C = None if W is None else assemble_operator(grid, W)[0]
-    return sparse.bmat([[A, sparse.diags(d)], [C, A]], format="csr")
+    C = assemble_operator(grid, W)[0]
+    return sparse.bmat([[A, sparse.diags(d)],
+                        [C, A @ sparse.diags(w[:grid.n_interior])]],
+                       format="csr")
 
 
-def test_coupled_jacobian_matches_bmat(disk32, interval64, rng):
-    # [[A, diag(d)], [C, A]], with W = None a zero block C, filled directly
-    for grid in (disk32, interval64):
-        n = grid.n_interior
-        pts = grid.points
-        coeffs = []
-        for _ in range(2 if grid.dim == 2 else 1):
-            bump = rng.uniform(0.0, 0.1, len(pts))
-            v = ScalarField(grid, (pts**2).sum(axis=1) + bump)
-            coeffs.append(cofactor(hessian(v, grid), grid))
-        U, W = coeffs[0], coeffs[1] if len(coeffs) == 2 else None
+def convex_cofactor(grid, rng):
+    pts = grid.points
+    v = ScalarField(grid, (pts**2).sum(axis=1)
+                    + rng.uniform(0.0, 0.1, len(pts)))
+    return cofactor(hessian(v, grid), grid)
+
+
+def test_coupled_jacobian_matches_bmat(disk32, rng):
+    # [[A, diag(d)], [C, A diag(w)]], filled directly
+    n = disk32.n_interior
+    U, W = convex_cofactor(disk32, rng), convex_cofactor(disk32, rng)
+    d = -rng.uniform(0.5, 2.0, n)
+    w = rng.uniform(1e-6, 2.0, disk32.n_nodes)
+    J = coupled_jacobian(disk32, U, d, W, w)
+    ref = coupled_reference(disk32, U, d, W, w)
+    assert J.shape == ref.shape and J.nnz == ref.nnz
+    assert abs(J - ref).max() == 0.0
+
+
+def test_coupled_jacobian_drops_the_zeros_it_finds(disk32, rng):
+    # Zero coefficients (the cofactor of a linear w) make C all zero;
+    # identity coefficients leave the diagonal arms of A, C and A diag(w)
+    # at zero.
+    n = disk32.n_interior
+    U = convex_cofactor(disk32, rng)
+    identity = MatrixField(disk32, np.tile(np.eye(2), (n, 1, 1)))
+    zero = MatrixField(disk32, np.zeros((n, 2, 2)))
+    w = rng.uniform(1e-6, 2.0, disk32.n_nodes)
+    for U_case, W_case in [(identity, identity), (U, zero)]:
         d = -rng.uniform(0.5, 2.0, n)
-        J = coupled_jacobian(grid, U, d, W)
-        ref = coupled_reference(grid, U, d, W)
+        J = coupled_jacobian(disk32, U_case, d, W_case, w)
+        ref = coupled_reference(disk32, U_case, d, W_case, w)
         assert J.shape == ref.shape and J.nnz == ref.nnz
         assert abs(J - ref).max() == 0.0
+        assert np.all(J.data != 0.0)
+    # a pattern compacted for one call leaves the next one whole
+    J = coupled_jacobian(disk32, U, d, U, w)
+    assert J.nnz == coupled_reference(disk32, U, d, U, w).nnz
 
 
-def test_coupled_jacobian_drops_the_zeros_it_finds(disk32, interval64, rng):
-    # Zero coefficients (the cofactor of a linear w) make C all zero;
-    # identity coefficients leave the diagonal arms of A and C at zero.
-    for grid in (disk32, interval64):
-        n = grid.n_interior
-        pts = grid.points
-        v = ScalarField(grid, (pts**2).sum(axis=1)
-                        + rng.uniform(0.0, 0.1, len(pts)))
-        U = cofactor(hessian(v, grid), grid)
-        identity = MatrixField(grid, np.tile(np.eye(grid.dim),
-                                             (n, 1, 1)))
-        cases = [(identity, identity if grid.dim == 2 else None)]
-        if grid.dim == 2:
-            cases.append((U, MatrixField(grid, np.zeros((n, 2, 2)))))
-        for U_case, W_case in cases:
-            d = -rng.uniform(0.5, 2.0, n)
-            J = coupled_jacobian(grid, U_case, d, W_case)
-            ref = coupled_reference(grid, U_case, d, W_case)
-            assert J.shape == ref.shape and J.nnz == ref.nnz
-            assert abs(J - ref).max() == 0.0
-            assert np.all(J.data != 0.0)
-        # a pattern compacted for one call leaves the next one whole
-        J = coupled_jacobian(grid, U, d, None if grid.dim == 1 else U)
-        assert J.nnz == coupled_reference(grid, U, d,
-                                          None if grid.dim == 1 else U).nnz
+class _Captured(Exception):
+    pass
+
+
+def newton_closures(problem, uv, wv, t, monkeypatch):
+    # The residual and the Jacobian of `_newton_step` at (uv, wv), with
+    # `factorize_coupled` returning its matrix rather than its solve.
+    captured = {}
+
+    def damped_newton(x, residual, jacobian, tol, max_iters):
+        captured.update(x=x, residual=residual, jacobian=jacobian)
+        raise _Captured
+
+    monkeypatch.setattr(continuation, "damped_newton", damped_newton)
+    monkeypatch.setattr(continuation, "factorize_coupled", _coupled_jacobian)
+    with pytest.raises(_Captured):
+        continuation._newton_step(uv, wv, t, problem,
+                                  ContinuationOptions())
+    return captured["x"], captured["residual"], captured["jacobian"]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.25])
+def test_coupled_jacobian_is_the_derivative_in_log_w(disk32, rng, theta,
+                                                      monkeypatch):
+    # J v against the central difference of the residual in (u, log w),
+    # (F(x + eps v) - F(x - eps v)) / (2 eps), at an iterate where w is far
+    # from 1 and from constant, so a wrong diagonal block d or a wrong
+    # column scaling of the lower-right block shows.
+    n = disk32.n_interior
+    pts = disk32.points
+    r2 = (pts**2).sum(axis=1)
+    prob = Problem(disk32, GSpec(theta, 2), 30.0 * (1.0 + pts[:, 0]), 0.0,
+                   1.0)
+    uv = 0.5 * (r2 - 1.0) + 0.05 * np.sin(3.0 * pts[:, 0]) * (1.0 - r2)
+    wv = np.exp(-4.0 * (1.0 - r2) + 0.3 * pts[:, 1])  # boundary: from psi
+    x, residual, jacobian = newton_closures(prob, uv, wv, 0.5, monkeypatch)
+    _, _, state = residual(x)
+    J = jacobian(x, state)
+    eps = 1e-6
+    for _ in range(3):
+        v = rng.standard_normal(x.size)
+        Jv = J @ v
+        diff = (residual(x + eps * v)[1] - residual(x - eps * v)[1]) / (
+            2.0 * eps)
+        for rows in (slice(None, n), slice(n, None)):  # each equation
+            err = np.max(np.abs(diff[rows] - Jv[rows]))
+            assert err <= 1e-6 * np.max(np.abs(Jv[rows]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("jump", [1e6, -1e6, -720.0])
+def test_a_trial_out_of_range_in_log_w_is_rejected(disk32, jump,
+                                                   monkeypatch):
+    # The first Newton step is made huge in log w.  Every trial's e^s
+    # overflows, or underflows to 0, or (at -720) is subnormal, so that
+    # Theta(e^s) = e^-s overflows.  Each trial gets residual inf and is
+    # rejected, with no RuntimeWarning, and the halved step goes on.
+    n = disk32.n_interior
+    real_factorize = continuation.factorize_coupled
+    calls = []
+
+    def factorize_coupled(*args):
+        solve = real_factorize(*args)
+        calls.append(args)
+        if len(calls) > 1:
+            return solve
+
+        def huge(rhs):
+            step = solve(rhs)
+            step[n:] += jump
+            return step
+        return huge
+
+    monkeypatch.setattr(continuation, "factorize_coupled", factorize_coupled)
+    sol = solve_second_bvp(Problem(disk32, GSpec(0.0, 2), 2.0, 0.0, 1.0))
+    failed, halved = sol.iterations[:2]
+    assert not failed["converged"] and not failed["floor_hit"]
+    # one Newton step, whose every trial was rejected: Newton stopped at
+    # its start
+    assert (failed["iterations"], failed["factorizations"]) == (1, 1)
+    assert "stalled" in failed["error"]
+    assert halved["converged"] and halved["dt"] == failed["dt"] / 2
+    assert sol.iterations[-1]["t"] == 1.0
+    assert np.all(np.isfinite(sol.w.values)) and np.min(sol.w.values) > 0.0
+
+
+@pytest.mark.parametrize("grid_name, source", [
+    ("disk32", 600.0), ("disk32", 1000.0), ("disk32", 3000.0),
+    ("disk64", 418.0), ("disk64", 1000.0), ("disk128", 200.0)])
+def test_no_nonexistence_verdict_on_a_2d_grid(grid_name, source, request):
+    # In two dimensions there is a solution for every f.  Each of these
+    # sources once ended in a false exit-4 verdict; each solves, and passes
+    # criterion 4's gates recomputed from u.
+    grid = request.getfixturevalue(grid_name)
+    prob = Problem(grid, GSpec(0.0, 2), source, 0.0, 1.0)
+    sol = solve_second_bvp(prob)
+    el = np.max(np.abs(el_residual(sol.u, prob).interior))
+    assert el <= 1e-4 * source
+    assert np.min(sol.w.values) > 0.0
+    assert np.min(det_field(hessian(sol.u, grid), grid).interior) > 0.0
+    assert all(not e["floor_hit"] for e in sol.iterations)
 
 
 def plain_continuation(problem, monkeypatch):
