@@ -50,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
             ("linma", "solve the linearized equation in cofactor form"),
             ("oracle1d", "quadrature-based 1D reference solve"),
             ("functional", "solve, then evaluate the objective functionals"),
-            ("probe-properness", "scan test functions for coercivity "
-                                 "violations"),
+            ("probe-properness", "decide coercivity on rays of convex "
+                                 "test functions"),
             ("diagnostics", "solve and run the full diagnostics suite")):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, metavar="PATH",

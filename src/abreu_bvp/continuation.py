@@ -169,12 +169,12 @@ def _newton_step(uv, wv, t, problem, opts):
     x = np.concatenate([uv[:n], np.log(wv[:n])])
     x, r, _, (Hu, _, _, _), steps, factorizations, exc = damped_newton(
         x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS)
-    error = (f"singular coupled Jacobian: {exc}"
-             if isinstance(exc, SingularSystemError) else None)
     uv = np.concatenate([x[:n], ub])
     wv = np.concatenate([np.exp(x[n:]), wb])
-    if error is None and r > _NEWTON_ACCEPT:
-        error = f"coupled Newton stalled with scaled residual {r:.3e}"
+    error = None
+    if exc is not None and (r > _NEWTON_ACCEPT
+                            or isinstance(exc, SingularSystemError)):
+        error = f"coupled Newton: {exc}"
     if error is None and not np.all(is_positive_definite(Hu)):
         error = "coupled Newton left a nonconvex iterate"
     outcome = {"iterations": steps, "factorizations": factorizations,

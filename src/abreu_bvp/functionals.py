@@ -3,10 +3,13 @@
 F(u) = int G(det D^2 u) - int u f - (1/n) int_bdy K psi u_nu^n is the
 functional whose Euler-Lagrange equation is the fourth-order problem;
 L(u) collects the non-G terms.  Both are implemented for zero Dirichlet
-data on u only.  The probes sample structural facts used by the theory:
-concavity of t |-> int G(det D^2 u_t) along linear paths, and the growth
-condition L(v) >= lambda int v_nu - C over families of convex test
-functions (a probe can witness failure, never prove the condition).
+data on u only.  Two probes test structural facts used by the theory:
+concavity of t |-> int G(det D^2 u_t), sampled along linear paths, and the
+growth condition L(v) >= lambda int v_nu - C, decided in closed form on
+the rays through a fixed family of convex test functions, the 1-d tent
+included; a family can witness failure, never prove the condition.  With
+psi = 1 on [0, 1] it finds a witness exactly when f >= f*_h = 8/(1 - h^2),
+the discrete threshold; in two dimensions it finds none for any f.
 """
 
 from __future__ import annotations
@@ -170,17 +173,22 @@ def concavity_probe(u0: ScalarField, u1: ScalarField, gspec: GSpec,
 # --- properness ------------------------------------------------------------
 
 
-# The probe's test functions are sampled at these scales, and the skewed
-# parabolas tilt by these fractions of the width (mild, so convexity holds).
-_SCALES = np.geomspace(0.1, 1000.0, 13)
+# The skewed parabolas tilt by these fractions of the width (mild, so
+# convexity holds).
 _SKEWS = (-0.4, 0.4)
+
+# Hessian eigenvalues down to -_PSD_RTOL times the largest |eigenvalue|
+# count as convex: the tent's zero second differences are roundoff.
+_PSD_RTOL = 1e-9
 
 
 def _test_shapes(grid: Grid):
     """Unit-scale (label, ScalarField) test functions vanishing on the
-    boundary: the level function B, B skewed linearly in x, and (-B)^{3/4},
-    whose normal derivative concentrates at the boundary.  Members that
-    are not discretely convex on this grid are dropped."""
+    boundary: the level function B, B skewed linearly in x, (-B)^{3/4},
+    whose normal derivative concentrates at the boundary, and in one
+    dimension the tent |x - c| - width/2, the extremal of the n = 1
+    threshold.  Members that are not discretely convex up to roundoff on
+    this grid are dropped."""
     base = level_bubble(grid)
     xs = grid.points[:, 0]
     if grid.dim == 1:
@@ -193,10 +201,13 @@ def _test_shapes(grid: Grid):
         vals = base * (1.0 + kappa * (xs - center) / width)
         out.append((f"skewed_parabola[{kappa:+g}]", vals))
     out.append(("boundary_layer", -np.maximum(-base, 0.0) ** 0.75))
+    if grid.dim == 1:
+        out.append(("tent", np.abs(xs - center) - 0.5 * width))
     members = []
     for label, vals in out:
         field = ScalarField(grid, vals)
-        if np.all(is_positive_definite(hessian(field, grid))):
+        eig = np.linalg.eigvalsh(hessian(field, grid).data)
+        if np.min(eig) >= -_PSD_RTOL * np.max(np.abs(eig)):
             members.append((label, field))
     return members
 
@@ -206,38 +217,29 @@ class PropernessResult:
     verdict: str
     lambda_hat: float
     c_hat: float
-    witnesses: tuple  # (lambda, shape label) pairs
+    witnesses: tuple  # (lambda bound, shape label) pairs
 
     @property
     def violation_found(self) -> bool:
         return self.verdict.startswith("not proper")
 
 
-# The growth rates lambda tested, in increasing order.
-_LAMBDAS = tuple(float(2.0**k) for k in range(-10, 11))
-
-# A tail shrinking by at least this factor per scale step (the sweep step is
-# ~2.15x) separates genuinely unbounded decay from the slowing descent ahead
-# of a parabola vertex.
-_WITNESS_GROWTH = 1.8
-
-
-def _tail_witness(g: np.ndarray) -> bool:
-    tail = g[-4:]
-    return (bool(np.all(np.diff(tail) < 0.0)) and tail[-1] < 0.0
-            and tail[-2] < 0.0 and tail[-1] <= _WITNESS_GROWTH * tail[-2])
-
-
 def properness_probe(problem: Problem) -> PropernessResult:
-    """Search for scaling sequences along which L(v) - lambda int v_nu
-    is unbounded below.
+    """Decide L(v) >= lambda int v_nu - C on the rays s V, s >= 0, through
+    the test functions V of `_test_shapes`.
 
-    The test functions are the fixed family of `_test_shapes`, scaled by
-    0.1 to 1000 in 13 geometric steps, and lambda runs over 2^-10 .. 2^10.
-    A witness at every tested lambda means the growth condition fails on
-    this family ("not proper").  Otherwise the largest witness-free lambda
-    is reported together with the offset C making L(v) >= lambda int v_nu - C
-    hold on every sampled member.
+    On a ray, L(sV) - lambda s int V_nu = (p - lambda r) s + q s^n with
+    p = int V f, q = (1/n) int_bdy K psi V_nu^n and r = int_bdy V_nu > 0, so
+    each shape bounds lambda in closed form, and lambda_hat is the least
+    bound.  In one dimension it is (p + q)/r; with psi = 1 on [0, 1] the
+    tent's p + q vanishes at f*_h = 8/(1 - h^2), the exact 1-d path's
+    threshold.  In two dimensions psi > 0 gives q > 0 and bound +inf.
+
+    lambda_hat <= 0 is "not proper", with lambda_hat and c_hat NaN.
+    Otherwise c_hat is the least C making the condition hold at lambda_hat
+    on the family: 0 in one dimension, inf with lambda_hat = inf.
+    witnesses lists (bound, label) for each shape with a bound below +inf,
+    which breaks the condition for every lambda above it.
     """
     _require_zero_phi(problem, "properness_probe")
     grid = problem.grid
@@ -246,32 +248,24 @@ def properness_probe(problem: Problem) -> PropernessResult:
     if not shapes:
         raise ValueError("test function family is empty on this grid")
 
-    rows = []  # (label, L values over scales, int v_nu values over scales)
+    rays = []  # (bound, label): the ray is bounded below iff lambda <= bound
     for label, V in shapes:
         v_nu = boundary_normal_derivative(V, grid)
         p = integrate_interior(V.values * problem.f.values, grid)
         q = integrate_boundary(
             grid.boundary_curvature * problem.psi * v_nu**n, grid) / n
         r = integrate_boundary(v_nu, grid)
-        rows.append((label, p * _SCALES + q * _SCALES**n, r * _SCALES))
+        bound = ((p + q) / r if n == 1 else
+                 math.copysign(math.inf, q) if q != 0.0 else p / r)
+        rays.append((bound, label))
 
-    witnesses = []
-    lambda_hat = None
-    for lam in _LAMBDAS:
-        found = None
-        for label, L_vals, I_vals in rows:
-            if _tail_witness(L_vals - lam * I_vals):
-                found = label
-                break
-        if found is None:
-            lambda_hat = lam
-        else:
-            witnesses.append((lam, found))
-
-    if lambda_hat is None:
+    lambda_hat = min(bound for bound, _ in rays)
+    witnesses = tuple(ray for ray in rays if ray[0] < math.inf)
+    if lambda_hat <= 0.0:
         return PropernessResult("not proper (witness found)", math.nan,
-                                math.nan, tuple(witnesses))
-    deficits = [lambda_hat * I_vals - L_vals for _, L_vals, I_vals in rows]
-    c_hat = max(0.0, float(np.max(deficits)))
+                                math.nan, witnesses)
+    # A finite lambda_hat comes from rays linear in s (2-d rays have q > 0,
+    # as psi > 0), and each is >= 0 at lambda_hat: no offset is needed.
+    c_hat = 0.0 if lambda_hat < math.inf else math.inf
     return PropernessResult("no violation found", lambda_hat, c_hat,
-                            tuple(witnesses))
+                            witnesses)

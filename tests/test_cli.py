@@ -196,6 +196,22 @@ def test_probe_properness_subcommand(tmp_path, capsys):
     assert "lambda_hat: 1" in rep
 
 
+def test_probe_properness_follows_the_dimension(tmp_path, capsys):
+    # Just above f* = 8 on the interval the tent is a witness; on the disk
+    # no source makes the probe find one.
+    cfg = write(tmp_path, "c9.cfg", INTERVAL.format(f=9))
+    assert main(["probe-properness", "--config", cfg,
+                 "--out", str(tmp_path / "p9")]) == 0
+    assert "not proper" in capsys.readouterr().out
+
+    hot = write(tmp_path, "disk.cfg", DISK.replace("f = 0", "f = 1e5"))
+    assert main(["probe-properness", "--config", hot,
+                 "--out", str(tmp_path / "disk")]) == 0
+    assert "no violation found" in capsys.readouterr().out
+    rep = (tmp_path / "disk" / "report.txt").read_text()
+    assert "lambda_hat: inf" in rep
+
+
 def test_diagnostics_subcommand(tmp_path):
     cfg = write(tmp_path, "disk.cfg", DISK)
     out = tmp_path / "diag"

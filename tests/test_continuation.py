@@ -404,10 +404,23 @@ def test_a_trial_out_of_range_in_log_w_is_rejected(disk32, jump,
     # one Newton step, whose every trial was rejected: Newton stopped at
     # its start
     assert (failed["iterations"], failed["factorizations"]) == (1, 1)
-    assert "stalled" in failed["error"]
+    assert "no damping above" in failed["error"]
     assert halved["converged"] and halved["dt"] == failed["dt"] / 2
     assert sol.iterations[-1]["t"] == 1.0
     assert np.all(np.isfinite(sol.w.values)) and np.min(sol.w.values) > 0.0
+
+
+def test_a_step_out_of_newton_iterations_says_so(disk32, monkeypatch):
+    # A step that runs out of its Newton budget records that reason, not a
+    # generic stall.
+    monkeypatch.setattr(continuation, "_NEWTON_MAX_ITERS", 1)
+    prob = Problem(disk32, GSpec(0.0, 2), 50.0, 0.0, 1.0)
+    try:
+        trace = solve_second_bvp(prob).iterations
+    except ContinuationError as exc:
+        trace = exc.trace
+    failed = next(entry for entry in trace if not entry["converged"])
+    assert "no convergence in 1 Newton iterations" in failed["error"]
 
 
 @pytest.mark.parametrize("grid_name, source", [

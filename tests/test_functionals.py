@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from abreu_bvp import (
+    ContinuationOptions,
     DomainSpec,
     GSpec,
     Problem,
@@ -13,8 +14,9 @@ from abreu_bvp import (
     eval_L,
     gradient_check,
     properness_probe,
+    solve_second_bvp,
 )
-from abreu_bvp.exceptions import ConvexityLossError
+from abreu_bvp.exceptions import ConvexityLossError, WFloorError
 
 
 def paraboloid(grid, scale=0.5):
@@ -224,3 +226,39 @@ def test_properness_disk_strong_source(disk32):
     assert res.verdict == "no violation found"
     assert res.lambda_hat > 0.0
     assert res.c_hat >= 0.0
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_properness_interval_agrees_with_the_exact_path(interval64, theta):
+    # With psi = 1 the tent |x - 1/2| - 1/2 is a witness exactly from the
+    # discrete threshold f*_h = 8/(1 - h^2) on, where the exact 1-d path
+    # gives its nonexistence verdict.  The one band where the two may
+    # differ is (f*_h (1 - w_floor), f*_h], 8e-6 wide: there min w_1 is
+    # already below w_floor (exit 4), while the tent's
+    # p + q = 2 - f (1 - h^2)/4 is still positive.  The sweep stays out.
+    opts = ContinuationOptions()
+    f_star_h = 8.0 / (1.0 - interval64.hx**2)
+    sources = list(np.linspace(7.9, 8.1, 11)) + [
+        -30.0, 0.0, 4.0, 7.99, 8.0022, 8.01, 9.0, 11.9, 12.1, 20.0, 100.0,
+        f_star_h * (1.0 - 2e-6), f_star_h * (1.0 + 1e-9)]
+    for c in sources:
+        assert not f_star_h * (1.0 - opts.w_floor) < c <= f_star_h
+        prob = Problem(interval64, GSpec(theta, 1), c, 0.0, 1.0)
+        try:
+            solve_second_bvp(prob, opts)
+            exists = True
+        except WFloorError:
+            exists = False
+        assert properness_probe(prob).violation_found == (not exists), c
+
+
+@pytest.mark.parametrize("grid_name", ["disk32", "ellipse32"])
+def test_properness_2d_finds_no_witness(grid_name, request):
+    # In two dimensions psi > 0 makes every ray's q s^2 term win: the
+    # growth condition holds for every lambda, whatever f.
+    grid = request.getfixturevalue(grid_name)
+    for c in (-1e3, 0.0, 50.0, 1e4, 1e5):
+        res = properness_probe(Problem(grid, GSpec(0.0, 2), c, 0.0, 1.0))
+        assert res.verdict == "no violation found", c
+        assert res.lambda_hat == np.inf
+        assert res.witnesses == ()

@@ -41,3 +41,29 @@ def test_no_module_imports_another_modules_private_names():
                             for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # No linter runs on the package, so this keeps rewrites from leaving
+    # imports behind.  The one exception: continuation binds lin_ma's
+    # assemble_operator for perfbench's test of from-import binding sites;
+    # drop it here once that test names a live binding.
+    package = Path(abreu_bvp.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0]
+                             for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported
+                   if name not in used]
+    assert unused == ["continuation.assemble_operator"]
