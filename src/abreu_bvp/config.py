@@ -53,8 +53,8 @@ class RunConfig:
     output_dir: object  # str or None
     base_dir: str
 
-    def make_grid(self, resolution: int = None) -> Grid:
-        return build_grid(self.domain, resolution or self.resolution)
+    def make_grid(self) -> Grid:
+        return build_grid(self.domain, self.resolution)
 
     def f_field(self, grid: Grid) -> ScalarField:
         if isinstance(self.f_spec, str):
@@ -230,23 +230,18 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         raise ConfigError("resolution must be at least 4",
                           reader.line_of("solver", "resolution"))
 
+    # Only the keys the file sets are passed: the option classes hold the
+    # defaults.
+    def given(*keys):
+        return {key: reader.get("solver", key, conv)
+                for key, conv in keys if reader.has("solver", key)}
+
     try:
-        ma = MAOptions(
-            newton_tol=reader.get("solver", "newton_tol", float,
-                                  MAOptions.newton_tol),
-            max_newton_iters=reader.get("solver", "max_newton_iters", _to_int,
-                                        MAOptions.max_newton_iters),
-        )
+        ma = MAOptions(**given(("newton_tol", float),
+                               ("max_newton_iters", _to_int)))
         cont = ContinuationOptions(
-            t_steps=reader.get("solver", "t_steps", _to_int,
-                               ContinuationOptions.t_steps),
-            w_floor=reader.get("solver", "w_floor", float,
-                               ContinuationOptions.w_floor),
-            max_step_halvings=reader.get("solver", "max_step_halvings",
-                                         _to_int,
-                                         ContinuationOptions.max_step_halvings),
-            ma=ma,
-        )
+            ma=ma, **given(("t_steps", _to_int), ("w_floor", float),
+                           ("max_step_halvings", _to_int)))
     except ValueError as exc:
         raise ConfigError(f"invalid solver option: {exc}") from exc
 

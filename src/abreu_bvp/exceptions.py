@@ -2,7 +2,15 @@
 
 
 class SolverError(RuntimeError):
-    """Base class for numerical failures (nonconvergence, singular systems)."""
+    """Base class for numerical failures (nonconvergence, singular systems).
+
+    `trace` is the failing solver's record of its steps (Newton's
+    iterations, or the continuation's t-steps), empty if it kept none.
+    """
+
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = list(trace) if trace is not None else []
 
 
 class DomainError(ValueError):
@@ -24,26 +32,17 @@ class SingularSystemError(SolverError):
 class NewtonDivergenceError(SolverError):
     """Newton iteration failed to reach the residual tolerance."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
-
 
 class ConvexityLossError(SolverError):
     """Damping could not restore a convex iterate."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
 
 
 class ContinuationError(SolverError):
     """Outer continuation failed to converge after step halving."""
 
     def __init__(self, message, last_good_t=0.0, trace=None):
-        super().__init__(message)
+        super().__init__(message, trace)
         self.last_good_t = last_good_t
-        self.trace = list(trace) if trace is not None else []
 
 
 class WFloorError(SolverError):
@@ -55,10 +54,9 @@ class WFloorError(SolverError):
     """
 
     def __init__(self, message, last_good_t=0.0, w_min=None, trace=None):
-        super().__init__(message)
+        super().__init__(message, trace)
         self.last_good_t = last_good_t
         self.w_min = w_min
-        self.trace = list(trace) if trace is not None else []
 
 
 class ExpressionError(ValueError):

@@ -184,11 +184,13 @@ _PSD_RTOL = 1e-9
 
 def _test_shapes(grid: Grid):
     """Unit-scale (label, ScalarField) test functions vanishing on the
-    boundary: the level function B, B skewed linearly in x, (-B)^{3/4},
+    boundary: the level function B, B skewed linearly in x, -(-B)^{3/4},
     whose normal derivative concentrates at the boundary, and in one
     dimension the tent |x - c| - width/2, the extremal of the n = 1
     threshold.  Members that are not discretely convex up to roundoff on
-    this grid are dropped."""
+    this grid are dropped: -(-B)^{3/4} is dropped on disk64, disk128 and
+    the (1.5, 0.75) ellipse at 64, so the 2-d family shrinks with the
+    resolution."""
     base = level_bubble(grid)
     xs = grid.points[:, 0]
     if grid.dim == 1:

@@ -112,14 +112,6 @@ class DomainSpec:
         return 2.0 * max(a, b)
 
     @property
-    def min_boundary_curvature(self) -> float:
-        """Positive lower bound for the boundary curvature (1.0 for n = 1)."""
-        if self.kind == "interval":
-            return 1.0
-        a, b = self.semi_axes
-        return min(a / b**2, b / a**2)
-
-    @property
     def measure(self) -> float:
         """Length of the interval, or area of the disk/ellipse."""
         if self.kind == "interval":

@@ -11,8 +11,8 @@ from .mesh import DomainSpec, Grid, ScalarField
 class Problem:
     """One instance of the coupled problem: (domain, G-family, f, phi, psi).
 
-    f is the source field on the grid, phi the Dirichlet data for u, psi the
-    strictly positive Dirichlet data for w.
+    f is the finite source field on the grid, phi the finite Dirichlet data
+    for u, psi the strictly positive Dirichlet data for w.
     """
 
     __slots__ = ("grid", "gspec", "f", "phi", "psi")
@@ -28,6 +28,8 @@ class Problem:
                             * np.ones(grid.n_nodes))
         if f.grid is not grid:
             raise ValueError("f lives on a different grid")
+        if not np.isfinite(f.values).all():
+            raise ValueError("f must be finite")
         phi = np.asarray(phi, dtype=float) * np.ones(grid.n_boundary)
         psi = np.asarray(psi, dtype=float) * np.ones(grid.n_boundary)
         if not np.all(np.isfinite(phi)):

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import abreu_bvp
+from abreu_bvp import DomainSpec, build_grid
 from abreu_bvp.cli import main
-from abreu_bvp.fileio import read_fields
+from abreu_bvp.fileio import read_fields, write_node_table
 
 DISK = """\
 [domain]
@@ -139,12 +146,79 @@ def test_strong_source_on_a_disk_solves(tmp_path):
     assert not any(ln.startswith("verdict:") for ln in report.splitlines())
 
 
-def test_solver_failure_exits_3(tmp_path):
-    text = DISK.replace("psi = 1", "psi = 1\ng = exp(8*x)")
-    text = text.replace("resolution = 16",
-                        "resolution = 16\nmax_newton_iters = 1")
-    cfg = write(tmp_path, "hard.cfg", text)
-    assert main(["ma", "--config", cfg, "--out", str(tmp_path / "h")]) == 3
+HARD_MA = (DISK.replace("psi = 1", "psi = 1\ng = exp(8*x)")
+           .replace("resolution = 16", "resolution = 16\nmax_newton_iters = 1"))
+
+
+def test_solver_failure_exits_3(tmp_path, capsys):
+    # The failed run's report replaces the one an earlier run left.
+    out = tmp_path / "h"
+    disk = write(tmp_path, "disk.cfg", DISK)
+    assert main(["solve", "--config", disk, "--out", str(out)]) == 0
+    cfg = write(tmp_path, "hard.cfg", HARD_MA)
+    assert main(["ma", "--config", cfg, "--out", str(out)]) == 3
+    message = "no convergence in 1 Newton iterations"
+    assert message in capsys.readouterr().err
+    lines = (out / "report.txt").read_text().splitlines()
+    assert "command: ma" in lines and "command: solve" not in lines
+    assert "verdict: solver failure" in lines
+    assert any(ln.startswith("message: ") and message in ln for ln in lines)
+    # Newton's own record: one entry per iteration
+    assert "trace:" in lines and "    iter: 1" in lines
+
+
+def test_continuation_failure_reports_its_trace(tmp_path, capsys):
+    text = (DISK.replace("f = 0", "f = -30")
+            .replace("resolution = 16", "resolution = 32\nt_steps = 1\n"
+                     "max_step_halvings = 2"))
+    cfg = write(tmp_path, "fail.cfg", text)
+    out = tmp_path / "fail"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert "after 2 step halvings" in capsys.readouterr().err
+    lines = (out / "report.txt").read_text().splitlines()
+    assert "command: solve" in lines and "verdict: solver failure" in lines
+    assert any(ln.startswith("message: no convergence at t = 0.25")
+               for ln in lines)
+    assert "last_good_t: 0.0" in lines
+    block = lines[lines.index("continuation:"):]
+    assert block[1:3] == ["  steps: 3", "  trace:"]
+    entries = [ln.strip() for ln in block[3:] if ln.startswith("      ")]
+    assert [e for e in entries if e.startswith("t: ")] == [
+        "t: 1.0", "t: 0.5", "t: 0.25"]
+    assert "converged: true" not in entries
+    errors = [e for e in entries if e.startswith("error: coupled Newton: ")]
+    assert len(errors) == 3
+
+
+def test_a_non_finite_table_source_exits_2(tmp_path, capsys):
+    grid = build_grid(DomainSpec.disk(1.0), 16)
+    f = np.full(grid.n_nodes, 2.0)
+    f[3] = np.nan
+    write_node_table(tmp_path / "f.tab", grid.points, f)
+    cfg = write(tmp_path, "nan.cfg", DISK.replace("f = 0", "f = @f.tab"))
+    out = tmp_path / "nan"
+    for command in ("solve", "linma"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "f must be finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_the_console_entry_point_exits_with_the_run_status(tmp_path):
+    # Runs the module as a shell would: each run replaces the report of
+    # the one before in the shared output directory.
+    src = str(Path(abreu_bvp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = tmp_path / "out"
+    for command, text, status in (
+            ("solve", DISK, 0), ("ma", HARD_MA, 3),
+            ("diagnostics", INTERVAL.format(f=20), 4)):
+        cfg = write(tmp_path, f"{command}.cfg", text)
+        run = subprocess.run(
+            [sys.executable, "-m", "abreu_bvp.cli", command, "--config", cfg,
+             "--out", str(out)], env=env, capture_output=True, text=True)
+        assert run.returncode == status, run.stderr
+        lines = (out / "report.txt").read_text().splitlines()
+        assert f"command: {command}" in lines
 
 
 def test_ma_and_linma_subcommands(tmp_path):

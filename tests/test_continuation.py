@@ -505,6 +505,28 @@ def test_failed_fine_step_falls_back_to_the_continuation(monkeypatch):
     assert sol.iterations[len(coarse) + 1:] == plain.iterations
 
 
+def test_a_fine_step_that_fails_falls_back_on_its_own():
+    # No failure injected: on ellipse40 with f = 1000(1 + 0.3x - 0.2y) the
+    # step at t = 1 from the resolution-20 solution finds no damping, and
+    # the resolution-40 continuation then reaches t = 1.
+    grid = build_grid(DomainSpec.ellipse(1.5, 0.75), 40)
+    prob = Problem(grid, GSpec(0.0, 2),
+                   lambda x, y: 1000.0 * (1.0 + 0.3 * x - 0.2 * y), 0.0, 1.0)
+    sol = solve_second_bvp(prob)
+    trace = sol.iterations
+    assert [e["resolution"] for e in trace] == [20] * 10 + [40] * 11
+    failed = trace[10]
+    assert (failed["t"], failed["dt"], failed["converged"]) == (1.0, 1.0,
+                                                                False)
+    assert all(e["converged"] and e["dt"] < 1.0 for e in trace[11:])
+    assert trace[-1]["t"] == 1.0
+    # criterion 4's gates, recomputed from u
+    el = np.max(np.abs(el_residual(sol.u, prob).interior))
+    assert el <= 1e-4 * 1000.0
+    assert np.min(sol.w.values) > 0.0
+    assert np.min(det_field(hessian(sol.u, grid), grid).interior) > 0.0
+
+
 @pytest.mark.parametrize("failure", ["grid", "continuation"])
 def test_coarse_solver_error_falls_back_to_the_continuation(failure,
                                                             monkeypatch):
@@ -533,6 +555,19 @@ def test_coarse_solver_error_falls_back_to_the_continuation(failure,
     assert [e["resolution"] for e in sol.iterations[:failed]] == [24] * failed
     assert not any(e["converged"] for e in sol.iterations[:failed])
     assert sol.iterations[failed:] == plain.iterations
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("grid_name", ["disk16", "interval64"])
+def test_a_non_finite_source_is_rejected(grid_name, bad, request):
+    # One bad node would otherwise reach the solver: on a disk the coupled
+    # residual's max() skips a NaN row and reports convergence.
+    grid = (build_grid(DomainSpec.disk(1.0), 16) if grid_name == "disk16"
+            else request.getfixturevalue(grid_name))
+    f = np.full(grid.n_nodes, 2.0)
+    f[grid.n_interior // 2] = bad
+    with pytest.raises(ValueError, match="f must be finite"):
+        Problem(grid, GSpec(0.0, grid.dim), ScalarField(grid, f), 0.0, 1.0)
 
 
 def test_options_validation():

@@ -40,13 +40,10 @@ def test_domain_geometry_constants():
     disk = DomainSpec.disk(2.0)
     assert disk.diameter == pytest.approx(4.0)
     assert disk.measure == pytest.approx(4.0 * np.pi)
-    assert disk.min_boundary_curvature == pytest.approx(0.5)
 
     ell = DomainSpec.ellipse(2.0, 1.0)
     assert ell.diameter == pytest.approx(4.0)
     assert ell.measure == pytest.approx(2.0 * np.pi)
-    # flattest point of an ellipse is the end of the minor axis: kappa = b/a^2
-    assert ell.min_boundary_curvature == pytest.approx(1.0 / 4.0)
 
     iv = DomainSpec.interval(-1.0, 3.0)
     assert iv.diameter == pytest.approx(4.0)
