@@ -4,8 +4,9 @@ Subcommands cover the full solve, the two inner solvers, the 1D reference
 solver, functional evaluation, the properness probe, and a diagnostics run.
 A subcommand's handler returns what it computed and writes nothing; `main`
 alone writes it into the output directory: `report.txt` for every run past
-its configuration, `fields.txt` for a run that computed fields, and one
-line, on stdout for success and on stderr otherwise.
+its configuration, `fields.txt` for a run that computed fields (a run that
+computed none removes an earlier run's), and one line, on stdout for
+success and on stderr otherwise.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 solver
 failure to converge (a report with verdict "solver failure"), 4 detected
@@ -250,8 +251,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SolverError as exc:
         outcome = _failure(exc)
+    fields = os.path.join(outdir, "fields.txt")
     if outcome.fields is not None:
-        write_fields(os.path.join(outdir, "fields.txt"), *outcome.fields)
+        write_fields(fields, *outcome.fields)
+    elif os.path.exists(fields):  # never pair the report with another run's
+        os.remove(fields)
     write_report(os.path.join(outdir, "report.txt"), {
         "command": args.command,
         "domain": {"kind": cfg.domain.kind,

@@ -18,10 +18,11 @@ gives a nonexistence verdict, and w_floor does not bound w there.
 
 An interval takes an exact path instead (`_exact_1d`).  There the cofactor
 is 1, so the system is w'' = t f, u'' = Theta(w): linear and triangular,
-with w affine in t.  Two linear solves give the solution at t = 1, and the
-t at which w first reaches w_floor has a closed form, which is the
-nonexistence verdict's last_good_t.  t_steps, max_step_halvings and w0 do
-nothing on an interval (w0 is still validated).
+with w affine in t.  One LU of the unit operator, with two solves, gives
+the solution at t = 1, and the t at which w first reaches w_floor has a
+closed form, which is the nonexistence verdict's last_good_t.  t_steps,
+max_step_halvings and w0 do nothing on an interval (w0 is still
+validated).
 
 A 2-d grid finer than _COARSEST_RESOLUTION = 32 does not drive t itself
 (grid sequencing; Deuflhard's nested iteration).  It solves the same
@@ -44,15 +45,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimates import DiagnosticsReport, standard_diagnostics
-from .exceptions import (ContinuationError, SingularSystemError, SolverError,
-                         WFloorError)
+from .exceptions import ContinuationError, SolverError, WFloorError
 from .functionals import el_residual
 from .gfamily import invert_w
-from .lin_ma import (apply_weights, factorize_coupled, solve_linearized,
-                     stencil_weights)
-# Not called here: perfbench's tracer test wraps this name as an example of
-# a from-import binding site.
-from .lin_ma import assemble_operator  # noqa: F401
+from .lin_ma import (apply_weights, assemble_operator, factorize,
+                     factorize_coupled, solve_linearized, stencil_weights)
 from .ma_dirichlet import MAOptions, damped_newton, solve_ma
 from .mesh import (MatrixField, ScalarField, build_grid, cofactor, det_field,
                    hessian, is_positive_definite, quadratic_transfer, sym_det)
@@ -106,7 +103,6 @@ def phi_map(w: ScalarField, t: float, problem: Problem,
 
 
 _NEWTON_TOL = 1e-11       # scaled coupled residual that ends a step
-_NEWTON_ACCEPT = 1e-8     # still converged if the line search stalls here
 _NEWTON_MAX_ITERS = 30
 
 
@@ -128,8 +124,10 @@ def _newton_step(uv, wv, t, problem, opts):
 
     Returns the final (uv, wv) and the step's outcome for the trace: its
     Newton iterations (chord steps included), factorizations, final scaled
-    residual, min w, and whether it converged; floor_hit is always False,
-    since no 2-d step gives a nonexistence verdict.
+    residual, min w, and whether it converged: exactly when
+    `damped_newton` returns no error and the final D²u is positive
+    definite.  floor_hit is always False, since no 2-d step gives a
+    nonexistence verdict.
     """
     grid = problem.grid
     n = grid.n_interior
@@ -171,10 +169,7 @@ def _newton_step(uv, wv, t, problem, opts):
         x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS)
     uv = np.concatenate([x[:n], ub])
     wv = np.concatenate([np.exp(x[n:]), wb])
-    error = None
-    if exc is not None and (r > _NEWTON_ACCEPT
-                            or isinstance(exc, SingularSystemError)):
-        error = f"coupled Newton: {exc}"
+    error = None if exc is None else f"coupled Newton: {exc}"
     if error is None and not np.all(is_positive_definite(Hu)):
         error = "coupled Newton left a nonconvex iterate"
     outcome = {"iterations": steps, "factorizations": factorizations,
@@ -219,7 +214,7 @@ def _continuation(problem, opts, wv, trace):
 
 
 def _exact_1d(problem, opts, trace):
-    """The (u, w) node values at t = 1 on an interval, by two linear solves.
+    """The (u, w) node values at t = 1 on an interval: one LU, two solves.
 
     With unit coefficients (the cofactor in one dimension), w_1 solves
     w'' = f with w = psi.  The path in t is then known: w_t = (1 - t) + t w_1
@@ -227,28 +222,32 @@ def _exact_1d(problem, opts, trace):
     w_floor at t = (1 - w_floor) / (1 - w_1).  If min w_1, boundary
     included, is below w_floor, the least such t is the verdict's
     last_good_t (WFloorError); otherwise u solves u'' = Theta(w_1) with
-    u = phi.  One trace entry, at t = 1, records the outcome; its residual
-    is that of the equations solved, scaled as in `_newton_step`.
+    u = phi.  Both are solves with the one unit operator (A, B) of
+    `assemble_operator`, and A's one LU serves both.  One trace entry, at
+    t = 1, records the outcome; its residual is that of the equations
+    solved, scaled as in `_newton_step`.
     """
     grid = problem.grid
     n = grid.n_interior
-    ones = MatrixField(grid, np.ones((n, 1, 1)))
-    a = stencil_weights(grid, ones)
+    A, B = assemble_operator(grid, MatrixField(grid, np.ones((n, 1, 1))))
+    solve = factorize(A)
 
-    def scaled_residual(v, rhs):
-        return (float(np.max(np.abs(apply_weights(grid, a, v) - rhs)))
-                / max(1.0, float(np.max(np.abs(rhs)))))
+    def dirichlet(rhs, boundary):
+        # node values of the solution and its scaled residual
+        v = solve(rhs - B @ boundary)
+        r = (float(np.max(np.abs(A @ v + B @ boundary - rhs)))
+             / max(1.0, float(np.max(np.abs(rhs)))))
+        return np.concatenate([v, boundary]), r
 
-    wv = solve_linearized(grid, ones, problem.f, problem.psi).values
+    wv, r = dirichlet(problem.f.interior, problem.psi)
     w_min = float(np.min(wv))
-    r = scaled_residual(wv, problem.f.interior)
     entry = {"t": 1.0, "dt": 1.0, "resolution": grid.resolution,
-             "iterations": 0}
+             "iterations": 0, "factorizations": 1}
     if w_min < opts.w_floor:
         drop = 1.0 - wv
         t_star = (1.0 - opts.w_floor) / float(np.max(drop))
-        trace.append({**entry, "factorizations": 1, "residual": r,
-                      "w_min": w_min, "converged": False, "floor_hit": True,
+        trace.append({**entry, "residual": r, "w_min": w_min,
+                      "converged": False, "floor_hit": True,
                       "error": f"w at t = 1 has min w = {w_min:.3e} below "
                                "the floor"})
         raise WFloorError(
@@ -256,12 +255,9 @@ def _exact_1d(problem, opts, trace):
             "nonexistence (closed form on an interval)",
             last_good_t=t_star, w_min=float(np.min(1.0 - t_star * drop)),
             trace=trace)
-    theta = invert_w(problem.gspec, wv)
-    uv = solve_linearized(grid, ones, ScalarField(grid, theta),
-                          problem.phi).values
-    r = max(r, scaled_residual(uv, theta[:n]))
-    trace.append({**entry, "factorizations": 2, "residual": r,
-                  "w_min": w_min, "converged": True, "floor_hit": False})
+    uv, r_u = dirichlet(invert_w(problem.gspec, wv)[:n], problem.phi)
+    trace.append({**entry, "residual": max(r, r_u), "w_min": w_min,
+                  "converged": True, "floor_hit": False})
     return uv, wv
 
 

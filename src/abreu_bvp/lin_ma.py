@@ -17,11 +17,14 @@ copies of those index arrays; exact zeros are dropped only where present.
 `factorize` is the package's one SuperLU call: the Newton solves reuse its
 LU across a line search and across chord steps, and every solve through it
 is checked for a finite solution and a relative residual within
-LINEAR_TOL, one constant for every caller.  On
-a 2-d grid every caller passes the grid's nested-dissection order
-(`Grid.nd_order`, interleaved per node for the coupled system), which
-leaves 30-50 % less LU fill than COLAMD, SuperLU's default, on the 9-point
-stencil; intervals keep COLAMD on their tridiagonal systems.
+LINEAR_TOL, one constant for every caller; a solve that fails the
+residual check takes a few steps of iterative refinement with the same LU
+before it raises.  Every LU keeps an order the package chose, with no
+column ordering of SuperLU's own: on a 2-d grid every caller passes the
+grid's nested-dissection order (`Grid.nd_order`, interleaved per node for
+the coupled system), which leaves 30-50 % less LU fill than COLAMD,
+SuperLU's default, on the 9-point stencil; an interval's lattice order is
+tridiagonal and has no fill.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ from .mesh import Grid, MatrixField, ScalarField, is_positive_definite
 
 # A checked solve fails when max|A x - rhs| exceeds this times max|rhs|.
 LINEAR_TOL = 1e-9
+# Steps of iterative refinement with the live LU that a solve failing that
+# check takes before it raises (Skeel 1980; Higham, Accuracy and Stability
+# of Numerical Algorithms, ch. 12).
+_REFINEMENT_STEPS = 3
 
 
 class _OperatorSplit(NamedTuple):
@@ -245,39 +252,47 @@ def factorize(A, order=None):
     """Sparse LU of A; returns solve(rhs), which checks every solution.
 
     With `order` (a permutation, such as `Grid.nd_order`) the LU is of the
-    symmetrically permuted A[order][:, order] with no column reordering of
-    its own; without it SuperLU orders the columns by COLAMD.  Either way
+    symmetrically permuted A[order][:, order]; without it, of A in its own
+    order.  SuperLU reorders no columns (no COLAMD).  Either way
     solve(rhs) answers for A itself: a solution must be finite with
-    residual within LINEAR_TOL of max|rhs|, and a failed check, or a
-    failed factorization, raises SingularSystemError.  The LU lives as
-    long as the returned function.
+    residual within LINEAR_TOL of max|rhs|.  A solution that fails the
+    residual check takes up to _REFINEMENT_STEPS steps of iterative
+    refinement, x <- x + LU^{-1}(rhs - A x), each checked in turn; one
+    that passes the first check is returned untouched.  A check that no
+    step passes, a non-finite solution, or a failed factorization raises
+    SingularSystemError.  The LU lives as long as the returned function.
     """
+    P = A.tocsc() if order is None else A.tocsc()[order][:, order]
     try:
-        if order is None:
-            lu = spla.splu(A.tocsc())
-        else:
-            lu = spla.splu(A.tocsc()[order][:, order], permc_spec="NATURAL")
+        lu = spla.splu(P, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SingularSystemError(
             f"sparse factorization failed: {exc}") from exc
 
-    def solve(rhs):
+    def lu_solve(rhs):
         if order is None:
-            x = lu.solve(rhs)
-        else:
-            x = np.empty_like(rhs)
-            x[order] = lu.solve(rhs[order])
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError(
-                "singular system: solution contains non-finite entries")
-        scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-        if scale > 0.0:
-            resid = float(np.max(np.abs(A @ x - rhs)))
-            if resid > LINEAR_TOL * scale:
-                raise SingularSystemError(
-                    f"relative residual {resid / scale:.3e} exceeds "
-                    "linear_tol")
+            return lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[order] = lu.solve(rhs[order])
         return x
+
+    def solve(rhs):
+        x = lu_solve(rhs)
+        scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
+        for refined in range(_REFINEMENT_STEPS + 1):
+            if not np.all(np.isfinite(x)):
+                raise SingularSystemError(
+                    "singular system: solution contains non-finite entries")
+            if scale == 0.0:
+                return x
+            defect = rhs - A @ x
+            resid = float(np.max(np.abs(defect)))
+            if resid <= LINEAR_TOL * scale:
+                return x
+            if refined < _REFINEMENT_STEPS:
+                x = x + lu_solve(defect)
+        raise SingularSystemError(
+            f"relative residual {resid / scale:.3e} exceeds linear_tol")
     return solve
 
 

@@ -78,8 +78,9 @@ def _initial_guess(grid: Grid, g: ScalarField, phi_b) -> np.ndarray:
     raise ConvexityLossError("could not construct a convex initial guess")
 
 
-# The line search gives up below this damping.  Where no solution exists,
-# it ends the coupled step sooner than the iteration budget would.
+# The line search gives up below this damping.  No coupled step runs on an
+# interval, and a 2-d problem always has a solution, so in a coupled step
+# this floor ends a hopeless long step early, before the iteration budget.
 _DAMPING_MIN = 1e-2
 # A full step whose simplified step contracts by at least this factor hands
 # that simplified step on as the next iteration's chord step.

@@ -151,12 +151,15 @@ HARD_MA = (DISK.replace("psi = 1", "psi = 1\ng = exp(8*x)")
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):
-    # The failed run's report replaces the one an earlier run left.
+    # The failed run's report replaces the one an earlier run left, and
+    # the earlier run's fields go with it.
     out = tmp_path / "h"
     disk = write(tmp_path, "disk.cfg", DISK)
     assert main(["solve", "--config", disk, "--out", str(out)]) == 0
+    assert (out / "fields.txt").exists()
     cfg = write(tmp_path, "hard.cfg", HARD_MA)
     assert main(["ma", "--config", cfg, "--out", str(out)]) == 3
+    assert not (out / "fields.txt").exists()
     message = "no convergence in 1 Newton iterations"
     assert message in capsys.readouterr().err
     lines = (out / "report.txt").read_text().splitlines()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy import sparse
 
 from abreu_bvp import (
@@ -17,7 +18,8 @@ from abreu_bvp import (
 )
 from abreu_bvp import continuation
 from abreu_bvp.exceptions import (ContinuationError, GridResolutionError,
-                                  SingularSystemError, WFloorError)
+                                  NewtonDivergenceError, SingularSystemError,
+                                  WFloorError)
 from abreu_bvp.functionals import el_residual
 from abreu_bvp.lin_ma import (_coupled_jacobian, assemble_operator,
                               stencil_weights)
@@ -223,6 +225,55 @@ def test_interval_takes_no_newton_step(interval64, monkeypatch):
     # w0 is still validated
     with pytest.raises(ValueError):
         solve_second_bvp(prob, w0=ScalarField.constant(interval64, 1e-12))
+
+
+@pytest.mark.parametrize("source, theta", [(7.0, 0.0), (20.0, 0.3)])
+def test_an_interval_solve_makes_one_lu(interval64, monkeypatch, source,
+                                        theta):
+    # w_1 and u are solves with the one unit operator: one LU serves both,
+    # in the solve and in the nonexistence verdict alike.
+    made = []
+    real_splu = spla.splu
+
+    def splu(*args, **kwargs):
+        made.append(args)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    prob = Problem(interval64, GSpec(theta, 1), source, 0.0, 1.0)
+    try:
+        trace = solve_second_bvp(prob).iterations
+    except WFloorError as exc:
+        trace = exc.trace
+    assert len(made) == 1
+    (entry,) = trace
+    assert entry["factorizations"] == 1
+
+
+def test_a_newton_error_fails_the_step_whatever_its_residual(disk32,
+                                                             monkeypatch):
+    # A coupled step converges only when damped_newton reports no error:
+    # one that reports an error is not converged, even with its residual
+    # below _NEWTON_TOL.
+    real_newton = continuation.damped_newton
+    calls = []
+
+    def damped_newton(*args):
+        *result, error = real_newton(*args)
+        calls.append(error)
+        if len(calls) == 1:
+            error = NewtonDivergenceError("injected divergence")
+        return (*result, error)
+
+    monkeypatch.setattr(continuation, "damped_newton", damped_newton)
+    sol = solve_second_bvp(Problem(disk32, GSpec(0.0, 2), 2.0, 0.0, 1.0))
+    assert calls[0] is None  # the real Newton converged
+    failed, halved = sol.iterations[:2]
+    assert failed["residual"] <= continuation._NEWTON_TOL
+    assert not failed["converged"] and not failed["floor_hit"]
+    assert "injected divergence" in failed["error"]
+    assert halved["converged"] and halved["dt"] == failed["dt"] / 2
+    assert sol.iterations[-1]["t"] == 1.0
 
 
 def test_singular_coupled_system_ends_only_its_step(disk32, monkeypatch):

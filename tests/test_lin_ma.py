@@ -269,11 +269,45 @@ def test_nested_dissection_cuts_the_fill(ellipse128, monkeypatch):
         made.append((args, kwargs, real_splu(A, *args, **kwargs)))
         return made[-1][2]
 
-    monkeypatch.setattr(spla, "splu", splu)
     A = ma_jacobian(ellipse128)
-    factorize(A)
+    colamd = real_splu(A.tocsc())  # SuperLU's default order
+    monkeypatch.setattr(spla, "splu", splu)
     factorize(A, ellipse128.nd_order)
-    (args0, kw0, colamd), (_, kw1, nd) = made
-    assert args0 == () and kw0 == {}  # unordered: SuperLU's default call
+    (_, kw1, nd), = made
     assert kw1 == {"permc_spec": "NATURAL"}
     assert nd.L.nnz + nd.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
+
+
+class _InexactLU:
+    # A SuperLU stand-in whose every solve is off by a relative error.
+    def __init__(self, lu, error, solves):
+        self.lu, self.error, self.solves = lu, error, solves
+
+    def solve(self, rhs):
+        self.solves.append(rhs)
+        return (1.0 + self.error) * self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize("error, solves", [(0.0, 1), (1e-7, 2), (0.5, 4)])
+def test_a_failed_check_refines_before_it_raises(disk32, rng, monkeypatch,
+                                                 error, solves):
+    # A solution within LINEAR_TOL is returned as solved.  One off by 1e-7
+    # fails the check and passes after one step of refinement with the
+    # live LU; one off by 0.5 still fails after the three steps allowed,
+    # and raises as before.
+    made = []
+    real_splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: _InexactLU(
+        real_splu(A, **kw), error, made))
+    A = ma_jacobian(disk32)
+    rhs = rng.normal(size=disk32.n_interior)
+    solve = factorize(A, disk32.nd_order)
+    if error < 0.5:
+        x = solve(rhs)
+        assert np.max(np.abs(A @ x - rhs)) <= (lin_ma.LINEAR_TOL
+                                               * np.max(np.abs(rhs)))
+    else:
+        with pytest.raises(SingularSystemError,
+                           match="relative residual .* exceeds linear_tol"):
+            solve(rhs)
+    assert len(made) == solves

@@ -45,9 +45,7 @@ def test_no_module_imports_another_modules_private_names():
 
 def test_no_module_imports_a_name_it_does_not_use():
     # No linter runs on the package, so this keeps rewrites from leaving
-    # imports behind.  The one exception: continuation binds lin_ma's
-    # assemble_operator for perfbench's test of from-import binding sites;
-    # drop it here once that test names a live binding.
+    # imports behind.
     package = Path(abreu_bvp.__file__).resolve().parent
     unused = []
     for path in sorted(package.glob("*.py")):
@@ -66,4 +64,4 @@ def test_no_module_imports_a_name_it_does_not_use():
                 if isinstance(node, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in imported
                    if name not in used]
-    assert unused == ["continuation.assemble_operator"]
+    assert unused == []
