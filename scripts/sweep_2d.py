@@ -2,16 +2,16 @@
 
 Run from the repository root:
 
-    python3 scripts/sweep_2d.py                  # all 126 cases
-    python3 scripts/sweep_2d.py --domain ellipse --resolution 64 --theta 0
+    python3 scripts/sweep_2d.py
 
 Each case solves f = c (1 + 0.3 x - 0.2 y), phi = 0, psi = 1 with the
 default options, on the unit disk or the (1.5, 0.75) ellipse, at
 resolutions 40, 48 and 64, for theta in {0, 0.25, 0.45} and c in
-{-100, -30, 0, 5, 50, 200, 1000}; the options narrow the sweep.  Each of
-these resolutions starts from the solution at half its resolution, so a
-case "falls back" when its own grid runs the continuation (more than one
-trace entry at the case's resolution).
+{-100, -30, 0, 5, 50, 200, 1000}: 126 cases.  Each of these resolutions
+starts from the solution at half its resolution, so a case "falls back"
+when its own grid runs the continuation (more than one trace entry at the
+case's resolution).  run_case(abreu_bvp, domain, resolution, theta, c)
+reruns one case from Python.
 
 One line per case gives the outcome ("solved" or "exit 3", the command
 line's code for a solver failure), the seconds taken, the trace entries
@@ -24,7 +24,7 @@ The exit status is 1 when any case exits 3, else 0.
 
 from __future__ import annotations
 
-import argparse
+import itertools
 import os
 import sys
 import time
@@ -68,32 +68,20 @@ def run_case(bvp, domain, resolution, theta, c):
     return line, solved, fell_back
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--domain", choices=DOMAINS, action="append")
-    parser.add_argument("--resolution", type=int, choices=RESOLUTIONS,
-                        action="append")
-    parser.add_argument("--theta", type=float, choices=THETAS,
-                        action="append")
-    parser.add_argument("--c", type=float, choices=SOURCES, action="append")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     os.environ.setdefault("ABREU_BVP_THREADS", "1")
     sys.path.insert(0, str(SRC))
     import abreu_bvp as bvp
 
     failed = fell_back = cases = 0
     start = time.perf_counter()
-    for domain in args.domain or DOMAINS:
-        for resolution in args.resolution or RESOLUTIONS:
-            for theta in args.theta or THETAS:
-                for c in args.c or SOURCES:
-                    line, solved, fallback = run_case(bvp, domain,
-                                                      resolution, theta, c)
-                    print(line, flush=True)
-                    cases += 1
-                    failed += not solved
-                    fell_back += fallback
+    for domain, resolution, theta, c in itertools.product(
+            DOMAINS, RESOLUTIONS, THETAS, SOURCES):
+        line, solved, fallback = run_case(bvp, domain, resolution, theta, c)
+        print(line, flush=True)
+        cases += 1
+        failed += not solved
+        fell_back += fallback
     print(f"{cases} cases, {fell_back} fallbacks, {failed} exit 3, "
           f"{time.perf_counter() - start:.1f} s in all")
     return 1 if failed else 0

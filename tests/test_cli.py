@@ -120,9 +120,14 @@ def test_oracle_requires_interval(tmp_path, capsys):
 
 
 def test_continuation_nonexistence_exits_4(tmp_path, capsys):
-    cfg = write(tmp_path, "c20.cfg", INTERVAL.format(f=20))
+    # an earlier solve's fields do not stay beside the verdict's report
     out = tmp_path / "c20"
+    good = write(tmp_path, "c4.cfg", INTERVAL.format(f=4))
+    assert main(["solve", "--config", good, "--out", str(out)]) == 0
+    assert (out / "fields.txt").exists()
+    cfg = write(tmp_path, "c20.cfg", INTERVAL.format(f=20))
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 4
+    assert not (out / "fields.txt").exists()
     assert "floor" in capsys.readouterr().err
     report = (out / "report.txt").read_text()
     assert "command: solve" in report
@@ -259,9 +264,14 @@ def test_functional_subcommand(tmp_path, capsys):
 
 
 def test_probe_properness_subcommand(tmp_path, capsys):
-    cfg = write(tmp_path, "c20.cfg", INTERVAL.format(f=20))
+    # the probe writes no fields, so an earlier solve's go
     out = tmp_path / "probe"
+    good = write(tmp_path, "c4.cfg", INTERVAL.format(f=4))
+    assert main(["solve", "--config", good, "--out", str(out)]) == 0
+    assert (out / "fields.txt").exists()
+    cfg = write(tmp_path, "c20.cfg", INTERVAL.format(f=20))
     assert main(["probe-properness", "--config", cfg, "--out", str(out)]) == 0
+    assert not (out / "fields.txt").exists()
     assert "not proper" in capsys.readouterr().out
     report = (out / "report.txt").read_text()
     assert "witnesses:" in report

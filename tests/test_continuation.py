@@ -556,16 +556,17 @@ def test_failed_fine_step_falls_back_to_the_continuation(monkeypatch):
     assert sol.iterations[len(coarse) + 1:] == plain.iterations
 
 
-def test_a_fine_step_that_fails_falls_back_on_its_own():
-    # No failure injected: on ellipse40 with f = 1000(1 + 0.3x - 0.2y) the
-    # step at t = 1 from the resolution-20 solution finds no damping, and
-    # the resolution-40 continuation then reaches t = 1.
-    grid = build_grid(DomainSpec.ellipse(1.5, 0.75), 40)
+def fine_step_that_fails_falls_back(resolution):
+    # No failure injected: with f = 1000(1 + 0.3x - 0.2y) on the ellipse
+    # the step at t = 1 from the half-resolution solution finds no damping,
+    # and the fine grid's own continuation then reaches t = 1.
+    grid = build_grid(DomainSpec.ellipse(1.5, 0.75), resolution)
     prob = Problem(grid, GSpec(0.0, 2),
                    lambda x, y: 1000.0 * (1.0 + 0.3 * x - 0.2 * y), 0.0, 1.0)
     sol = solve_second_bvp(prob)
     trace = sol.iterations
-    assert [e["resolution"] for e in trace] == [20] * 10 + [40] * 11
+    assert ([e["resolution"] for e in trace]
+            == [resolution // 2] * 10 + [resolution] * 11)
     failed = trace[10]
     assert (failed["t"], failed["dt"], failed["converged"]) == (1.0, 1.0,
                                                                 False)
@@ -576,6 +577,18 @@ def test_a_fine_step_that_fails_falls_back_on_its_own():
     assert el <= 1e-4 * 1000.0
     assert np.min(sol.w.values) > 0.0
     assert np.min(det_field(hessian(sol.u, grid), grid).interior) > 0.0
+
+
+def test_a_fine_step_that_fails_falls_back_on_its_own():
+    fine_step_that_fails_falls_back(40)
+
+
+def test_a_fallback_with_a_tight_linear_solve_refines_and_solves():
+    # At resolution 64 the fallback continuation's coupled solves leave a
+    # relative residual near 1e-9, above LINEAR_TOL, on their first try;
+    # without refinement every step failed and the solve ended in
+    # ContinuationError.
+    fine_step_that_fails_falls_back(64)
 
 
 @pytest.mark.parametrize("failure", ["grid", "continuation"])
