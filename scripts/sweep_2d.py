@@ -15,11 +15,21 @@ reruns one case from Python.
 
 One line per case gives the outcome ("solved" or "exit 3", the command
 line's code for a solver failure), the seconds taken, the trace entries
-per resolution, the fallback flag, and for a solved case criterion 4's
-gate values: the Euler-Lagrange residual over max(1, max|f|), min w and
-min det D^2 u.  A summary line follows.  The solver is imported from src/
-next to this directory, single-threaded unless ABREU_BVP_THREADS is set.
-The exit status is 1 when any case exits 3, else 0.
+per resolution, why the case fell back, and for a solved case criterion
+4's gate values: the Euler-Lagrange residual over max(1, max|f|), min w
+and min det D^2 u.  The cause is read from the trace alone:
+
+    fallback=no        the fine step at t = 1 converged
+    fallback=coarse@T  the half-resolution path ended short; T is its
+                       last converged t
+    fallback=step      the fine Newton at t = 1, dt = 1 failed; its error
+                       ends the line
+    fallback=resolve   the half-resolution path reached t = 1, but no fine
+                       entry is at t = 1: the re-solve of u raised
+
+A summary line follows, with a count per cause.  The solver is imported
+from src/ next to this directory, single-threaded unless ABREU_BVP_THREADS
+is set.  The exit status is 1 when any case exits 3, else 0.
 """
 
 from __future__ import annotations
@@ -38,8 +48,24 @@ THETAS = (0.0, 0.25, 0.45)
 SOURCES = (-100.0, -30.0, 0.0, 5.0, 50.0, 200.0, 1000.0)
 
 
+def fallback_cause(trace, resolution):
+    """Why a case fell back, from its trace: "coarse@T", "step", "resolve",
+    or None when the fine step at t = 1 converged."""
+    half = (resolution + 1) // 2
+    coarse_t = max((e["t"] for e in trace
+                    if e["resolution"] == half and e["converged"]),
+                   default=0.0)
+    if coarse_t < 1.0:
+        return f"coarse@{coarse_t:.3g}"
+    fine = [e for e in trace if e["resolution"] == resolution]
+    if fine and (fine[0]["t"], fine[0]["dt"]) == (1.0, 1.0):
+        return None if fine[0]["converged"] else "step"
+    return "resolve"
+
+
 def run_case(bvp, domain, resolution, theta, c):
-    """Solve one case; return its printed line and (solved, fell_back)."""
+    """Solve one case; return its printed line, whether it solved, and its
+    fallback cause (None if it did not fall back)."""
     spec = (bvp.DomainSpec.disk(1.0) if domain == "disk"
             else bvp.DomainSpec.ellipse(1.5, 0.75))
     start = time.perf_counter()
@@ -54,18 +80,21 @@ def run_case(bvp, domain, resolution, theta, c):
         trace, solved = exc.trace, False
     seconds = time.perf_counter() - start
     entries = Counter(entry["resolution"] for entry in trace)
-    fell_back = entries[resolution] > 1
+    cause = fallback_cause(trace, resolution)
     line = (f"{domain:7s} {resolution:3d} theta={theta:<4g} c={c:<6g} "
             f"{'solved' if solved else 'exit 3'} {seconds:7.2f} s  entries "
             + " ".join(f"{res}:{count}" for res, count in sorted(
                 entries.items()))
-            + f"  fallback={'yes' if fell_back else 'no'}")
+            + f"  fallback={cause or 'no'}")
     if solved:
         scale = max(1.0, float(abs(problem.f.interior).max()))
         line += (f"  el/|f|={sol.el_residual_norm / scale:.2e}"
                  f" w_min={sol.w.values.min():.2e}"
                  f" d_min={sol.d.interior.min():.2e}")
-    return line, solved, fell_back
+    if cause == "step":
+        step = next(e for e in trace if e["resolution"] == resolution)
+        line += f"  error: {step['error']}"
+    return line, solved, cause
 
 
 def main() -> int:
@@ -73,17 +102,20 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     import abreu_bvp as bvp
 
-    failed = fell_back = cases = 0
+    failed = cases = 0
+    causes = Counter({"coarse": 0, "step": 0, "resolve": 0})
     start = time.perf_counter()
     for domain, resolution, theta, c in itertools.product(
             DOMAINS, RESOLUTIONS, THETAS, SOURCES):
-        line, solved, fallback = run_case(bvp, domain, resolution, theta, c)
+        line, solved, cause = run_case(bvp, domain, resolution, theta, c)
         print(line, flush=True)
         cases += 1
         failed += not solved
-        fell_back += fallback
-    print(f"{cases} cases, {fell_back} fallbacks, {failed} exit 3, "
-          f"{time.perf_counter() - start:.1f} s in all")
+        if cause is not None:
+            causes[cause.split("@")[0]] += 1
+    print(f"{cases} cases, {causes.total()} fallbacks ("
+          + ", ".join(f"{n} {cause}" for cause, n in causes.items())
+          + f"), {failed} exit 3, {time.perf_counter() - start:.1f} s in all")
     return 1 if failed else 0
 
 

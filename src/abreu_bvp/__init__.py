@@ -33,10 +33,9 @@ from .functionals import (ConcavityProbe, GradientCheck, PropernessResult,
                           gradient_check, properness_probe)
 from .oned_oracle import (NonexistenceCertificate, OneDProblem,
                           existence_threshold_1d, solve_exact_1d)
-from .estimates import (DiagnosticsReport, ReportEntry,
-                        boundary_cofactor_check, gradient_lower_bound_check,
-                        max_principle_check, standard_diagnostics,
-                        wd_bound_check)
+from .estimates import (ReportEntry, boundary_cofactor_check,
+                        gradient_lower_bound_check, max_principle_check,
+                        standard_diagnostics, wd_bound_check)
 from .expressions import Expression, parse_expression
 from .config import RunConfig, parse_config
 
@@ -63,7 +62,7 @@ __all__ = [
     "properness_probe",
     "NonexistenceCertificate", "OneDProblem", "existence_threshold_1d",
     "solve_exact_1d",
-    "DiagnosticsReport", "ReportEntry", "boundary_cofactor_check",
+    "ReportEntry", "boundary_cofactor_check",
     "gradient_lower_bound_check", "max_principle_check",
     "standard_diagnostics", "wd_bound_check",
     "Expression", "parse_expression",

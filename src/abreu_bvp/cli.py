@@ -71,7 +71,9 @@ def _solution_entries(sol) -> dict:
         "el_residual_norm": sol.el_residual_norm,
         "continuation": {"steps": len(sol.iterations),
                          "trace": list(sol.iterations)},
-        "diagnostics": sol.diagnostics.to_mapping(),
+        "diagnostics": {name: {k: v for k, v in dataclasses.asdict(e).items()
+                               if k != "name"}
+                        for name, e in sol.diagnostics.items()},
     }
 
 

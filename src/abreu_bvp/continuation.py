@@ -12,7 +12,8 @@ coupled system on the stacked (u, log w) unknowns, started from the previous
 step's solution, by the package's one damped Newton
 (`ma_dirichlet.damped_newton`), so w > 0 by construction.  A failed step is
 retried at half the size, within a budget of max_step_halvings halvings
-for the whole run; when that runs out, the run ends in ContinuationError.
+per continuation (the coarsest grid's and each fallback's get their own);
+when that runs out, the continuation ends in ContinuationError.
 In two dimensions the problem has a solution for every f, so no 2-d step
 gives a nonexistence verdict, and w_floor does not bound w there.
 
@@ -30,9 +31,10 @@ problem on the grid of half its resolution, recursively, moves that
 solution to its own nodes, and takes one Newton step at t = 1 from there:
 by mesh independence, Newton's iteration count does not grow with the
 resolution.  So t_steps, the halvings and w0 act on the coarsest grid.  If
-a coarser grid raises a SolverError, or the fine step does not converge,
-the grid runs the continuation itself, and its outcome is the run's.  Each
-trace entry records the resolution of its grid.
+a coarser grid or the re-solve of u on this grid raises a SolverError, or
+the fine step does not converge, the grid runs the continuation itself,
+and its outcome is the run's.  Each trace entry records the resolution of
+its grid.
 
 phi_map, one sweep of the splitting (a Monge-Ampere solve, then the linear
 solve in cofactor form), is kept as an independent fixed-point check.
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimates import DiagnosticsReport, standard_diagnostics
+from .estimates import standard_diagnostics
 from .exceptions import ContinuationError, SolverError, WFloorError
 from .functionals import el_residual
 from .gfamily import invert_w
@@ -79,7 +81,7 @@ class Solution:
     d: ScalarField
     el_residual_norm: float
     iterations: list
-    diagnostics: DiagnosticsReport
+    diagnostics: dict  # ReportEntry by name
 
 
 def phi_map(w: ScalarField, t: float, problem: Problem,
@@ -106,7 +108,7 @@ _NEWTON_TOL = 1e-11       # scaled coupled residual that ends a step
 _NEWTON_MAX_ITERS = 30
 
 
-def _newton_step(uv, wv, t, problem, opts):
+def _newton_step(uv, wv, t, problem):
     """Newton on the coupled system at parameter t, from node values (uv, wv).
 
     2-d grids only; an interval takes `_exact_1d`.
@@ -195,7 +197,7 @@ def _continuation(problem, opts, wv, trace):
         t_try = min(1.0, t_reached + dt)
         if 1.0 - t_try < 1e-12:  # don't let roundoff add an extra step
             t_try = 1.0
-        u_new, w_new, outcome = _newton_step(uv, wv, t_try, problem, opts)
+        u_new, w_new, outcome = _newton_step(uv, wv, t_try, problem)
         trace.append({"t": t_try, "dt": dt, "resolution": grid.resolution,
                       **outcome})
         if outcome["converged"]:
@@ -297,7 +299,7 @@ def _from_coarse(problem, opts, wv, trace):
     u = solve_ma(grid, ScalarField(grid, invert_w(problem.gspec, wv)),
                  problem.phi, opts.ma,
                  initial=ScalarField(grid, np.concatenate([u, problem.phi])))
-    uv, wv, outcome = _newton_step(u.values, wv, 1.0, problem, opts)
+    uv, wv, outcome = _newton_step(u.values, wv, 1.0, problem)
     trace.append({"t": 1.0, "dt": 1.0, "resolution": grid.resolution,
                   **outcome})
     return (uv, wv) if outcome["converged"] else None

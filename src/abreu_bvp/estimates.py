@@ -28,45 +28,6 @@ class ReportEntry:
     details: str = ""
 
 
-class DiagnosticsReport:
-    """Append-only list of named report entries."""
-
-    def __init__(self):
-        self._entries = []
-
-    def add(self, entry: ReportEntry) -> ReportEntry:
-        self._entries.append(entry)
-        return entry
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __getitem__(self, name: str) -> ReportEntry:
-        for e in self._entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self._entries if e.passed is not None)
-
-    def to_mapping(self) -> dict:
-        out = {}
-        for e in self._entries:
-            out[e.name] = {
-                "measured": e.measured,
-                "bound": e.bound,
-                "tolerance": e.tolerance,
-                "passed": "n/a" if e.passed is None else bool(e.passed),
-                "details": e.details,
-            }
-        return out
-
-
 def boundary_cofactor_check(u: ScalarField, grid: Grid = None) -> ReportEntry:
     """Residual of U^{nn} = K u_nu^{n-1} at boundary nodes (n = 2 only).
 
@@ -97,14 +58,12 @@ def boundary_cofactor_check(u: ScalarField, grid: Grid = None) -> ReportEntry:
     )
 
 
-def max_principle_check(u: ScalarField, w: ScalarField, f: ScalarField,
-                        grid: Grid = None) -> ReportEntry:
+def max_principle_check(w: ScalarField, f: ScalarField) -> ReportEntry:
     """Boundary attainment of the extremum of w, by the sign of f.
 
     f >= 0: the maximum of w must be attained on the boundary; f <= 0: the
     minimum.  Mixed-sign f yields an informational entry with both gaps.
     """
-    grid = grid or w.grid
     scale = float(np.max(np.abs(w.values)))
     tol = 1e-8 * max(scale, 1e-300)
     gap_max = float(np.max(w.values) - np.max(w.boundary))
@@ -170,13 +129,11 @@ def gradient_lower_bound_check(u: ScalarField, grid: Grid = None,
 
 def standard_diagnostics(u: ScalarField, w: ScalarField, d: ScalarField,
                          f: ScalarField, grid: Grid, gspec: GSpec,
-                         phi) -> DiagnosticsReport:
-    """The report attached to solver output."""
-    report = DiagnosticsReport()
-    report.add(max_principle_check(u, w, f, grid))
-    report.add(wd_bound_check(w, d, gspec))
-    report.add(gradient_lower_bound_check(u, grid, phi))
+                         phi) -> dict:
+    """The report attached to solver output: its entries by name."""
+    entries = [max_principle_check(w, f), wd_bound_check(w, d, gspec),
+               gradient_lower_bound_check(u, grid, phi)]
     phi_arr = np.asarray(phi, dtype=float) * np.ones(grid.n_boundary)
     if grid.dim == 2 and np.all(phi_arr == 0.0):
-        report.add(boundary_cofactor_check(u, grid))
-    return report
+        entries.append(boundary_cofactor_check(u, grid))
+    return {e.name: e for e in entries}

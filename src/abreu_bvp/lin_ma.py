@@ -8,10 +8,11 @@ solved by a direct sparse factorization.
 
 `stencil_weights` is the one place the coefficients meet the stencil.
 `apply_weights` sums the weighted stencil values without building a
-matrix.  Every sparsity pattern on the stencil lives here and is built
-once per grid, on first use (`Grid.cached`): `assemble_operator` fills the
-interior and boundary CSR patterns, and `factorize_coupled` the CSC pattern
-of the coupled (u, log w) Newton Jacobian on a 2-d grid.  The matrices own
+matrix; it equals the assembled product up to rounding.  Every sparsity
+pattern on the stencil lives here and is built once per grid, on first
+use (`Grid.cached`): `assemble_operator` fills the interior and boundary
+CSR patterns, and `factorize_coupled` the CSC pattern of the coupled
+(u, log w) Newton Jacobian on a 2-d grid.  The matrices own
 copies of those index arrays; exact zeros are dropped only where present.
 
 `factorize` is the package's one SuperLU call: the Newton solves reuse its
@@ -19,12 +20,14 @@ LU across a line search and across chord steps, and every solve through it
 is checked for a finite solution and a relative residual within
 LINEAR_TOL, one constant for every caller; a solve that fails the
 residual check takes a few steps of iterative refinement with the same LU
-before it raises.  Every LU keeps an order the package chose, with no
-column ordering of SuperLU's own: on a 2-d grid every caller passes the
+before it raises.  Every LU keeps a column order the package chose, with
+no column ordering of SuperLU's own: on a 2-d grid every caller passes the
 grid's nested-dissection order (`Grid.nd_order`, interleaved per node for
 the coupled system), which leaves 30-50 % less LU fill than COLAMD,
 SuperLU's default, on the 9-point stencil; an interval's lattice order is
-tridiagonal and has no fill.
+tridiagonal and has no fill.  SuperLU's partial pivoting still exchanges
+rows wherever a diagonal entry is not the largest in its column, and in
+a hard case that can triple the fill of the LUs.
 """
 
 from __future__ import annotations
@@ -142,8 +145,9 @@ def assemble_operator(grid: Grid, U: MatrixField):
 def apply_operator(grid: Grid, U: MatrixField, v) -> np.ndarray:
     """U^{ij} v_{ij} at interior nodes, from node values v, with no matrix.
 
-    `apply_weights` with the `stencil_weights` of U: for finite v, bitwise
-    equal to A @ v[:n] + B @ v[n:] with (A, B) from `assemble_operator`.
+    `apply_weights` with the `stencil_weights` of U: for finite v, equal up
+    to rounding to A @ v[:n] + B @ v[n:] with (A, B) from
+    `assemble_operator`.
     """
     return apply_weights(grid, stencil_weights(grid, U), v)
 
@@ -151,21 +155,11 @@ def apply_operator(grid: Grid, U: MatrixField, v) -> np.ndarray:
 def apply_weights(grid: Grid, weights, v) -> np.ndarray:
     """The operator with the given `stencil_weights`, applied to node values v.
 
-    Each row's interior products are summed in stencil order, then its
-    boundary products, and the two sums added: the same operations as the
+    One sum per row of the weighted stencil values: up to rounding, the
     sparse product with the matrices that `assemble_operator` fills with
     these weights.
     """
-    split = grid.cached(_operator_split)
-    terms = weights * np.asarray(v)[grid.second_ops.cols]
-    sums = []
-    for part in (np.where(split.interior, terms, 0.0),
-                 np.where(split.interior, 0.0, terms)):
-        total = np.zeros(grid.n_interior)
-        for column in part.T:
-            total += column
-        sums.append(total)
-    return sums[0] + sums[1]
+    return np.einsum("nk,nk->n", weights, np.asarray(v)[grid.second_ops.cols])
 
 
 class _CoupledPattern(NamedTuple):

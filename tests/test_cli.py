@@ -307,3 +307,12 @@ def test_diagnostics_subcommand(tmp_path):
     for name in ("max_principle", "wd_bound", "gradient_lower_bound",
                  "boundary_cofactor", "assumptions"):
         assert name in report
+    # the entries in order, each with its fields; no pass flag reads n/a
+    lines = report.split("\ndiagnostics:\n")[1].splitlines()[:24]
+    assert [line.strip(" :") for line in lines[::6]] == [
+        "max_principle", "wd_bound", "gradient_lower_bound",
+        "boundary_cofactor"]
+    assert [line.split(":")[0].strip() for line in lines
+            if line.startswith("    ")] == [
+        "measured", "bound", "tolerance", "passed", "details"] * 4
+    assert lines[4] == "    passed: true" and lines[22] == "    passed: n/a"

@@ -391,8 +391,7 @@ def newton_closures(problem, uv, wv, t, monkeypatch):
     monkeypatch.setattr(continuation, "damped_newton", damped_newton)
     monkeypatch.setattr(continuation, "factorize_coupled", _coupled_jacobian)
     with pytest.raises(_Captured):
-        continuation._newton_step(uv, wv, t, problem,
-                                  ContinuationOptions())
+        continuation._newton_step(uv, wv, t, problem)
     return captured["x"], captured["residual"], captured["jacobian"]
 
 
@@ -537,8 +536,8 @@ def test_failed_fine_step_falls_back_to_the_continuation(monkeypatch):
     real_step = continuation._newton_step
     fine_steps = []
 
-    def newton_step(uv, wv, t, problem, opts):
-        uv, wv, outcome = real_step(uv, wv, t, problem, opts)
+    def newton_step(uv, wv, t, problem):
+        uv, wv, outcome = real_step(uv, wv, t, problem)
         if problem.grid is prob.grid and not fine_steps:
             fine_steps.append(t)
             outcome = {**outcome, "converged": False, "error": "injected"}
@@ -603,9 +602,9 @@ def test_coarse_solver_error_falls_back_to_the_continuation(failure,
     else:
         real_step = continuation._newton_step
 
-        def newton_step(uv, wv, t, problem, opts):
+        def newton_step(uv, wv, t, problem):
             if problem.grid is prob.grid:
-                return real_step(uv, wv, t, problem, opts)
+                return real_step(uv, wv, t, problem)
             return uv, wv, {"iterations": 0, "factorizations": 0,
                             "residual": 1.0, "w_min": 1.0, "converged": False,
                             "floor_hit": False, "error": "injected"}
@@ -619,6 +618,35 @@ def test_coarse_solver_error_falls_back_to_the_continuation(failure,
     assert [e["resolution"] for e in sol.iterations[:failed]] == [24] * failed
     assert not any(e["converged"] for e in sol.iterations[:failed])
     assert sol.iterations[failed:] == plain.iterations
+
+
+def test_a_fine_resolve_that_raises_falls_back_to_the_continuation(
+        monkeypatch):
+    # The fine grid's re-solve of u from the coarse solution is the one
+    # solve_ma call that passes `initial`; when it raises, the fine grid
+    # runs the continuation, and no fine step is taken at t = 1 first.
+    prob = disk48_problem()
+    plain = plain_continuation(prob, monkeypatch)
+    real_solve_ma = continuation.solve_ma
+    resolves = []
+
+    def solve_ma(grid, g, phi, opts=None, initial=None):
+        if grid is prob.grid and initial is not None:
+            resolves.append(grid.resolution)
+            raise NewtonDivergenceError(
+                "line search found no damping above 0.01")
+        return real_solve_ma(grid, g, phi, opts, initial=initial)
+
+    monkeypatch.setattr(continuation, "solve_ma", solve_ma)
+    sol = solve_second_bvp(prob)
+    assert resolves == [48]
+    assert np.array_equal(sol.u.values, plain.u.values)
+    assert np.array_equal(sol.w.values, plain.w.values)
+    coarse = sol.iterations[:10]
+    assert [e["resolution"] for e in coarse] == [24] * 10
+    assert all(e["converged"] for e in coarse)
+    assert coarse[-1]["t"] == 1.0
+    assert sol.iterations[10:] == plain.iterations
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

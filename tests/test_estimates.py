@@ -1,8 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from abreu_bvp import (
-    DiagnosticsReport,
     DomainSpec,
     GSpec,
     Problem,
@@ -62,15 +63,14 @@ def test_max_principle_signs(disk64):
     g = disk64
     pts = g.points
     r2 = pts[:, 0]**2 + pts[:, 1]**2
-    u = radial(g)
     # f >= 0 with max of w inside -> failure is detected
     w_bad = ScalarField(g, 1.0 + np.maximum(0.0, 0.2 - r2))
-    bad = max_principle_check(u, w_bad, ScalarField.constant(g, 1.0), g)
+    bad = max_principle_check(w_bad, ScalarField.constant(g, 1.0))
     assert bad.passed is False
     assert bad.measured > 0.1
     # constant w attains both extremes everywhere, gap 0
     w_flat = ScalarField.constant(g, 1.0)
-    ok = max_principle_check(u, w_flat, ScalarField.constant(g, 1.0), g)
+    ok = max_principle_check(w_flat, ScalarField.constant(g, 1.0))
     assert ok.passed is True
     assert ok.measured == pytest.approx(0.0, abs=1e-14)
 
@@ -79,7 +79,7 @@ def test_max_principle_mixed_sign_is_informational(disk32):
     g = disk32
     pts = g.points
     f = ScalarField(g, pts[:, 0])  # changes sign
-    rep = max_principle_check(radial(g), ScalarField.constant(g, 1.0), f, g)
+    rep = max_principle_check(ScalarField.constant(g, 1.0), f)
     assert rep.passed is None
 
 
@@ -136,32 +136,34 @@ def test_gradient_lower_bound_detects_violation(disk64):
 def test_standard_diagnostics_on_solver_output(disk32):
     prob = Problem(disk32, GSpec(0.0, 2), 0.0, 0.0, 1.0)
     sol = solve_second_bvp(prob)
-    names = [e.name for e in sol.diagnostics]
-    assert names == ["max_principle", "wd_bound", "gradient_lower_bound",
-                     "boundary_cofactor"]
-    assert all(e.passed in (True, None) for e in sol.diagnostics)
-    m = sol.diagnostics.to_mapping()
-    assert set(m) == set(names)
-    assert m["max_principle"]["passed"] is True
+    names = ["max_principle", "wd_bound", "gradient_lower_bound",
+             "boundary_cofactor"]
+    assert list(sol.diagnostics) == names
+    assert [e.name for e in sol.diagnostics.values()] == names
+    assert all(e.passed in (True, None) for e in sol.diagnostics.values())
+    assert sol.diagnostics["max_principle"].passed is True
+    assert sol.diagnostics["boundary_cofactor"].passed is None
 
 
 def test_standard_diagnostics_1d_drops_cofactor(interval64):
     prob = Problem(interval64, GSpec(0.0, 1), 4.0, 0.0, 1.0)
     sol = solve_second_bvp(prob)
-    names = [e.name for e in sol.diagnostics]
-    assert "boundary_cofactor" not in names
+    assert list(sol.diagnostics) == ["max_principle", "wd_bound",
+                                     "gradient_lower_bound"]
 
 
 def test_report_is_reproducible(disk32):
     prob = Problem(disk32, GSpec(0.0, 2), 2.0, 0.0, 1.0)
     a = solve_second_bvp(prob)
     b = solve_second_bvp(prob)
-    assert a.diagnostics.to_mapping() == b.diagnostics.to_mapping()
+    assert a.diagnostics == b.diagnostics
 
 
 def test_report_entry_shape():
+    # report.txt writes each entry's fields after its name, in this order
     e = ReportEntry("thing", 1.0, 2.0, 1e-8, True, "why")
-    rep = DiagnosticsReport()
-    rep.add(e)
-    assert list(rep) == [e]
-    assert rep.to_mapping()["thing"]["details"] == "why"
+    assert dataclasses.asdict(e) == {
+        "name": "thing", "measured": 1.0, "bound": 2.0, "tolerance": 1e-8,
+        "passed": True, "details": "why"}
+    assert list(dataclasses.asdict(e)) == [
+        "name", "measured", "bound", "tolerance", "passed", "details"]

@@ -196,6 +196,23 @@ def test_assembly_equals_the_whole_stencil_split_by_column(interval64,
                 assert same_csr(M, R)
 
 
+def is_the_assembled_action(g, U, v):
+    """Whether apply_operator(g, U, v) is A v_I + B v_B up to rounding.
+
+    Two sums of the same k <= 10 products, in any order, differ by at most
+    2 gamma_10 sum |a_k v_k| per row, gamma_10 = 10u / (1 - 10u) with the
+    unit roundoff u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3).
+    """
+    n = g.n_interior
+    A, B = assemble_operator(g, U)
+    gap = np.abs(apply_operator(g, U, v) - (A @ v[:n] + B @ v[n:]))
+    u = 2.0 ** -53
+    gamma = 10 * u / (1 - 10 * u)
+    bound = 2 * gamma * (abs(A) @ np.abs(v[:n]) + abs(B) @ np.abs(v[n:]))
+    return bool(np.all(gap <= bound))
+
+
 def test_apply_operator_is_the_assembled_action(interval64, disk32,
                                                 ellipse32, rng):
     # disk33: at an odd resolution three arms end at the seam node (-R, 0).
@@ -203,12 +220,11 @@ def test_apply_operator_is_the_assembled_action(interval64, disk32,
     # ending at one boundary node.
     disk33 = build_grid(DomainSpec.disk(1.0), 33)
     for g in (interval64, disk32, ellipse32, disk33):
-        n = g.n_interior
         for U in (identity_coeffs(g), convex_cofactor(g)):
-            A, B = assemble_operator(g, U)
-            v = rng.normal(size=g.n_nodes)
-            assert np.array_equal(apply_operator(g, U, v),
-                                  A @ v[:n] + B @ v[n:])
+            # node values from 1e-3 to 1e3 in size, of either sign
+            v = rng.normal(size=g.n_nodes) * 10.0 ** rng.uniform(
+                -3, 3, size=g.n_nodes)
+            assert is_the_assembled_action(g, U, v)
 
 
 def test_linearized_residual_is_the_operator_action(disk32, rng):

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import abreu_bvp
+from abreu_bvp import cli
 
 
 def test_every_exported_name_resolves():
@@ -65,3 +66,38 @@ def test_no_module_imports_a_name_it_does_not_use():
         unused += [f"{path.stem}.{name}" for name in imported
                    if name not in used]
     assert unused == []
+
+
+def test_no_function_ignores_a_parameter():
+    # A parameter that no code reads is a knob that does nothing.  Allowed
+    # are only signatures that a caller fixes: the Jacobian callbacks that
+    # damped_newton calls, the command handlers in cli._COMMANDS, and the
+    # immutable fields' __setattr__.
+    fixed = {"continuation._newton_step.jacobian: x",
+             "ma_dirichlet.solve_ma.jacobian: x",
+             *[f"cli.{handler.__name__}: command"
+               for handler, _ in cli._COMMANDS.values()],
+             *[f"mesh.{cls}.__setattr__: {p}"
+               for cls in ("ScalarField", "MatrixField")
+               for p in ("self", "name", "value")]}
+    package = Path(abreu_bvp.__file__).resolve().parent
+    ignored = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "name", None)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = [a.arg for a in (args.posonlyargs + args.args
+                                          + args.kwonlyargs)]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a]
+                read = {n.id for n in ast.walk(child)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                ignored.extend(f"{prefix}.{name}: {p}" for p in params
+                               if p not in read)
+            visit(child, f"{prefix}.{name}" if name else prefix)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(set(ignored) - fixed) == []
