@@ -15,9 +15,10 @@ reruns one case from Python.
 
 One line per case gives the outcome ("solved" or "exit 3", the command
 line's code for a solver failure), the seconds taken, the trace entries
-per resolution, why the case fell back, and for a solved case criterion
-4's gate values: the Euler-Lagrange residual over max(1, max|f|), min w
-and min det D^2 u.  The cause is read from the trace alone:
+per resolution and the coupled (u, log w) factorizations they made, why
+the case fell back, and for a solved case criterion 4's gate values: the
+Euler-Lagrange residual over max(1, max|f|), min w and min det D^2 u.
+The cause is read from the trace alone:
 
     fallback=no        the fine step at t = 1 converged
     fallback=coarse@T  the half-resolution path ended short; T is its
@@ -27,9 +28,10 @@ and min det D^2 u.  The cause is read from the trace alone:
     fallback=resolve   the half-resolution path reached t = 1, but no fine
                        entry is at t = 1: the re-solve of u raised
 
-A summary line follows, with a count per cause.  The solver is imported
-from src/ next to this directory, single-threaded unless ABREU_BVP_THREADS
-is set.  The exit status is 1 when any case exits 3, else 0.
+A summary line follows, with a count per cause and the coupled
+factorizations of all cases.  The solver is imported from src/ next to
+this directory, single-threaded unless ABREU_BVP_THREADS is set.  The
+exit status is 1 when any case exits 3, else 0.
 """
 
 from __future__ import annotations
@@ -63,9 +65,15 @@ def fallback_cause(trace, resolution):
     return "resolve"
 
 
+def per_resolution(counts):
+    """"res:count" for each resolution, in increasing order."""
+    return " ".join(f"{res}:{n}" for res, n in sorted(counts.items()))
+
+
 def run_case(bvp, domain, resolution, theta, c):
-    """Solve one case; return its printed line, whether it solved, and its
-    fallback cause (None if it did not fall back)."""
+    """Solve one case; return its printed line, whether it solved, its
+    fallback cause (None if it did not fall back) and its coupled
+    factorizations."""
     spec = (bvp.DomainSpec.disk(1.0) if domain == "disk"
             else bvp.DomainSpec.ellipse(1.5, 0.75))
     start = time.perf_counter()
@@ -79,13 +87,16 @@ def run_case(bvp, domain, resolution, theta, c):
     except bvp.SolverError as exc:
         trace, solved = exc.trace, False
     seconds = time.perf_counter() - start
-    entries = Counter(entry["resolution"] for entry in trace)
+    entries, factorizations = Counter(), Counter()
+    for entry in trace:
+        entries[entry["resolution"]] += 1
+        factorizations[entry["resolution"]] += entry["factorizations"]
     cause = fallback_cause(trace, resolution)
     line = (f"{domain:7s} {resolution:3d} theta={theta:<4g} c={c:<6g} "
-            f"{'solved' if solved else 'exit 3'} {seconds:7.2f} s  entries "
-            + " ".join(f"{res}:{count}" for res, count in sorted(
-                entries.items()))
-            + f"  fallback={cause or 'no'}")
+            f"{'solved' if solved else 'exit 3'} {seconds:7.2f} s  "
+            f"entries {per_resolution(entries)}  "
+            f"factorizations {per_resolution(factorizations)}"
+            f"  fallback={cause or 'no'}")
     if solved:
         scale = max(1.0, float(abs(problem.f.interior).max()))
         line += (f"  el/|f|={sol.el_residual_norm / scale:.2e}"
@@ -94,7 +105,7 @@ def run_case(bvp, domain, resolution, theta, c):
     if cause == "step":
         step = next(e for e in trace if e["resolution"] == resolution)
         line += f"  error: {step['error']}"
-    return line, solved, cause
+    return line, solved, cause, factorizations.total()
 
 
 def main() -> int:
@@ -102,20 +113,23 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     import abreu_bvp as bvp
 
-    failed = cases = 0
+    failed = cases = factorizations = 0
     causes = Counter({"coarse": 0, "step": 0, "resolve": 0})
     start = time.perf_counter()
     for domain, resolution, theta, c in itertools.product(
             DOMAINS, RESOLUTIONS, THETAS, SOURCES):
-        line, solved, cause = run_case(bvp, domain, resolution, theta, c)
+        line, solved, cause, lus = run_case(bvp, domain, resolution, theta,
+                                            c)
         print(line, flush=True)
         cases += 1
+        factorizations += lus
         failed += not solved
         if cause is not None:
             causes[cause.split("@")[0]] += 1
     print(f"{cases} cases, {causes.total()} fallbacks ("
           + ", ".join(f"{n} {cause}" for cause, n in causes.items())
-          + f"), {failed} exit 3, {time.perf_counter() - start:.1f} s in all")
+          + f"), {failed} exit 3, {factorizations} coupled factorizations, "
+          f"{time.perf_counter() - start:.1f} s in all")
     return 1 if failed else 0
 
 

@@ -148,10 +148,6 @@ class _Reader:
         return (section, key) in self.entries
 
 
-def _to_int(value: str) -> int:
-    return int(value, 10)
-
-
 def _build_domain(reader: _Reader) -> DomainSpec:
     kind = reader.get("domain", "kind")
     line = reader.line_of("domain", "kind")
@@ -225,7 +221,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             raise ConfigError("f is not finite at sampled interior points",
                               reader.line_of("problem", "f"))
 
-    resolution = reader.get("solver", "resolution", _to_int)
+    resolution = reader.get("solver", "resolution", int)
     if resolution < 4:
         raise ConfigError("resolution must be at least 4",
                           reader.line_of("solver", "resolution"))
@@ -238,10 +234,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     try:
         ma = MAOptions(**given(("newton_tol", float),
-                               ("max_newton_iters", _to_int)))
+                               ("max_newton_iters", int)))
         cont = ContinuationOptions(
-            ma=ma, **given(("t_steps", _to_int), ("w_floor", float),
-                           ("max_step_halvings", _to_int)))
+            ma=ma, **given(("t_steps", int), ("w_floor", float),
+                           ("max_step_halvings", int)))
     except ValueError as exc:
         raise ConfigError(f"invalid solver option: {exc}") from exc
 

@@ -285,16 +285,16 @@ def _from_coarse(problem, opts, wv, trace):
     """
     grid = problem.grid
     coarse = build_grid(grid.domain, (grid.resolution + 1) // 2)
-    f, s = quadratic_transfer(grid, coarse.points)(
-        np.column_stack([problem.f.values, np.log(wv)])).T
+    f, s = quadratic_transfer(grid, coarse.points, np.column_stack(
+        [problem.f.values, np.log(wv)])).T
     coarse_problem = Problem(
         coarse, problem.gspec, ScalarField(coarse, f),
         _boundary_interp(grid, coarse, problem.phi),
         _boundary_interp(grid, coarse, problem.psi))
     uc, wc = _solve(coarse_problem, opts, np.exp(s), trace)
 
-    u, s = quadratic_transfer(coarse, grid.interior_points)(
-        np.column_stack([uc, np.log(wc)])).T
+    u, s = quadratic_transfer(coarse, grid.interior_points,
+                              np.column_stack([uc, np.log(wc)])).T
     wv = np.concatenate([np.exp(s), problem.psi])
     u = solve_ma(grid, ScalarField(grid, invert_w(problem.gspec, wv)),
                  problem.phi, opts.ma,

@@ -17,27 +17,28 @@ TABLE_HEADER = "# columns: x y value"
 _FMT = "%.17g"
 
 
+def _read_table(path, header, what, n_columns) -> np.ndarray:
+    """The rows of a table file under `header`, with n_columns columns."""
+    with open(path) as handle:
+        found = handle.readline().strip()
+        if found != header:
+            raise ValueError(f"unexpected {what} header: {found!r}")
+        data = np.loadtxt(handle, ndmin=2)
+    if data.shape[1] != n_columns:
+        raise ValueError(f"expected {n_columns} columns, found "
+                         f"{data.shape[1]}")
+    return data
+
+
 def write_fields(path, grid, u, w, d, residual) -> None:
-    flags = np.zeros(grid.n_nodes, dtype=int)
+    flags = np.zeros(grid.n_nodes)
     flags[grid.n_interior:] = 1
-    columns = [grid.points[:, 0], grid.points[:, 1],
-               np.asarray(u, dtype=float), np.asarray(w, dtype=float),
-               np.asarray(d, dtype=float), np.asarray(residual, dtype=float)]
-    with open(path, "w") as handle:
-        handle.write(FIELD_HEADER + "\n")
-        for i in range(grid.n_nodes):
-            row = " ".join(_FMT % col[i] for col in columns)
-            handle.write(f"{row} {flags[i]}\n")
+    np.savetxt(path, np.column_stack([grid.points, u, w, d, residual, flags]),
+               fmt=[_FMT] * 6 + ["%d"], header=FIELD_HEADER, comments="")
 
 
 def read_fields(path) -> dict:
-    with open(path) as handle:
-        header = handle.readline().strip()
-        if header != FIELD_HEADER:
-            raise ValueError(f"unexpected field file header: {header!r}")
-        data = np.loadtxt(handle, ndmin=2)
-    if data.shape[1] != 7:
-        raise ValueError(f"expected 7 columns, found {data.shape[1]}")
+    data = _read_table(path, FIELD_HEADER, "field file", 7)
     names = ("x", "y", "u", "w", "d", "residual")
     out = {name: data[:, i].copy() for i, name in enumerate(names)}
     out["boundary"] = data[:, 6].astype(int)
@@ -45,22 +46,12 @@ def read_fields(path) -> dict:
 
 
 def write_node_table(path, points, values) -> None:
-    points = np.asarray(points, dtype=float)
-    values = np.asarray(values, dtype=float)
-    with open(path, "w") as handle:
-        handle.write(TABLE_HEADER + "\n")
-        for (x, y), v in zip(points, values):
-            handle.write(f"{_FMT % x} {_FMT % y} {_FMT % v}\n")
+    np.savetxt(path, np.column_stack([points, values]), fmt=_FMT,
+               header=TABLE_HEADER, comments="")
 
 
 def read_node_table(path):
-    with open(path) as handle:
-        header = handle.readline().strip()
-        if header != TABLE_HEADER:
-            raise ValueError(f"unexpected node table header: {header!r}")
-        data = np.loadtxt(handle, ndmin=2)
-    if data.shape[1] != 3:
-        raise ValueError(f"expected 3 columns, found {data.shape[1]}")
+    data = _read_table(path, TABLE_HEADER, "node table", 3)
     return data[:, :2].copy(), data[:, 2].copy()
 
 

@@ -5,11 +5,13 @@ functional whose Euler-Lagrange equation is the fourth-order problem;
 L(u) collects the non-G terms.  Both are implemented for zero Dirichlet
 data on u only.  Two probes test structural facts used by the theory:
 concavity of t |-> int G(det D^2 u_t), sampled along linear paths, and the
-growth condition L(v) >= lambda int v_nu - C, decided in closed form on
-the rays through a fixed family of convex test functions, the 1-d tent
-included; a family can witness failure, never prove the condition.  With
-psi = 1 on [0, 1] it finds a witness exactly when f >= f*_h = 8/(1 - h^2),
-the discrete threshold; in two dimensions it finds none for any f.
+growth condition L(v) >= lambda int v_nu - C, decided in closed form.  In
+one dimension it is decided on the rays through a fixed family of convex
+test functions, the tent included; a family can witness failure, never
+prove the condition.  With psi = 1 on [0, 1] it finds a witness exactly
+when f >= f*_h = 8/(1 - h^2), the discrete threshold.  In two dimensions
+the boundary term (1/2) int K psi v_nu^2 > 0 wins on every ray, so the
+probe returns "no violation found" for every f without evaluating a ray.
 """
 
 from __future__ import annotations
@@ -177,41 +179,25 @@ def concavity_probe(u0: ScalarField, u1: ScalarField, gspec: GSpec,
 # convexity holds).
 _SKEWS = (-0.4, 0.4)
 
-# Hessian eigenvalues down to -_PSD_RTOL times the largest |eigenvalue|
-# count as convex: the tent's zero second differences are roundoff.
-_PSD_RTOL = 1e-9
-
 
 def _test_shapes(grid: Grid):
-    """Unit-scale (label, ScalarField) test functions vanishing on the
-    boundary: the level function B, B skewed linearly in x, -(-B)^{3/4},
-    whose normal derivative concentrates at the boundary, and in one
-    dimension the tent |x - c| - width/2, the extremal of the n = 1
-    threshold.  Members that are not discretely convex up to roundoff on
-    this grid are dropped: -(-B)^{3/4} is dropped on disk64, disk128 and
-    the (1.5, 0.75) ellipse at 64, so the 2-d family shrinks with the
-    resolution."""
+    """Unit-scale (label, ScalarField) test functions on an interval grid,
+    vanishing at both ends: the level function B, B skewed linearly in x,
+    -(-B)^{3/4}, whose derivative concentrates at the ends, and the tent
+    |x - c| - width/2, the extremal of the n = 1 threshold.  Each is
+    convex, so its second differences on the uniform lattice are
+    nonnegative."""
     base = level_bubble(grid)
     xs = grid.points[:, 0]
-    if grid.dim == 1:
-        a, b = grid.domain.bounds
-        center, width = 0.5 * (a + b), b - a
-    else:
-        center, width = 0.0, 2.0 * grid.domain.semi_axes[0]
+    a, b = grid.domain.bounds
+    center, width = 0.5 * (a + b), b - a
     out = [("scaled_parabola", base)]
     for kappa in _SKEWS:
-        vals = base * (1.0 + kappa * (xs - center) / width)
-        out.append((f"skewed_parabola[{kappa:+g}]", vals))
+        out.append((f"skewed_parabola[{kappa:+g}]",
+                    base * (1.0 + kappa * (xs - center) / width)))
     out.append(("boundary_layer", -np.maximum(-base, 0.0) ** 0.75))
-    if grid.dim == 1:
-        out.append(("tent", np.abs(xs - center) - 0.5 * width))
-    members = []
-    for label, vals in out:
-        field = ScalarField(grid, vals)
-        eig = np.linalg.eigvalsh(hessian(field, grid).data)
-        if np.min(eig) >= -_PSD_RTOL * np.max(np.abs(eig)):
-            members.append((label, field))
-    return members
+    out.append(("tent", np.abs(xs - center) - 0.5 * width))
+    return [(label, ScalarField(grid, vals)) for label, vals in out]
 
 
 @dataclass(frozen=True)
@@ -228,46 +214,37 @@ class PropernessResult:
 
 def properness_probe(problem: Problem) -> PropernessResult:
     """Decide L(v) >= lambda int v_nu - C on the rays s V, s >= 0, through
-    the test functions V of `_test_shapes`.
+    test functions V.
 
     On a ray, L(sV) - lambda s int V_nu = (p - lambda r) s + q s^n with
-    p = int V f, q = (1/n) int_bdy K psi V_nu^n and r = int_bdy V_nu > 0, so
-    each shape bounds lambda in closed form, and lambda_hat is the least
-    bound.  In one dimension it is (p + q)/r; with psi = 1 on [0, 1] the
-    tent's p + q vanishes at f*_h = 8/(1 - h^2), the exact 1-d path's
-    threshold.  In two dimensions psi > 0 gives q > 0 and bound +inf.
+    p = int V f, q = (1/n) int_bdy K psi V_nu^n and r = int_bdy V_nu > 0.
+    In two dimensions psi > 0 gives q > 0 on every ray, so the condition
+    holds for every lambda: the result is "no violation found" with
+    lambda_hat = c_hat = inf and no witnesses, whatever f.  In one
+    dimension each shape V of `_test_shapes` bounds lambda by (p + q)/r,
+    and lambda_hat is the least bound; with psi = 1 on [0, 1] the tent's
+    p + q vanishes at f*_h = 8/(1 - h^2), the exact 1-d path's threshold.
 
     lambda_hat <= 0 is "not proper", with lambda_hat and c_hat NaN.
-    Otherwise c_hat is the least C making the condition hold at lambda_hat
-    on the family: 0 in one dimension, inf with lambda_hat = inf.
-    witnesses lists (bound, label) for each shape with a bound below +inf,
-    which breaks the condition for every lambda above it.
+    Otherwise c_hat = 0: each ray is linear in s and >= 0 at lambda_hat.
+    witnesses lists (bound, label) for every shape, each of which breaks
+    the condition for every lambda above its bound.
     """
     _require_zero_phi(problem, "properness_probe")
     grid = problem.grid
-    n = grid.dim
-    shapes = _test_shapes(grid)
-    if not shapes:
-        raise ValueError("test function family is empty on this grid")
-
-    rays = []  # (bound, label): the ray is bounded below iff lambda <= bound
-    for label, V in shapes:
+    if grid.dim == 2:
+        return PropernessResult("no violation found", math.inf, math.inf, ())
+    witnesses = []
+    for label, V in _test_shapes(grid):
         v_nu = boundary_normal_derivative(V, grid)
         p = integrate_interior(V.values * problem.f.values, grid)
         q = integrate_boundary(
-            grid.boundary_curvature * problem.psi * v_nu**n, grid) / n
+            grid.boundary_curvature * problem.psi * v_nu, grid)
         r = integrate_boundary(v_nu, grid)
-        bound = ((p + q) / r if n == 1 else
-                 math.copysign(math.inf, q) if q != 0.0 else p / r)
-        rays.append((bound, label))
-
-    lambda_hat = min(bound for bound, _ in rays)
-    witnesses = tuple(ray for ray in rays if ray[0] < math.inf)
+        witnesses.append(((p + q) / r, label))
+    witnesses = tuple(witnesses)
+    lambda_hat = min(bound for bound, _ in witnesses)
     if lambda_hat <= 0.0:
         return PropernessResult("not proper (witness found)", math.nan,
                                 math.nan, witnesses)
-    # A finite lambda_hat comes from rays linear in s (2-d rays have q > 0,
-    # as psi > 0), and each is >= 0 at lambda_hat: no offset is needed.
-    c_hat = 0.0 if lambda_hat < math.inf else math.inf
-    return PropernessResult("no violation found", lambda_hat, c_hat,
-                            witnesses)
+    return PropernessResult("no violation found", lambda_hat, 0.0, witnesses)

@@ -13,7 +13,8 @@ pattern on the stencil lives here and is built once per grid, on first
 use (`Grid.cached`): `assemble_operator` fills the interior and boundary
 CSR patterns, and `factorize_coupled` the CSC pattern of the coupled
 (u, log w) Newton Jacobian on a 2-d grid.  The matrices own
-copies of those index arrays; exact zeros are dropped only where present.
+copies of those index arrays, and scipy's `eliminate_zeros` drops their
+exact zeros.
 
 `factorize` is the package's one SuperLU call: the Newton solves reuse its
 LU across a line search and across chord steps, and every solve through it
@@ -103,20 +104,13 @@ def stencil_weights(grid: Grid, U: MatrixField) -> np.ndarray:
     return data
 
 
-def _on_pattern(matrix, data, indptr, indices, shape, keep):
+def _on_pattern(matrix, data, indptr, indices, shape):
     """matrix((data, indices, indptr)) on a shared pattern, for matrix
-    sp.csr_matrix or sp.csc_matrix, owning copies of its index arrays.
-
-    The entries where `keep` is False are left out, and only then is the
-    pattern compacted.
-    """
-    if keep.all():
-        indptr, indices = indptr.copy(), indices.copy()
-    else:
-        at = np.zeros(keep.size + 1, dtype=indptr.dtype)
-        np.cumsum(keep, out=at[1:])
-        indptr, indices, data = at[indptr], indices[keep], data[keep]
-    return matrix((data, indices, indptr), shape=shape)
+    sp.csr_matrix or sp.csc_matrix, owning copies of its index arrays and
+    with its exact zeros dropped by scipy's `eliminate_zeros`."""
+    out = matrix((data, indices.copy(), indptr.copy()), shape=shape)
+    out.eliminate_zeros()
+    return out
 
 
 def assemble_operator(grid: Grid, U: MatrixField):
@@ -128,18 +122,16 @@ def assemble_operator(grid: Grid, U: MatrixField):
     grid's interior and boundary CSR patterns, which are split from
     `second_ops.cols` once per grid (`Grid.cached`).  Each matrix owns
     copies of its index arrays, so scipy may sort or compact it in place
-    without touching the shared patterns.  Entries that are exactly zero
-    (the diagonal arms when U^{xy} = 0) are dropped, and the patterns are
-    compacted only when one is present.
+    without touching the shared patterns; scipy drops the entries that are
+    exactly zero (the diagonal arms when U^{xy} = 0).
     """
     split = grid.cached(_operator_split)
     data = stencil_weights(grid, U)
     n = grid.n_interior
-    a, b = data[split.interior], data[~split.interior]
-    return (_on_pattern(sp.csr_matrix, a, split.a_indptr, split.a_indices,
-                        (n, n), a != 0.0),
-            _on_pattern(sp.csr_matrix, b, split.b_indptr, split.b_indices,
-                        (n, grid.n_boundary), b != 0.0))
+    return (_on_pattern(sp.csr_matrix, data[split.interior], split.a_indptr,
+                        split.a_indices, (n, n)),
+            _on_pattern(sp.csr_matrix, data[~split.interior], split.b_indptr,
+                        split.b_indices, (n, grid.n_boundary)))
 
 
 def apply_operator(grid: Grid, U: MatrixField, v) -> np.ndarray:
@@ -213,20 +205,17 @@ def _coupled_jacobian(grid: Grid, a_weights, d, c_weights, w):
     `stencil_weights` a_weights and c_weights, and w holds node values: the
     lower-right block is A with each column scaled by w at its node, the
     u-weights times w on the stencil columns.  One gather fills the grid's
-    cached pattern.  Entries of the three stencil blocks that are exactly
-    zero are dropped, as `assemble_operator` drops them, and the pattern
-    is compacted only when one is present; d is stored as given.  The
-    matrix owns copies of its index arrays.
+    cached pattern, and scipy drops the exact zeros, as in
+    `assemble_operator`; d = Theta/(1 - theta) > 0 has none.  The matrix
+    owns copies of its index arrays.
     """
     pattern = grid.cached(_coupled_pattern)
     n = grid.n_interior
     values = np.concatenate([
         a_weights.ravel(), d, c_weights.ravel(),
         (a_weights * np.asarray(w)[grid.second_ops.cols]).ravel()])
-    keep = values != 0.0
-    keep[a_weights.size:a_weights.size + n] = True  # d is stored as given
     return _on_pattern(sp.csc_matrix, values[pattern.take], pattern.indptr,
-                       pattern.indices, (2 * n, 2 * n), keep[pattern.take])
+                       pattern.indices, (2 * n, 2 * n))
 
 
 def factorize_coupled(grid: Grid, a_weights, d, c_weights, w):

@@ -26,7 +26,8 @@ Normal derivatives at boundary nodes use a second-order one-sided
 difference along the inward normal.  Off-lattice values come from
 least-squares quadratic fits on the nearest nodes, all solved by batched QR
 (`_quadratic_fit`): `Grid.boundary_fits` near the boundary, and
-`quadratic_transfer` between two grids of one domain.  Nearness is measured
+`quadratic_transfer`, which interpolates node values of one grid at the
+points of another grid of the same domain.  Nearness is measured
 in lattice coordinates (x/hx, y/hy), where the lattice has unit spacing on
 both axes.  There an ellipse grid is the disk grid of its resolution (the
 snap test aside), so a thin ellipse gets the disk's weights times ab, and
@@ -137,11 +138,10 @@ class DomainSpec:
         return -self.level(x, y) / norm
 
     def outward_normal(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        gx, gy = self.level_gradient(pts[:, 0], pts[:, 1])
+        """Unit outward normals at the (m, 2) boundary `points`."""
+        gx, gy = self.level_gradient(points[:, 0], points[:, 1])
         norm = np.hypot(gx, gy)
-        out = np.column_stack([gx / norm, gy / norm])
-        return out if np.asarray(points).ndim == 2 else out[0]
+        return np.column_stack([gx / norm, gy / norm])
 
     def boundary_point(self, t):
         """Point on the boundary at parameter t (angle for disk/ellipse)."""
@@ -419,27 +419,17 @@ def _quadratic_fit(grid: Grid, centers: np.ndarray):
     return idx, np.linalg.solve(r, np.swapaxes(q, -1, -2))
 
 
-class Transfer(NamedTuple):
-    """Interpolation of node values at fixed points; see `quadratic_transfer`."""
-
-    idx: np.ndarray
-    weights: np.ndarray
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Values at the points from node values of shape (n_nodes, ...)."""
-        return np.einsum("mk,mk...->m...", self.weights, values[self.idx])
-
-
-def quadratic_transfer(grid: Grid, points) -> Transfer:
-    """Interpolation from the nodes of a 2-d grid to the (m, 2) `points`.
+def quadratic_transfer(grid: Grid, points, values) -> np.ndarray:
+    """Node values of a 2-d grid, shape (n_nodes, ...), interpolated at the
+    (m, 2) `points`.
 
     A point's value is the constant term of the fit of `_quadratic_fit`
-    centered there, so the transfer is exact for quadratic fields, and each
-    field costs one weighted sum over 12 nodes.
+    centered there, so the transfer is exact for quadratic fields, and
+    each column costs one weighted sum over 12 nodes.
     """
     idx, coef = _quadratic_fit(
         grid, np.asarray(points, dtype=float) / (grid.hx, grid.hy))
-    return Transfer(idx, coef[:, 0])
+    return np.einsum("mk,mk...->m...", coef[:, 0], values[idx])
 
 
 def build_grid(domain: DomainSpec, resolution: int) -> Grid:

@@ -6,7 +6,9 @@ Both integrations use the composite trapezoid rule, so the accuracy is
 O(h^2) with no iteration, giving an oracle independent of the continuation
 machinery.  A nonpositive minimum of w is a certificate of nonexistence
 (w = G'(d) must be strictly positive for finite d), returned as a value
-rather than raised.
+rather than raised.  For f = c * shape, w is affine in c, so the
+existence threshold in c has a closed form on the quadrature nodes
+(`existence_threshold_1d`).
 """
 
 from __future__ import annotations
@@ -127,35 +129,26 @@ def solve_exact_1d(p: OneDProblem, resolution: int = 1001):
 
 
 def existence_threshold_1d(shape, template: OneDProblem, c_range,
-                           resolution: int = 2001,
-                           tol: float = 1e-6) -> float:
-    """Bisect the amplitude c at which min w for f = c * shape reaches 0.
+                           resolution: int = 2001) -> float:
+    """The amplitude c in c_range at which min w for f = c * shape reaches 0.
 
-    The w-equation is linear in c, so the response to the shape is computed
-    once and min w is re-evaluated per bisection step.
+    The w-equation is linear in c: w = w_hom + c p, with w_hom > 0 the
+    response to psi and p the response to the shape, zero at the
+    endpoints.  An interior node with p != 0 reaches 0 at c = -w_hom/p, so
+    min w > 0 holds exactly on (max_{p>0} -w_hom/p, min_{p<0} -w_hom/p).
+    Returns the one end of that interval that c_range holds; raises
+    ValueError if it holds neither or both.
     """
     a, b = template.interval
     xs = np.linspace(a, b, int(resolution))
-    sv = _source_values(shape, xs)
     w_hom = _bvp_by_quadrature(np.zeros_like(xs), xs, template.psi[0],
-                               template.psi[1])
-    particular = _bvp_by_quadrature(sv, xs, 0.0, 0.0)
-
-    def min_w(c):
-        return float(np.min(w_hom + c * particular))
-
-    lo, hi = (float(v) for v in c_range)
-    m_lo, m_hi = min_w(lo), min_w(hi)
-    if m_lo > 0.0 >= m_hi:
-        pass
-    elif m_hi > 0.0 >= m_lo:
-        lo, hi = hi, lo
-    else:
+                               template.psi[1])[1:-1]
+    p = _bvp_by_quadrature(_source_values(shape, xs), xs, 0.0, 0.0)[1:-1]
+    up, down = p > 0.0, p < 0.0
+    ends = (np.max(-w_hom[up] / p[up], initial=-math.inf),
+            np.min(-w_hom[down] / p[down], initial=math.inf))
+    lo, hi = sorted(float(v) for v in c_range)
+    held = [float(end) for end in ends if lo <= end <= hi]
+    if len(held) != 1:
         raise ValueError("c_range does not bracket a sign change of min w")
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if min_w(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return held[0]

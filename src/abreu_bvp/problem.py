@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gfamily import GSpec
-from .mesh import DomainSpec, Grid, ScalarField
+from .mesh import Grid, ScalarField
 
 
 class Problem:
@@ -41,10 +41,6 @@ class Problem:
         self.f = f
         self.phi = phi
         self.psi = psi
-
-    @property
-    def domain(self) -> DomainSpec:
-        return self.grid.domain
 
     @property
     def phi_is_zero(self) -> bool:

@@ -72,7 +72,7 @@ def test_criterion_02_1d_oracle_equivalence():
 
 def test_criterion_03_nonexistence_properness_consistency(tmp_path):
     template = OneDProblem((0.0, 1.0), 0.0, 0.0)
-    c_star = existence_threshold_1d(1.0, template, (0.0, 32.0), tol=1e-6)
+    c_star = existence_threshold_1d(1.0, template, (0.0, 32.0))
     thresh_err = abs(c_star - 8.0)
 
     exists = solve_exact_1d(OneDProblem((0.0, 1.0), 0.0, 7.9))

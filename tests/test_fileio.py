@@ -12,18 +12,30 @@ from abreu_bvp.fileio import (
 )
 
 
+# Values a %.17g round trip must keep: nan, both infinities, a negative
+# zero, a subnormal and values near both ends of the exponent range.
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-320, 1e-300, -1e300])
+
+
+def same_doubles(back, ref):
+    return (np.array_equal(back, ref, equal_nan=True)
+            and np.array_equal(np.signbit(back), np.signbit(ref)))
+
+
 def test_fields_round_trip_is_bitwise(disk32, tmp_path, rng):
     g = disk32
     u = rng.normal(size=g.n_nodes)
     w = np.abs(rng.normal(size=g.n_nodes)) + 1e-3
     d = np.abs(rng.normal(size=g.n_nodes))
     r = rng.normal(size=g.n_nodes) * 1e-9
+    u[:SPECIAL.size] = SPECIAL
+    r[-SPECIAL.size:] = SPECIAL
     path = tmp_path / "fields.txt"
     write_fields(str(path), g, u, w, d, r)
     back = read_fields(str(path))
     # %.17g prints doubles exactly
     for name, ref in (("u", u), ("w", w), ("d", d), ("residual", r)):
-        assert np.array_equal(back[name], ref), name
+        assert same_doubles(back[name], ref), name
     assert np.array_equal(back["x"], g.points[:, 0])
     assert np.array_equal(back["y"], g.points[:, 1])
     flags = back["boundary"]
@@ -48,11 +60,13 @@ def test_fields_column_count_is_validated(tmp_path):
 def test_node_table_round_trip(tmp_path, rng):
     pts = rng.normal(size=(17, 2))
     vals = rng.normal(size=17)
+    vals[:SPECIAL.size] = SPECIAL
+    pts[-SPECIAL.size:, 1] = SPECIAL
     path = tmp_path / "table.txt"
     write_node_table(str(path), pts, vals)
     xy, back = read_node_table(str(path))
-    assert np.array_equal(xy, pts)
-    assert np.array_equal(back, vals)
+    assert same_doubles(xy, pts)
+    assert same_doubles(back, vals)
 
 
 def test_report_formatting():

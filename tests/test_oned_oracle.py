@@ -58,25 +58,30 @@ def test_existence_is_sharp_at_eight():
 def test_threshold_bisection_unit_interval():
     t = existence_threshold_1d(1.0, OneDProblem((0.0, 1.0), 0.0, 0.0),
                                (0.0, 32.0))
-    assert t == pytest.approx(8.0, abs=1e-6)
+    assert t == pytest.approx(8.0, abs=1e-12)
 
 
 def test_threshold_scales_with_psi():
     t = existence_threshold_1d(
         1.0, OneDProblem((0.0, 1.0), 0.0, 0.0, psi=(2.0, 2.0)), (0.0, 64.0))
-    assert t == pytest.approx(16.0, abs=1e-6)
+    assert t == pytest.approx(16.0, abs=1e-12)
 
 
 def test_threshold_scales_with_length():
     t = existence_threshold_1d(1.0, OneDProblem((0.0, 2.0), 0.0, 0.0),
                                (0.0, 32.0))
-    assert t == pytest.approx(2.0, abs=1e-6)
+    assert t == pytest.approx(2.0, abs=1e-12)
 
 
 def test_threshold_requires_bracketing():
     with pytest.raises(ValueError):
         existence_threshold_1d(1.0, OneDProblem((0.0, 1.0), 0.0, 0.0),
                                (0.0, 4.0))  # no sign change by c = 4
+    with pytest.raises(ValueError):
+        # min w > 0 on an interval around c = 0, and the range holds both ends
+        existence_threshold_1d(lambda x: x - 0.5,
+                               OneDProblem((0.0, 1.0), 0.0, 0.0),
+                               (-1e3, 1e3))
 
 
 def test_problem_validation():

@@ -72,7 +72,7 @@ def test_grid_transfer_reproduces_quadratic_fields(semi_a, semi_b,
         return a * x**2 + b * x * y + c * y**2 + d * x + e * y + f0
 
     values = field(g.points[:, 0], g.points[:, 1])
-    moved = quadratic_transfer(g, pts)(values)
+    moved = quadratic_transfer(g, pts, values)
     scale = max(1.0, float(np.max(np.abs(values))))
     assert np.max(np.abs(moved - field(pts[:, 0], pts[:, 1]))) <= 1e-12 * scale
 
