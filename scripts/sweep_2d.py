@@ -28,10 +28,11 @@ The cause is read from the trace alone:
     fallback=resolve   the half-resolution path reached t = 1, but no fine
                        entry is at t = 1: the re-solve of u raised
 
-A summary line follows, with a count per cause and the coupled
-factorizations of all cases.  The solver is imported from src/ next to
-this directory, single-threaded unless ABREU_BVP_THREADS is set.  The
-exit status is 1 when any case exits 3, else 0.
+A summary line follows, with a count per cause, and the trace entries
+(continuation steps) and coupled factorizations of all cases.  The solver
+is imported from src/ next to this directory, single-threaded unless
+ABREU_BVP_THREADS is set.  The exit status is 1 when any case exits 3,
+else 0.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def per_resolution(counts):
 
 def run_case(bvp, domain, resolution, theta, c):
     """Solve one case; return its printed line, whether it solved, its
-    fallback cause (None if it did not fall back) and its coupled
-    factorizations."""
+    fallback cause (None if it did not fall back), its trace entries and
+    its coupled factorizations."""
     spec = (bvp.DomainSpec.disk(1.0) if domain == "disk"
             else bvp.DomainSpec.ellipse(1.5, 0.75))
     start = time.perf_counter()
@@ -105,7 +106,7 @@ def run_case(bvp, domain, resolution, theta, c):
     if cause == "step":
         step = next(e for e in trace if e["resolution"] == resolution)
         line += f"  error: {step['error']}"
-    return line, solved, cause, factorizations.total()
+    return line, solved, cause, entries.total(), factorizations.total()
 
 
 def main() -> int:
@@ -113,23 +114,25 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     import abreu_bvp as bvp
 
-    failed = cases = factorizations = 0
+    failed = cases = steps = factorizations = 0
     causes = Counter({"coarse": 0, "step": 0, "resolve": 0})
     start = time.perf_counter()
     for domain, resolution, theta, c in itertools.product(
             DOMAINS, RESOLUTIONS, THETAS, SOURCES):
-        line, solved, cause, lus = run_case(bvp, domain, resolution, theta,
-                                            c)
+        line, solved, cause, entries, lus = run_case(bvp, domain, resolution,
+                                                     theta, c)
         print(line, flush=True)
         cases += 1
+        steps += entries
         factorizations += lus
         failed += not solved
         if cause is not None:
             causes[cause.split("@")[0]] += 1
     print(f"{cases} cases, {causes.total()} fallbacks ("
           + ", ".join(f"{n} {cause}" for cause, n in causes.items())
-          + f"), {failed} exit 3, {factorizations} coupled factorizations, "
-          f"{time.perf_counter() - start:.1f} s in all")
+          + f"), {failed} exit 3, {steps} trace entries, {factorizations} "
+          f"coupled factorizations, {time.perf_counter() - start:.1f} s in "
+          "all")
     return 1 if failed else 0
 
 

@@ -7,13 +7,15 @@ The fourth-order equation is solved as the coupled second-order system
 with u = phi and w = t psi + (1 - t) on the boundary, where U is the
 cofactor matrix of D^2 u and Theta inverts G'.  At t = 0 the solution is
 w = 1 (or a given initial w0) with u from one Monge-Ampere solve.  t is
-then driven to 1 in t_steps equal steps; each step is a Newton solve of the
+then driven to 1 by a step controller; each step is a Newton solve of the
 coupled system on the stacked (u, log w) unknowns, started from the previous
 step's solution, by the package's one damped Newton
-(`ma_dirichlet.damped_newton`), so w > 0 by construction.  A failed step is
-retried at half the size, within a budget of max_step_halvings halvings
-per continuation (the coarsest grid's and each fallback's get their own);
-when that runs out, the continuation ends in ContinuationError.
+(`ma_dirichlet.damped_newton`), so w > 0 by construction.  The first step
+is dt = 1/t_steps.  dt doubles after a converged step whose Newton made at
+most 2 factorizations, and halves after a failed step.  A step that fails
+at the floor dt = 1/(t_steps 2^max_step_halvings) ends the continuation in
+ContinuationError.  The coarsest grid's continuation and each fallback's
+start afresh from the first step.
 In two dimensions the problem has a solution for every f, so no 2-d step
 gives a nonexistence verdict, and w_floor does not bound w there.
 
@@ -30,11 +32,11 @@ A 2-d grid finer than _COARSEST_RESOLUTION = 32 does not drive t itself
 problem on the grid of half its resolution, recursively, moves that
 solution to its own nodes, and takes one Newton step at t = 1 from there:
 by mesh independence, Newton's iteration count does not grow with the
-resolution.  So t_steps, the halvings and w0 act on the coarsest grid.  If
-a coarser grid or the re-solve of u on this grid raises a SolverError, or
-the fine step does not converge, the grid runs the continuation itself,
-and its outcome is the run's.  Each trace entry records the resolution of
-its grid.
+resolution.  So t_steps, max_step_halvings and w0 act on the coarsest
+grid.  If a coarser grid or the re-solve of u on this grid raises a
+SolverError, or the fine step does not converge, the grid runs the
+continuation itself, and its outcome is the run's.  Each trace entry
+records the resolution of its grid.
 
 phi_map, one sweep of the splitting (a Monge-Ampere solve, then the linear
 solve in cofactor form), is kept as an independent fixed-point check.
@@ -182,17 +184,27 @@ def _newton_step(uv, wv, t, problem):
     return uv, wv, outcome
 
 
+# A converged step whose Newton made at most this many factorizations was
+# cheap, and the next step is twice as long.
+_CHEAP_STEP_FACTORIZATIONS = 2
+
+
 def _continuation(problem, opts, wv, trace):
     """Drive t from 0 to 1 from w = wv at t = 0; return the (u, w) node values.
 
-    Each step's entry is appended to `trace`.
+    The first step is dt = 1/t_steps.  After a converged step of at most
+    _CHEAP_STEP_FACTORIZATIONS factorizations dt doubles; after a failed
+    step it halves.  A failure at the floor dt_min = dt/2^max_step_halvings
+    ends the continuation in ContinuationError.  dt moves only by factors
+    of 2, so it meets the floor exactly.  Each step's entry, with the
+    controller's dt (the last step stops at t = 1), is appended to `trace`.
     """
     grid = problem.grid
     g = ScalarField(grid, invert_w(problem.gspec, wv))
     uv = solve_ma(grid, g, problem.phi, opts.ma).values
     t_reached = 0.0
     dt = 1.0 / opts.t_steps
-    halvings = 0
+    dt_min = dt / 2**opts.max_step_halvings
     while t_reached < 1.0:
         t_try = min(1.0, t_reached + dt)
         if 1.0 - t_try < 1e-12:  # don't let roundoff add an extra step
@@ -203,13 +215,14 @@ def _continuation(problem, opts, wv, trace):
         if outcome["converged"]:
             uv, wv = u_new, w_new
             t_reached = t_try
+            if outcome["factorizations"] <= _CHEAP_STEP_FACTORIZATIONS:
+                dt *= 2.0
             continue
-        halvings += 1
-        if halvings > opts.max_step_halvings:
+        if dt <= dt_min:
             raise ContinuationError(
                 f"no convergence at t = {t_try:.6g} after "
-                f"{opts.max_step_halvings} step halvings "
-                f"({outcome['error']})",
+                f"{opts.max_step_halvings} step halvings below the first "
+                f"step ({outcome['error']})",
                 last_good_t=t_reached, trace=trace)
         dt *= 0.5
     return uv, wv

@@ -38,7 +38,7 @@ class ConvexityLossError(SolverError):
 
 
 class ContinuationError(SolverError):
-    """Outer continuation failed to converge after step halving."""
+    """Outer continuation failed at its least step (the step floor)."""
 
     def __init__(self, message, last_good_t=0.0, trace=None):
         super().__init__(message, trace)

@@ -59,9 +59,10 @@ def test_trivial_disk_solution(disk32):
     assert np.max(np.abs(sol.u.values - ref)) < 1e-8
     assert np.max(np.abs(sol.w.values - 1.0)) < 1e-10
     assert np.max(np.abs(sol.d.values[: g.n_interior] - 1.0)) < 1e-9
-    assert len(sol.iterations) == 10
+    # every step is cheap (no factorization at all), so dt doubles each time
+    assert [(e["t"], e["dt"]) for e in sol.iterations] == [
+        (0.1, 0.1), (0.1 + 0.2, 0.2), (0.1 + 0.2 + 0.4, 0.4), (1.0, 0.8)]
     assert all(e["converged"] for e in sol.iterations)
-    assert sol.iterations[-1]["t"] == 1.0
 
 
 def test_solution_is_a_fixed_point(disk32):
@@ -110,16 +111,75 @@ def test_nonexistence_exits_through_the_floor():
 
 
 def test_strong_source_converges_without_halving(disk32):
-    # near-singular w (min w ~ 1e-4) still takes the plain ten-step schedule
+    # near-singular w (min w ~ 1e-4): no step fails, and dt never shrinks
     g = disk32
     prob = Problem(g, GSpec(0.0, 2), 50.0, 0.0, 1.0)
     sol = solve_second_bvp(prob)
-    assert len(sol.iterations) == 10
-    assert all(e["converged"] and e["dt"] == 0.1 for e in sol.iterations)
+    trace = sol.iterations
+    assert [e["factorizations"] for e in trace] == [2, 4, 3, 3, 2, 2]
+    assert [e["dt"] for e in trace] == [0.1, 0.2, 0.2, 0.2, 0.2, 0.4]
+    assert all(e["converged"] for e in trace)
+    assert all(a["dt"] <= b["dt"] for a, b in zip(trace, trace[1:]))
+    assert trace[-1]["t"] == 1.0
     assert not any(e["floor_hit"] for e in sol.iterations)
     assert sol.el_residual_norm <= 1e-4 * 50.0
     assert np.min(sol.w.values) > 0.0
     assert np.min(sol.d.interior) > 0.0
+
+
+def scripted_steps(monkeypatch, outcomes):
+    # Replaces the coupled Newton by one that returns its input and the
+    # next scripted (converged, factorizations); returns the t's it was
+    # asked for.
+    asked = []
+    script = iter(outcomes)
+
+    def newton_step(uv, wv, t, problem):
+        asked.append(t)
+        converged, factorizations = next(script)
+        outcome = {"iterations": factorizations,
+                   "factorizations": factorizations, "residual": 0.0,
+                   "w_min": 1.0, "converged": converged, "floor_hit": False}
+        if not converged:
+            outcome["error"] = "injected"
+        return uv, wv, outcome
+
+    monkeypatch.setattr(continuation, "_newton_step", newton_step)
+    return asked
+
+
+def test_the_step_doubles_after_cheap_steps_and_halves_after_failures(
+        disk32, monkeypatch):
+    prob = trivial_problem(disk32)
+    # cheap steps: dt doubles each time, and the last step stops at t = 1
+    scripted_steps(monkeypatch, [(True, 2)] * 4)
+    trace = solve_second_bvp(prob).iterations
+    assert [(e["t"], e["dt"]) for e in trace] == [
+        (0.1, 0.1), (0.1 + 0.2, 0.2), (0.1 + 0.2 + 0.4, 0.4), (1.0, 0.8)]
+    # three factorizations keep dt, a failure halves it
+    scripted_steps(monkeypatch, [(True, 1), (True, 3), (False, 30),
+                                 (True, 2), (True, 0), (True, 1)])
+    trace = solve_second_bvp(prob).iterations
+    assert [e["dt"] for e in trace] == [0.1, 0.2, 0.2, 0.1, 0.2, 0.4]
+    assert [e["t"] for e in trace] == [
+        0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.2, 0.1 + 0.2 + 0.1,
+        0.1 + 0.2 + 0.1 + 0.2, 1.0]
+    assert [e["converged"] for e in trace] == [True] * 2 + [False] + [True] * 3
+
+
+def test_a_failure_at_the_step_floor_ends_the_continuation(disk32,
+                                                          monkeypatch):
+    opts = ContinuationOptions()
+    dt_min = 0.1 / 2**opts.max_step_halvings
+    asked = scripted_steps(monkeypatch, [(False, 5)] * 100)
+    with pytest.raises(ContinuationError) as ei:
+        solve_second_bvp(trivial_problem(disk32), opts)
+    trace = ei.value.trace
+    assert len(trace) == opts.max_step_halvings + 1 == len(asked)
+    assert [e["dt"] for e in trace] == [
+        0.1 / 2**k for k in range(opts.max_step_halvings + 1)]
+    assert trace[-1]["dt"] == dt_min
+    assert ei.value.last_good_t == 0.0
 
 
 def test_threshold_verdicts_bracket_the_discrete_threshold(interval64):
@@ -509,7 +569,9 @@ def test_sequenced_solve_equals_the_continuation(grid_name, source, request,
     assert np.max(np.abs(seq.w.values - plain.w.values)) <= 1e-10
     # t is driven on the coarse grid; the fine grid takes one step at t = 1
     assert {e["resolution"] for e in plain.iterations} == {64}
-    assert [e["resolution"] for e in seq.iterations] == [32] * 10 + [64]
+    coarse_steps = {"disk64": 6, "ellipse64": 4}[grid_name]
+    assert ([e["resolution"] for e in seq.iterations]
+            == [32] * coarse_steps + [64])
     last = seq.iterations[-1]
     assert (last["t"], last["dt"], last["converged"]) == (1.0, 1.0, True)
 
@@ -517,7 +579,7 @@ def test_sequenced_solve_equals_the_continuation(grid_name, source, request,
 def test_each_level_of_the_sequence_is_in_the_trace(interval64):
     disk65 = build_grid(DomainSpec.disk(1.0), 65)
     trace = solve_second_bvp(trivial_problem(disk65)).iterations
-    assert [e["resolution"] for e in trace] == [17] * 10 + [33, 65]
+    assert [e["resolution"] for e in trace] == [17] * 4 + [33, 65]
     assert all(e["converged"] for e in trace)
     assert [(e["t"], e["dt"]) for e in trace[-2:]] == [(1.0, 1.0)] * 2
     # an interval takes the exact path: one entry, at t = 1
@@ -565,12 +627,16 @@ def fine_step_that_fails_falls_back(resolution):
     sol = solve_second_bvp(prob)
     trace = sol.iterations
     assert ([e["resolution"] for e in trace]
-            == [resolution // 2] * 10 + [resolution] * 11)
-    failed = trace[10]
+            == [resolution // 2] * 6 + [resolution] * 7)
+    failed = trace[6]
     assert (failed["t"], failed["dt"], failed["converged"]) == (1.0, 1.0,
                                                                 False)
-    assert all(e["converged"] and e["dt"] < 1.0 for e in trace[11:])
-    assert trace[-1]["t"] == 1.0
+    # both continuations take the same steps
+    steps = [0.1, 0.1, 0.1, 0.2, 0.2, 0.4]
+    for path in (trace[:6], trace[7:]):
+        assert [e["dt"] for e in path] == steps
+        assert all(e["converged"] for e in path)
+        assert path[-1]["t"] == 1.0
     # criterion 4's gates, recomputed from u
     el = np.max(np.abs(el_residual(sol.u, prob).interior))
     assert el <= 1e-4 * 1000.0
@@ -642,11 +708,11 @@ def test_a_fine_resolve_that_raises_falls_back_to_the_continuation(
     assert resolves == [48]
     assert np.array_equal(sol.u.values, plain.u.values)
     assert np.array_equal(sol.w.values, plain.w.values)
-    coarse = sol.iterations[:10]
-    assert [e["resolution"] for e in coarse] == [24] * 10
+    coarse = sol.iterations[:4]
+    assert [e["resolution"] for e in coarse] == [24] * 4
     assert all(e["converged"] for e in coarse)
     assert coarse[-1]["t"] == 1.0
-    assert sol.iterations[10:] == plain.iterations
+    assert sol.iterations[4:] == plain.iterations
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
