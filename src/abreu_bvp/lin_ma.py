@@ -95,7 +95,10 @@ def stencil_weights(grid: Grid, U: MatrixField) -> np.ndarray:
     """
     ops = grid.second_ops
     n = grid.n_interior
-    c = U.data.reshape(n, -1) @ ops.to_hessian.T
+    # A C-ordered copy of the small transpose: numpy's matmul of a long
+    # C-ordered U by an F-ordered view leaves its fast path (the product is
+    # the same bits either way).
+    c = U.data.reshape(n, -1) @ np.ascontiguousarray(ops.to_hessian.T)
     w = ops.weights
     data = np.empty(ops.cols.shape)
     data[:, 0] = np.einsum("na,na->n", c, w[..., 0])

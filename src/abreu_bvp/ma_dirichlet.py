@@ -2,9 +2,14 @@
 
 Newton uses the exact linearization delta(det D^2 u) = U^{ij} delta u_{ij},
 so each step solves a linearized problem with the current cofactor field as
-coefficients.  The initial guess is a Poisson solve, made convex with the
-domain's level-function bubble where needed; in one dimension it is already
-the discrete solution.  Iterates stay discretely convex (positive definite
+coefficients.  The initial guess solves M : D^2 u0 = n g^{1/n}, with
+M = diag(a/b, b/a) on an ellipse of semi-axes a, b (the identity on a
+disk, so a Poisson solve there), made convex with the domain's
+level-function bubble where needed.  det M = 1, so by AM-GM
+tr(M H) >= n (det H)^{1/n}, with equality exactly when H is a multiple of
+M^{-1}, the Hessian of the domain's level quadratic: for constant g and
+affine phi the start is already the discrete solution, as it is for any g
+in one dimension.  Iterates stay discretely convex (positive definite
 Hessian at every interior node): a nonconvex trial has infinite residual,
 which the line search rejects.
 
@@ -52,17 +57,23 @@ def _interior_det(grid: Grid, values: np.ndarray):
     return H, sym_det(H.data)
 
 
-def _identity_coeffs(grid: Grid) -> MatrixField:
-    n = grid.dim
-    data = np.broadcast_to(np.eye(n), (grid.n_interior, n, n))
-    return MatrixField(grid, data)
+def _shape_coeffs(grid: Grid) -> MatrixField:
+    """M = diag(a/b, b/a) for semi-axes a, b (I on a disk), 1 on an interval."""
+    m = np.ones((1, 1))
+    if grid.dim == 2:
+        a, b = grid.domain.semi_axes
+        m = np.diag([a / b, b / a])
+    return MatrixField(grid, np.broadcast_to(m, (grid.n_interior,) + m.shape))
 
 
 def _initial_guess(grid: Grid, g: ScalarField, phi_b) -> np.ndarray:
     n = grid.dim
-    # trace D^2 u0 = n g^{1/n}: equality when D^2 u0 is a multiple of I.
+    # M : D^2 u0 = n g^{1/n} with det M = 1.  By AM-GM,
+    # tr(M H) >= n (det H)^{1/n}, with equality exactly when H is a
+    # multiple of M^{-1}, the Hessian of the domain's level quadratic; so
+    # for constant g and affine phi the start is the discrete solution.
     rhs = n * g.interior ** (1.0 / n)
-    A, B = assemble_operator(grid, _identity_coeffs(grid))
+    A, B = assemble_operator(grid, _shape_coeffs(grid))
     u_int = solve_system(A, rhs - B @ phi_b, grid.nd_order)
     u = np.concatenate([u_int, phi_b])
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -121,6 +123,34 @@ def test_assemble_operator_row_action(interval64, disk32, rng):
         direct = A @ w.interior + B @ w.boundary
         assert (np.max(np.abs(direct - pointwise))
                 < 1e-12 * np.max(np.abs(pointwise)))
+
+
+def test_the_stencil_enters_matmul_c_ordered(ellipse32):
+    # numpy's matmul of a long C-ordered array by an F-ordered one (such as
+    # a transposed view) can leave its fast path: on the 51,040 rows of
+    # the 256 ellipse it has taken 2 to 150 times as long as with
+    # C-ordered operands, depending on the host.  So every operand
+    # that stencil_weights and hessian hand to matmul is C-ordered; the
+    # fields' data is wrapped in an array type that records them.
+    seen = []
+
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kw):
+            inputs = [np.asarray(x) for x in inputs]
+            if ufunc is np.matmul:
+                seen.append(inputs)
+            if out is not None:
+                kw["out"] = tuple(np.asarray(x) for x in out)
+            return getattr(ufunc, method)(*inputs, **kw).view(Recording)
+
+    g = ellipse32
+    pot = g.field(lambda x, y: x**2 + 2.0 * y**2 + 0.1 * np.exp(x * y))
+    U = cofactor(hessian(pot, g), g)
+    stencil_weights(g, SimpleNamespace(data=U.data.view(Recording)))
+    hessian(SimpleNamespace(values=pot.values.view(Recording)), g)
+    assert len(seen) == 2
+    for operands in seen:
+        assert [x.flags.c_contiguous for x in operands] == [True, True]
 
 
 def test_assembled_operator_stores_no_zeros(interval64, disk32):

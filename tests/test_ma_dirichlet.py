@@ -9,8 +9,10 @@ from abreu_bvp import (
     DomainSpec,
     GSpec,
     MAOptions,
+    MatrixField,
     Problem,
     ScalarField,
+    assemble_operator,
     build_grid,
     hessian,
     is_positive_definite,
@@ -18,9 +20,10 @@ from abreu_bvp import (
     solve_ma,
     solve_second_bvp,
 )
+from abreu_bvp import lin_ma, ma_dirichlet
 from abreu_bvp.exceptions import NewtonDivergenceError
-from abreu_bvp.lin_ma import factorize
-from abreu_bvp.ma_dirichlet import damped_newton
+from abreu_bvp.lin_ma import factorize, solve_system
+from abreu_bvp.ma_dirichlet import _initial_guess, damped_newton
 
 
 def test_1d_direct_solve(interval64):
@@ -94,6 +97,63 @@ def test_warm_start_agrees_with_cold_start(disk32):
     bent = ScalarField(g, cold.values + 1e-3 * (g.points[:, 0]**2))
     warm = solve_ma(g, gfun, 0.0, initial=bent)
     assert np.max(np.abs(warm.values - cold.values)) < 1e-7
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The number of LUs made so far, by the start's solve or by Newton."""
+    made = []
+    real = lin_ma.factorize
+
+    def counted(*args, **kwargs):
+        made.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lin_ma, "factorize", counted)
+    monkeypatch.setattr(ma_dirichlet, "factorize", counted)
+    return made
+
+
+def test_the_ellipse_start_solves_constant_g(ellipse64, factorizations):
+    # M = diag(a/b, b/a) makes M : D^2 u0 = 2 sqrt(g) exact on
+    # u = phi + (sqrt(g) ab / 2) level, whose Hessian is a multiple of
+    # M^{-1}; the stencils are exact on quadratics, so the start's one LU
+    # is the only one.
+    g = ellipse64
+    a, b = g.domain.semi_axes
+    u = solve_ma(g, ScalarField.constant(g, 4.0), 0.3)
+    level = g.domain.level(g.points[:, 0], g.points[:, 1])
+    level[g.n_interior:] = 0.0
+    assert len(factorizations) == 1
+    assert np.max(np.abs(u.values - (0.3 + np.sqrt(4.0) * a * b / 2.0
+                                     * level))) < 1e-13
+
+
+def test_the_ellipse_start_saves_a_newton_lu(ellipse64, factorizations):
+    # Varying g: the start's LU and one Newton LU, then chord steps.
+    g = ellipse64
+    x, y = g.points[:, 0], g.points[:, 1]
+    gv = ScalarField(g, 1.0 + x**2 + y**2 / 2.0)
+    u = solve_ma(g, gv, 0.0)
+    assert len(factorizations) == 2
+    assert (np.max(np.abs(ma_residual(g, u, gv).values))
+            <= MAOptions().newton_tol * np.max(gv.interior))
+
+
+def test_the_disk_start_is_the_poisson_start(disk32):
+    # On a disk M = I exactly: the start is the identity-coefficient
+    # Poisson solve, bit for bit (convex here, so no bubble is added).
+    g = disk32
+    pts = g.points
+    gv = ScalarField(g, 1.0 + 0.5 * np.sin(2.0 * pts[:, 0])
+                     * np.cos(pts[:, 1]))
+    phi = g.boundary_values(lambda x, y: 0.1 * x - 0.2 * y)
+    eye = MatrixField(g, np.tile(np.eye(2), (g.n_interior, 1, 1)))
+    A, B = assemble_operator(g, eye)
+    poisson = np.concatenate([solve_system(
+        A, 2.0 * np.sqrt(gv.interior) - B @ phi, g.nd_order), phi])
+    assert np.all(is_positive_definite(hessian(ScalarField(g, poisson), g)))
+    assert np.array_equal(_initial_guess(g, gv, phi), poisson)
 
 
 def test_rejects_nonpositive_g(disk32):
