@@ -12,10 +12,11 @@ coupled system on the stacked (u, log w) unknowns, started from the previous
 step's solution, by the package's one damped Newton
 (`ma_dirichlet.damped_newton`), so w > 0 by construction.  The first step
 is dt = 1/t_steps.  dt doubles after a converged step whose Newton made at
-most 2 factorizations, and halves after a failed step.  A step that fails
-at the floor dt = 1/(t_steps 2^max_step_halvings) ends the continuation in
-ContinuationError.  The coarsest grid's continuation and each fallback's
-start afresh from the first step.
+most 2 factorizations, and halves after a failed step until the next step
+ends short of it.  A failed step no longer than the floor dt =
+1/(t_steps 2^max_step_halvings) ends the continuation in ContinuationError.
+The coarsest grid's continuation and each fallback's start afresh from the
+first step.
 In two dimensions the problem has a solution for every f, so no 2-d step
 gives a nonexistence verdict, and w_floor does not bound w there.
 
@@ -28,15 +29,15 @@ max_step_halvings and w0 do nothing on an interval (w0 is still
 validated).
 
 A 2-d grid finer than _COARSEST_RESOLUTION = 32 does not drive t itself
-(grid sequencing; Deuflhard's nested iteration).  It solves the same
-problem on the grid of half its resolution, recursively, moves that
-solution to its own nodes, and takes one Newton step at t = 1 from there:
-by mesh independence, Newton's iteration count does not grow with the
-resolution.  So t_steps, max_step_halvings and w0 act on the coarsest
-grid.  If a coarser grid or the re-solve of u on this grid raises a
+(grid sequencing; Deuflhard's nested iteration).  It solves the same problem
+on the grid of half its resolution, recursively, moves that solution's log w
+to its own nodes, solves u = solve_ma(Theta(w)), and takes one Newton step
+at t = 1 from there: by mesh independence, Newton's iteration count does not
+grow with the resolution.  So t_steps, max_step_halvings and w0 act on the
+coarsest grid.  If a coarser grid or the re-solve of u on this grid raises a
 SolverError, or the fine step does not converge, the grid runs the
-continuation itself, and its outcome is the run's.  Each trace entry
-records the resolution of its grid.
+continuation itself, and its outcome is the run's.  Each trace entry records
+the resolution of its grid.
 
 phi_map, one sweep of the splitting (a Monge-Ampere solve, then the linear
 solve in cofactor form), is kept as an independent fixed-point check.
@@ -70,8 +71,8 @@ class ContinuationOptions:
     def __post_init__(self):
         if self.t_steps < 1:
             raise ValueError("t_steps must be >= 1")
-        if self.w_floor <= 0.0:
-            raise ValueError("w_floor must be positive")
+        if not 0.0 < self.w_floor < np.inf:
+            raise ValueError("w_floor must be positive and finite")
         if self.max_step_halvings < 0:
             raise ValueError("max_step_halvings must be >= 0")
 
@@ -87,7 +88,7 @@ class Solution:
 
 
 def phi_map(w: ScalarField, t: float, problem: Problem,
-            opts: ContinuationOptions = None, u_init: ScalarField = None):
+            opts: ContinuationOptions = None):
     """One application of the inner map: returns (w_t, u)."""
     opts = opts or ContinuationOptions()
     if not 0.0 <= t <= 1.0:
@@ -98,7 +99,7 @@ def phi_map(w: ScalarField, t: float, problem: Problem,
                           f"{opts.w_floor:.3e}", w_min=w_min)
     grid = problem.grid
     g = ScalarField(grid, invert_w(problem.gspec, w.values))
-    u = solve_ma(grid, g, problem.phi, opts.ma, initial=u_init)
+    u = solve_ma(grid, g, problem.phi, opts.ma)
     U = cofactor(hessian(u, grid), grid)
     f_t = ScalarField(grid, t * problem.f.values)
     w_tb = t * problem.psi + (1.0 - t)
@@ -169,7 +170,7 @@ def _newton_step(uv, wv, t, problem):
         return factorize_coupled(grid, a, -theta / (gspec.theta - 1.0), c, w)
 
     x = np.concatenate([uv[:n], np.log(wv[:n])])
-    x, r, _, (Hu, _, _, _), steps, factorizations, exc = damped_newton(
+    x, r, (Hu, _, _, _), steps, factorizations, exc = damped_newton(
         x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS)
     uv = np.concatenate([x[:n], ub])
     wv = np.concatenate([np.exp(x[n:]), wb])
@@ -194,10 +195,11 @@ def _continuation(problem, opts, wv, trace):
 
     The first step is dt = 1/t_steps.  After a converged step of at most
     _CHEAP_STEP_FACTORIZATIONS factorizations dt doubles; after a failed
-    step it halves.  A failure at the floor dt_min = dt/2^max_step_halvings
+    step it halves until the next step ends short of the failed t.  A
+    failed step no longer than the floor dt_min = dt/2^max_step_halvings
     ends the continuation in ContinuationError.  dt moves only by factors
     of 2, so it meets the floor exactly.  Each step's entry, with the
-    controller's dt (the last step stops at t = 1), is appended to `trace`.
+    controller's dt, is appended to `trace`.
     """
     grid = problem.grid
     g = ScalarField(grid, invert_w(problem.gspec, wv))
@@ -218,13 +220,15 @@ def _continuation(problem, opts, wv, trace):
             if outcome["factorizations"] <= _CHEAP_STEP_FACTORIZATIONS:
                 dt *= 2.0
             continue
-        if dt <= dt_min:
+        # halve dt until the next step, snapped as above, ends before t_try
+        while dt >= dt_min and t_reached + dt >= t_try - 1e-12:
+            dt *= 0.5
+        if dt < dt_min:
             raise ContinuationError(
                 f"no convergence at t = {t_try:.6g} after "
                 f"{opts.max_step_halvings} step halvings below the first "
                 f"step ({outcome['error']})",
                 last_good_t=t_reached, trace=trace)
-        dt *= 0.5
     return uv, wv
 
 
@@ -290,11 +294,11 @@ def _from_coarse(problem, opts, wv, trace):
     """The (u, w) node values at t = 1 from the half-resolution solution.
 
     The problem, with w = wv at t = 0, is solved on the grid of half the
-    resolution by `_solve`.  Its u and log w move to this grid's interior
-    by `quadratic_transfer`, with the boundary values set exactly; u is
-    re-solved from there as at t = 0, u = solve_ma(Theta(w)), which makes
-    it discretely convex; then one Newton step is taken at t = 1.  Returns
-    None when that step does not converge.
+    resolution by `_solve`.  Its log w alone moves to this grid's interior
+    by `quadratic_transfer` (a moved u need not be discretely convex
+    here), with the boundary values set exactly; u = solve_ma(Theta(w)),
+    as at t = 0, then one Newton step is taken at t = 1.  Returns None
+    when that step does not converge.
     """
     grid = problem.grid
     coarse = build_grid(grid.domain, (grid.resolution + 1) // 2)
@@ -304,14 +308,12 @@ def _from_coarse(problem, opts, wv, trace):
         coarse, problem.gspec, ScalarField(coarse, f),
         _boundary_interp(grid, coarse, problem.phi),
         _boundary_interp(grid, coarse, problem.psi))
-    uc, wc = _solve(coarse_problem, opts, np.exp(s), trace)
+    _, wc = _solve(coarse_problem, opts, np.exp(s), trace)
 
-    u, s = quadratic_transfer(coarse, grid.interior_points,
-                              np.column_stack([uc, np.log(wc)])).T
+    s = quadratic_transfer(coarse, grid.interior_points, np.log(wc))
     wv = np.concatenate([np.exp(s), problem.psi])
     u = solve_ma(grid, ScalarField(grid, invert_w(problem.gspec, wv)),
-                 problem.phi, opts.ma,
-                 initial=ScalarField(grid, np.concatenate([u, problem.phi])))
+                 problem.phi, opts.ma)
     uv, wv, outcome = _newton_step(u.values, wv, 1.0, problem)
     trace.append({"t": 1.0, "dt": 1.0, "resolution": grid.resolution,
                   **outcome})
@@ -345,7 +347,7 @@ def solve_second_bvp(problem: Problem, opts: ContinuationOptions = None,
     """Solve the problem at t = 1 and return the solution fields.
 
     w0 optionally replaces the default initial iterate w = 1 (the solution
-    at t = 0).
+    at t = 0); it must be finite and at least w_floor.
     """
     opts = opts or ContinuationOptions()
     grid = problem.grid
@@ -354,8 +356,8 @@ def solve_second_bvp(problem: Problem, opts: ContinuationOptions = None,
     else:
         if w0.grid is not grid:
             raise ValueError("w0 lives on a different grid")
-        if float(np.min(w0.values)) < opts.w_floor:
-            raise ValueError("w0 must be >= w_floor everywhere")
+        if not np.all((w0.values >= opts.w_floor) & (w0.values < np.inf)):
+            raise ValueError("w0 must be finite and >= w_floor everywhere")
     trace = []
     uv, wv = _solve(problem, opts, w0.values, trace)
 

@@ -40,8 +40,8 @@ class MAOptions:
     max_newton_iters: int = 50
 
     def __post_init__(self):
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol must be positive and finite")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
 
@@ -115,7 +115,7 @@ def damped_newton(x, residual, jacobian, tol, max_iters):
     if it fails the test, Newton refactorizes at the same iterate and
     takes a Newton step.
 
-    Returns (x, r, F, state, steps, factorizations, error) for the last
+    Returns (x, r, state, steps, factorizations, error) for the last
     accepted iterate, with steps the iterations run (chord steps included,
     a failed chord trial not), factorizations the `jacobian` calls made,
     and error None or the SolverError that stopped Newton short: no trial
@@ -169,14 +169,13 @@ def damped_newton(x, residual, jacobian, tol, max_iters):
         error = NewtonDivergenceError(
             f"no convergence in {max_iters} Newton iterations "
             f"(residual {r:.3e})", trace=trace)
-    return x, r, F, state, steps, factorizations, error
+    return x, r, state, steps, factorizations, error
 
 
-def solve_ma(grid: Grid, g: ScalarField, phi_b, opts: MAOptions = None,
-             initial: ScalarField = None) -> ScalarField:
-    """Solve det D^2 u = g, u = phi_b on the boundary, u discretely convex.
-
-    `initial` warm-starts Newton; its boundary values are replaced by phi_b.
+def solve_ma(grid: Grid, g: ScalarField, phi_b,
+             opts: MAOptions = None) -> ScalarField:
+    """Solve det D^2 u = g, u = phi_b on the boundary, u discretely convex,
+    by Newton from `_initial_guess` (exact for constant g and affine phi_b).
     """
     opts = opts or MAOptions()
     _check_g(g)
@@ -193,9 +192,7 @@ def solve_ma(grid: Grid, g: ScalarField, phi_b, opts: MAOptions = None,
         J = assemble_operator(grid, cofactor(H, grid))[0]
         return factorize(J, grid.nd_order)
 
-    x = None if initial is None else initial.interior
-    if x is None or residual(x)[0] == np.inf:
-        x = _initial_guess(grid, g, phi_b)[: grid.n_interior]
+    x = _initial_guess(grid, g, phi_b)[: grid.n_interior]
 
     # The convergence test scales with the data: the discrete determinant
     # carries rounding noise proportional to its own size, so an absolute

@@ -88,6 +88,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", floor]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, key", [("ma", "newton_tol"),
+                                          ("solve", "w_floor")])
+def test_a_non_finite_solver_option_exits_2(tmp_path, capsys, command, key,
+                                            value):
+    # Neither reaches the solver: a NaN newton_tol would report convergence
+    # at any residual, and a NaN w_floor would fail as a bad w.
+    text = {"ma": DISK.replace("psi = 1", "psi = 1\ng = 1"),
+            "solve": INTERVAL.format(f=20)}[command]
+    cfg = write(tmp_path, "opt.cfg", f"{text}{key} = {value}\n")
+    assert main([command, "--config", cfg]) == 2
+    assert f"invalid solver option: {key}" in capsys.readouterr().err
+
+
 def test_deeply_nested_expression_exits_2(tmp_path, capsys):
     nested = "(" * 200 + "1" + ")" * 200
     cfg = write(tmp_path, "deep.cfg", DISK.replace("f = 0", f"f = {nested}"))

@@ -70,7 +70,7 @@ def test_solution_is_a_fixed_point(disk32):
     prob = Problem(g, GSpec(0.0, 2), 2.0, 0.0, 1.0)
     opts = ContinuationOptions()
     sol = solve_second_bvp(prob, opts)
-    w_again, _ = phi_map(sol.w, 1.0, prob, opts, u_init=sol.u)
+    w_again, _ = phi_map(sol.w, 1.0, prob, opts)
     gap = np.max(np.abs(w_again.values - sol.w.values))
     assert gap <= 2e-9
 
@@ -167,6 +167,23 @@ def test_the_step_doubles_after_cheap_steps_and_halves_after_failures(
     assert [e["converged"] for e in trace] == [True] * 2 + [False] + [True] * 3
 
 
+def test_a_step_that_fails_at_one_is_not_retried_there(disk32,
+                                                       monkeypatch):
+    # Cheap steps reach t = 0.7 with dt = 0.8, so the next step is clipped
+    # at t = 1.  When it fails, dt halves until the next step ends short of
+    # t = 1: 0.4 would end at 1 again, 0.2 ends at 0.9.
+    scripted_steps(monkeypatch, [(True, 2)] * 3 + [(False, 30)] * 2
+                   + [(True, 3)] * 3)
+    trace = solve_second_bvp(trivial_problem(disk32)).iterations
+    assert [(e["t"], e["dt"], e["converged"]) for e in trace] == [
+        (pytest.approx(0.1), 0.1, True), (pytest.approx(0.3), 0.2, True),
+        (pytest.approx(0.7), 0.4, True), (1.0, 0.8, False),
+        (pytest.approx(0.9), 0.2, False), (pytest.approx(0.8), 0.1, True),
+        (pytest.approx(0.9), 0.1, True), (1.0, 0.1, True)]
+    assert not any(a["t"] == b["t"] and not (a["converged"] or b["converged"])
+                   for a, b in zip(trace, trace[1:]))
+
+
 def test_a_failure_at_the_step_floor_ends_the_continuation(disk32,
                                                           monkeypatch):
     opts = ContinuationOptions()
@@ -260,7 +277,7 @@ def test_interval_solution_is_a_fixed_point(interval64, source, theta, phi,
                                             psi):
     prob = Problem(interval64, GSpec(theta, 1), source, phi, psi)
     sol = solve_second_bvp(prob)
-    w_again, u_again = phi_map(sol.w, 1.0, prob, u_init=sol.u)
+    w_again, u_again = phi_map(sol.w, 1.0, prob)
     assert np.max(np.abs(w_again.values - sol.w.values)) <= 1e-10
     assert np.max(np.abs(u_again.values - sol.u.values)) <= 1e-10
 
@@ -379,6 +396,16 @@ def test_custom_initial_iterate(disk32):
     assert np.max(np.abs(sol.w.values - 1.0)) < 1e-9
     with pytest.raises(ValueError):
         solve_second_bvp(prob, w0=ScalarField.constant(g, 1e-12))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("grid_name", ["disk32", "interval64"])
+def test_a_non_finite_initial_iterate_is_rejected(grid_name, bad, request):
+    grid = request.getfixturevalue(grid_name)
+    w0 = np.ones(grid.n_nodes)
+    w0[grid.n_interior // 2] = bad
+    with pytest.raises(ValueError, match="w0 must be finite"):
+        solve_second_bvp(trivial_problem(grid), w0=ScalarField(grid, w0))
 
 
 def coupled_jacobian(grid, U, d, W, w):
@@ -688,20 +715,20 @@ def test_coarse_solver_error_falls_back_to_the_continuation(failure,
 
 def test_a_fine_resolve_that_raises_falls_back_to_the_continuation(
         monkeypatch):
-    # The fine grid's re-solve of u from the coarse solution is the one
-    # solve_ma call that passes `initial`; when it raises, the fine grid
-    # runs the continuation, and no fine step is taken at t = 1 first.
+    # The fine grid's re-solve of u from the coarse log w is the first
+    # solve_ma call on the fine grid; when it raises, the fine grid runs
+    # the continuation, and no fine step is taken at t = 1 first.
     prob = disk48_problem()
     plain = plain_continuation(prob, monkeypatch)
     real_solve_ma = continuation.solve_ma
     resolves = []
 
-    def solve_ma(grid, g, phi, opts=None, initial=None):
-        if grid is prob.grid and initial is not None:
+    def solve_ma(grid, g, phi, opts=None):
+        if grid is prob.grid and not resolves:
             resolves.append(grid.resolution)
             raise NewtonDivergenceError(
                 "line search found no damping above 0.01")
-        return real_solve_ma(grid, g, phi, opts, initial=initial)
+        return real_solve_ma(grid, g, phi, opts)
 
     monkeypatch.setattr(continuation, "solve_ma", solve_ma)
     sol = solve_second_bvp(prob)
@@ -731,7 +758,8 @@ def test_a_non_finite_source_is_rejected(grid_name, bad, request):
 def test_options_validation():
     with pytest.raises(ValueError):
         ContinuationOptions(t_steps=0)
-    with pytest.raises(ValueError):
-        ContinuationOptions(w_floor=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ContinuationOptions(w_floor=bad)
     with pytest.raises(ValueError):
         ContinuationOptions(max_step_halvings=-1)

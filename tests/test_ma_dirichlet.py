@@ -20,7 +20,7 @@ from abreu_bvp import (
     solve_ma,
     solve_second_bvp,
 )
-from abreu_bvp import lin_ma, ma_dirichlet
+from abreu_bvp import continuation, lin_ma, ma_dirichlet
 from abreu_bvp.exceptions import NewtonDivergenceError
 from abreu_bvp.lin_ma import factorize, solve_system
 from abreu_bvp.ma_dirichlet import _initial_guess, damped_newton
@@ -90,15 +90,6 @@ def test_comparison_principle(disk32):
     assert np.max(np.abs(u4.interior - 2.0 * u1.interior)) < 1e-8
 
 
-def test_warm_start_agrees_with_cold_start(disk32):
-    g = disk32
-    gfun = ScalarField.constant(g, 2.0)
-    cold = solve_ma(g, gfun, 0.0)
-    bent = ScalarField(g, cold.values + 1e-3 * (g.points[:, 0]**2))
-    warm = solve_ma(g, gfun, 0.0, initial=bent)
-    assert np.max(np.abs(warm.values - cold.values)) < 1e-7
-
-
 @pytest.fixture
 def factorizations(monkeypatch):
     """The number of LUs made so far, by the start's solve or by Newton."""
@@ -138,6 +129,30 @@ def test_the_ellipse_start_saves_a_newton_lu(ellipse64, factorizations):
     assert len(factorizations) == 2
     assert (np.max(np.abs(ma_residual(g, u, gv).values))
             <= MAOptions().newton_tol * np.max(gv.interior))
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.disk(1.0),
+                                    DomainSpec.ellipse(1.5, 0.75)],
+                         ids=["disk48", "ellipse48"])
+def test_a_zero_source_fine_resolve_makes_only_its_starts_lu(
+        domain, factorizations, monkeypatch):
+    # f = 0 keeps w = 1, so the fine grid re-solves u on g = Theta(1) = 1,
+    # where the start is exact: its one LU is the re-solve's only LU.
+    grid = build_grid(domain, 48)
+    real_solve_ma = continuation.solve_ma
+    made = []
+
+    def solve_ma(g, gv, phi, opts=None):
+        before = len(factorizations)
+        u = real_solve_ma(g, gv, phi, opts)
+        if g is grid:
+            made.append(len(factorizations) - before)
+        return u
+
+    monkeypatch.setattr(continuation, "solve_ma", solve_ma)
+    sol = solve_second_bvp(Problem(grid, GSpec(0.0, 2), 0.0, 0.0, 1.0))
+    assert made == [1]
+    assert [e["resolution"] for e in sol.iterations][-2:] == [24, 48]
 
 
 def test_the_disk_start_is_the_poisson_start(disk32):
@@ -247,7 +262,8 @@ def test_failed_chord_step_refactorizes_at_the_same_iterate():
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        MAOptions(newton_tol=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            MAOptions(newton_tol=bad)
     with pytest.raises(ValueError):
         MAOptions(max_newton_iters=0)
