@@ -15,7 +15,8 @@ reruns one case from Python.
 
 One line per case gives the outcome ("solved" or "exit 3", the command
 line's code for a solver failure), the seconds taken, the trace entries
-per resolution and the coupled (u, log w) factorizations they made, why
+per resolution and the coupled (u, log w) factorizations they made, how
+many steps started Newton from the tangent predictor ("predicted"), why
 the case fell back, and for a solved case criterion 4's gate values: the
 Euler-Lagrange residual over max(1, max|f|), min w and min det D^2 u.
 The cause is read from the trace alone:
@@ -29,10 +30,10 @@ The cause is read from the trace alone:
                        entry is at t = 1: the re-solve of u raised
 
 A summary line follows, with a count per cause, and the trace entries
-(continuation steps) and coupled factorizations of all cases.  The solver
-is imported from src/ next to this directory, single-threaded unless
-ABREU_BVP_THREADS is set.  The exit status is 1 when any case exits 3,
-else 0.
+(continuation steps), predicted starts and coupled factorizations of all
+cases.  The solver is imported from src/ next to this directory,
+single-threaded unless ABREU_BVP_THREADS is set.  The exit status is 1
+when any case exits 3, else 0.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def per_resolution(counts):
 
 def run_case(bvp, domain, resolution, theta, c):
     """Solve one case; return its printed line, whether it solved, its
-    fallback cause (None if it did not fall back), its trace entries and
-    its coupled factorizations."""
+    fallback cause (None if it did not fall back), its trace entries, its
+    predicted starts and its coupled factorizations."""
     spec = (bvp.DomainSpec.disk(1.0) if domain == "disk"
             else bvp.DomainSpec.ellipse(1.5, 0.75))
     start = time.perf_counter()
@@ -92,12 +93,13 @@ def run_case(bvp, domain, resolution, theta, c):
     for entry in trace:
         entries[entry["resolution"]] += 1
         factorizations[entry["resolution"]] += entry["factorizations"]
+    predicted = sum(entry["predicted"] for entry in trace)
     cause = fallback_cause(trace, resolution)
     line = (f"{domain:7s} {resolution:3d} theta={theta:<4g} c={c:<6g} "
             f"{'solved' if solved else 'exit 3'} {seconds:7.2f} s  "
             f"entries {per_resolution(entries)}  "
-            f"factorizations {per_resolution(factorizations)}"
-            f"  fallback={cause or 'no'}")
+            f"factorizations {per_resolution(factorizations)}  "
+            f"predicted {predicted}  fallback={cause or 'no'}")
     if solved:
         scale = max(1.0, float(abs(problem.f.interior).max()))
         line += (f"  el/|f|={sol.el_residual_norm / scale:.2e}"
@@ -106,7 +108,8 @@ def run_case(bvp, domain, resolution, theta, c):
     if cause == "step":
         step = next(e for e in trace if e["resolution"] == resolution)
         line += f"  error: {step['error']}"
-    return line, solved, cause, entries.total(), factorizations.total()
+    return (line, solved, cause, entries.total(), predicted,
+            factorizations.total())
 
 
 def main() -> int:
@@ -114,25 +117,26 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     import abreu_bvp as bvp
 
-    failed = cases = steps = factorizations = 0
+    failed = cases = steps = predicted = factorizations = 0
     causes = Counter({"coarse": 0, "step": 0, "resolve": 0})
     start = time.perf_counter()
     for domain, resolution, theta, c in itertools.product(
             DOMAINS, RESOLUTIONS, THETAS, SOURCES):
-        line, solved, cause, entries, lus = run_case(bvp, domain, resolution,
-                                                     theta, c)
+        line, solved, cause, entries, starts, lus = run_case(
+            bvp, domain, resolution, theta, c)
         print(line, flush=True)
         cases += 1
         steps += entries
+        predicted += starts
         factorizations += lus
         failed += not solved
         if cause is not None:
             causes[cause.split("@")[0]] += 1
     print(f"{cases} cases, {causes.total()} fallbacks ("
           + ", ".join(f"{n} {cause}" for cause, n in causes.items())
-          + f"), {failed} exit 3, {steps} trace entries, {factorizations} "
-          f"coupled factorizations, {time.perf_counter() - start:.1f} s in "
-          "all")
+          + f"), {failed} exit 3, {steps} trace entries, {predicted} "
+          f"predicted, {factorizations} coupled factorizations, "
+          f"{time.perf_counter() - start:.1f} s in all")
     return 1 if failed else 0
 
 

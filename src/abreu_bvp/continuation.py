@@ -7,16 +7,20 @@ The fourth-order equation is solved as the coupled second-order system
 with u = phi and w = t psi + (1 - t) on the boundary, where U is the
 cofactor matrix of D^2 u and Theta inverts G'.  At t = 0 the solution is
 w = 1 (or a given initial w0) with u from one Monge-Ampere solve.  t is
-then driven to 1 by a step controller; each step is a Newton solve of the
-coupled system on the stacked (u, log w) unknowns, started from the previous
-step's solution, by the package's one damped Newton
-(`ma_dirichlet.damped_newton`), so w > 0 by construction.  The first step
-is dt = 1/t_steps.  dt doubles after a converged step whose Newton made at
-most 2 factorizations, and halves after a failed step until the next step
-ends short of it.  A failed step no longer than the floor dt =
-1/(t_steps 2^max_step_halvings) ends the continuation in ContinuationError.
-The coarsest grid's continuation and each fallback's start afresh from the
-first step.
+then driven to 1 by an Euler-Newton predictor-corrector under a step
+controller.  Each step is a Newton solve of the coupled system on the
+stacked (u, log w) unknowns by the package's one damped Newton
+(`ma_dirichlet.damped_newton`), so w > 0 by construction.  A converged step
+before t = 1 solves once more with its live LU for the tangent dx/dt, and
+the next step starts from the previous solution moved along it, when that
+start is convex and has the smaller residual, else from the previous
+solution itself.  The first step is dt = 1/t_steps.  dt grows 4 times after
+a converged step of one factorization whose first Newton contraction is at
+most THETA_MAX/16, 2 times after one of at most 2 factorizations, and
+halves after a failed step until the next step ends short of it.  A failed
+step no longer than the floor dt = 1/(t_steps 2^max_step_halvings) ends the
+continuation in ContinuationError.  The coarsest grid's continuation and
+each fallback's start afresh from the first step.
 In two dimensions the problem has a solution for every f, so no 2-d step
 gives a nonexistence verdict, and w_floor does not bound w there.
 
@@ -45,17 +49,19 @@ solve in cofactor form), is kept as an independent fixed-point check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimates import standard_diagnostics
-from .exceptions import ContinuationError, SolverError, WFloorError
+from .exceptions import (ContinuationError, SingularSystemError, SolverError,
+                         WFloorError)
 from .functionals import el_residual
 from .gfamily import invert_w
 from .lin_ma import (apply_weights, assemble_operator, factorize,
                      factorize_coupled, solve_linearized, stencil_weights)
-from .ma_dirichlet import MAOptions, damped_newton, solve_ma
+from .ma_dirichlet import THETA_MAX, MAOptions, damped_newton, solve_ma
 from .mesh import (MatrixField, ScalarField, build_grid, cofactor, det_field,
                    hessian, is_positive_definite, quadratic_transfer, sym_det)
 from .problem import Problem
@@ -75,6 +81,9 @@ class ContinuationOptions:
             raise ValueError("w_floor must be positive and finite")
         if self.max_step_halvings < 0:
             raise ValueError("max_step_halvings must be >= 0")
+        if math.ldexp(1.0 / self.t_steps, -self.max_step_halvings) == 0.0:
+            raise ValueError("max_step_halvings leaves no positive step "
+                             "floor 1/(t_steps 2^max_step_halvings)")
 
 
 @dataclass
@@ -111,7 +120,7 @@ _NEWTON_TOL = 1e-11       # scaled coupled residual that ends a step
 _NEWTON_MAX_ITERS = 30
 
 
-def _newton_step(uv, wv, t, problem):
+def _newton_step(uv, wv, t, problem, shift=None):
     """Newton on the coupled system at parameter t, from node values (uv, wv).
 
     2-d grids only; an interval takes `_exact_1d`.
@@ -127,12 +136,24 @@ def _newton_step(uv, wv, t, problem):
     w-equation is `apply_weights` with the u-weights, which the residual
     keeps for the Jacobian at the same iterate, `lin_ma.factorize_coupled`.
 
-    Returns the final (uv, wv) and the step's outcome for the trace: its
-    Newton iterations (chord steps included), factorizations, final scaled
-    residual, min w, and whether it converged: exactly when
-    `damped_newton` returns no error and the final D²u is positive
-    definite.  floor_hit is always False, since no 2-d step gives a
-    nonexistence verdict.
+    `shift`, if given, is the predictor's move of the interior (u, s) from
+    (uv, wv).  Newton starts from the shifted point only if D²u is positive
+    definite there and its scaled residual is below that of (uv, wv);
+    each start is evaluated once, and the chosen one's evaluation is
+    handed to `damped_newton`.
+
+    Returns the final (uv, wv), the step's outcome for the trace, and the
+    tangent.  The outcome holds the step's Newton iterations (chord steps
+    included), factorizations, final scaled residual, min w, whether it
+    converged (exactly when `damped_newton` returns no error and the final
+    D²u is positive definite), whether it started from the shifted point
+    (`predicted`), and Newton's first contraction (`contraction`).
+    floor_hit is always False, since no 2-d step gives a nonexistence
+    verdict.  The tangent dx/dt = -J^{-1} dF/dt of the interior (u, s) is
+    one more solve with the step's last LU after a converged step with
+    t < 1 and a factorization, else None.  In (u, s), dF/dt is 0 in the
+    u-rows and B_a(psi - 1) - f in the w-rows, with B_a the boundary
+    columns of the u-weights at the solution.  The LU is dropped on return.
     """
     grid = problem.grid
     n = grid.n_interior
@@ -170,34 +191,78 @@ def _newton_step(uv, wv, t, problem):
         return factorize_coupled(grid, a, -theta / (gspec.theta - 1.0), c, w)
 
     x = np.concatenate([uv[:n], np.log(wv[:n])])
-    x, r, (Hu, _, _, _), steps, factorizations, exc = damped_newton(
-        x, residual, jacobian, _NEWTON_TOL, _NEWTON_MAX_ITERS)
-    uv = np.concatenate([x[:n], ub])
-    wv = np.concatenate([np.exp(x[n:]), wb])
-    error = None if exc is None else f"coupled Newton: {exc}"
+    start = residual(x)
+    predicted = False
+    if shift is not None:
+        x_pred = x + shift
+        guess = residual(x_pred)
+        if guess[0] < start[0] and np.all(is_positive_definite(guess[2][0])):
+            x, start, predicted = x_pred, guess, True
+    result = damped_newton(x, residual, jacobian, _NEWTON_TOL,
+                           _NEWTON_MAX_ITERS, start)
+    Hu, a, _, _ = result.state
+    uv = np.concatenate([result.x[:n], ub])
+    wv = np.concatenate([np.exp(result.x[n:]), wb])
+    error = None if result.error is None else f"coupled Newton: {result.error}"
     if error is None and not np.all(is_positive_definite(Hu)):
         error = "coupled Newton left a nonconvex iterate"
-    outcome = {"iterations": steps, "factorizations": factorizations,
-               "residual": r, "w_min": float(np.min(wv)),
-               "converged": error is None, "floor_hit": False}
+    tangent = None
+    if error is None and t < 1.0 and result.solve is not None:
+        dw = np.concatenate([np.zeros(n), problem.psi - 1.0])
+        dF = np.concatenate([np.zeros(n), apply_weights(grid, a, dw)
+                             - problem.f.interior])
+        try:
+            tangent = result.solve(-dF)
+        except SingularSystemError:
+            pass  # the next step starts from this solution
+    outcome = {"iterations": result.steps,
+               "factorizations": result.factorizations,
+               "residual": result.r, "w_min": float(np.min(wv)),
+               "converged": error is None, "floor_hit": False,
+               "predicted": predicted, "contraction": result.contraction}
     if error is not None:
         outcome["error"] = error
-    return uv, wv, outcome
+    return uv, wv, outcome, tangent
 
 
 # A converged step whose Newton made at most this many factorizations was
 # cheap, and the next step is twice as long.
 _CHEAP_STEP_FACTORIZATIONS = 2
+# A converged step of one factorization whose first contraction is at most
+# this was very cheap, and the next step is four times as long: the
+# predictor's error is O(dt^2), so a step four times as long should still
+# contract by THETA_MAX.
+_FAST_CONTRACTION = THETA_MAX / 16.0
+
+
+def _growth(outcome):
+    """The factor by which a converged step's outcome lengthens dt."""
+    if (outcome["factorizations"] == 1 and outcome["contraction"] is not None
+            and outcome["contraction"] <= _FAST_CONTRACTION):
+        return 4.0
+    if outcome["factorizations"] <= _CHEAP_STEP_FACTORIZATIONS:
+        return 2.0
+    return 1.0
 
 
 def _continuation(problem, opts, wv, trace):
     """Drive t from 0 to 1 from w = wv at t = 0; return the (u, w) node values.
 
-    The first step is dt = 1/t_steps.  After a converged step of at most
-    _CHEAP_STEP_FACTORIZATIONS factorizations dt doubles; after a failed
-    step it halves until the next step ends short of the failed t.  A
+    An Euler-Newton predictor-corrector (Allgower and Georg, Introduction
+    to Numerical Continuation Methods, ch. 2).  Each converged step before
+    t = 1 hands on its tangent dx/dt, and the next step's Newton starts at
+    x + (t_next - t) dx/dt where `_newton_step`'s guard lets it (convex
+    there, with a smaller residual), else at x.  A failed step keeps the
+    last converged step's tangent.
+
+    The first step is dt = 1/t_steps.  After a converged step dt grows by
+    `_growth`: 4 times after one factorization whose first contraction
+    Theta_0 is at most _FAST_CONTRACTION (Deuflhard, Newton Methods for
+    Nonlinear Problems, ch. 5), 2 times after at most
+    _CHEAP_STEP_FACTORIZATIONS factorizations, else not.  After a failed
+    step dt halves until the next step ends short of the failed t.  A
     failed step no longer than the floor dt_min = dt/2^max_step_halvings
-    ends the continuation in ContinuationError.  dt moves only by factors
+    ends the continuation in ContinuationError.  dt moves only by powers
     of 2, so it meets the floor exactly.  Each step's entry, with the
     controller's dt, is appended to `trace`.
     """
@@ -206,19 +271,21 @@ def _continuation(problem, opts, wv, trace):
     uv = solve_ma(grid, g, problem.phi, opts.ma).values
     t_reached = 0.0
     dt = 1.0 / opts.t_steps
-    dt_min = dt / 2**opts.max_step_halvings
+    dt_min = math.ldexp(dt, -opts.max_step_halvings)
+    tangent = None
     while t_reached < 1.0:
         t_try = min(1.0, t_reached + dt)
         if 1.0 - t_try < 1e-12:  # don't let roundoff add an extra step
             t_try = 1.0
-        u_new, w_new, outcome = _newton_step(uv, wv, t_try, problem)
+        shift = None if tangent is None else (t_try - t_reached) * tangent
+        u_new, w_new, outcome, tangent_new = _newton_step(
+            uv, wv, t_try, problem, shift)
         trace.append({"t": t_try, "dt": dt, "resolution": grid.resolution,
                       **outcome})
         if outcome["converged"]:
-            uv, wv = u_new, w_new
+            uv, wv, tangent = u_new, w_new, tangent_new
             t_reached = t_try
-            if outcome["factorizations"] <= _CHEAP_STEP_FACTORIZATIONS:
-                dt *= 2.0
+            dt *= _growth(outcome)
             continue
         # halve dt until the next step, snapped as above, ends before t_try
         while dt >= dt_min and t_reached + dt >= t_try - 1e-12:
@@ -261,7 +328,8 @@ def _exact_1d(problem, opts, trace):
     wv, r = dirichlet(problem.f.interior, problem.psi)
     w_min = float(np.min(wv))
     entry = {"t": 1.0, "dt": 1.0, "resolution": grid.resolution,
-             "iterations": 0, "factorizations": 1}
+             "iterations": 0, "factorizations": 1, "predicted": False,
+             "contraction": None}
     if w_min < opts.w_floor:
         drop = 1.0 - wv
         t_star = (1.0 - opts.w_floor) / float(np.max(drop))
@@ -314,7 +382,7 @@ def _from_coarse(problem, opts, wv, trace):
     wv = np.concatenate([np.exp(s), problem.psi])
     u = solve_ma(grid, ScalarField(grid, invert_w(problem.gspec, wv)),
                  problem.phi, opts.ma)
-    uv, wv, outcome = _newton_step(u.values, wv, 1.0, problem)
+    uv, wv, outcome, _ = _newton_step(u.values, wv, 1.0, problem)
     trace.append({"t": 1.0, "dt": 1.0, "resolution": grid.resolution,
                   **outcome})
     return (uv, wv) if outcome["converged"] else None

@@ -16,19 +16,22 @@ which the line search rejects.
 `damped_newton`, the package's one damped Newton, also drives the coupled
 step of the continuation.  It reuses its LU across chord steps as well as
 across a line search (Deuflhard's NLEQ-ERR): a full step whose simplified
-step contracts by _THETA_MAX or better makes that simplified step the next
+step contracts by THETA_MAX or better makes that simplified step the next
 iteration, with no new Jacobian or factorization.  A chord step is never
-damped; when one fails, Newton refactorizes at the same iterate.
+damped; when one fails, Newton refactorizes at the same iterate.  It
+hands back, with the solution, what the continuation's predictor and step
+controller read: the live LU's checked solve and the first contraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import (ConvexityLossError, NewtonDivergenceError,
-                         SingularSystemError)
+                         SingularSystemError, SolverError)
 from .lin_ma import assemble_operator, factorize, solve_system
 from .mesh import (Grid, MatrixField, ScalarField, cofactor, hessian,
                    is_positive_definite, level_bubble, sym_det)
@@ -94,38 +97,56 @@ def _initial_guess(grid: Grid, g: ScalarField, phi_b) -> np.ndarray:
 # this floor ends a hopeless long step early, before the iteration budget.
 _DAMPING_MIN = 1e-2
 # A full step whose simplified step contracts by at least this factor hands
-# that simplified step on as the next iteration's chord step.
-_THETA_MAX = 0.25
+# that simplified step on as the next iteration's chord step.  The
+# continuation's step controller reads it too.
+THETA_MAX = 0.25
 
 
-def damped_newton(x, residual, jacobian, tol, max_iters):
+class NewtonResult(NamedTuple):
+    """What `damped_newton` ends with, for the last accepted iterate."""
+
+    x: np.ndarray
+    r: float                   # its scaled residual
+    state: object              # its residual state
+    steps: int                 # iterations run, chord steps included
+    factorizations: int        # `jacobian` calls
+    error: SolverError | None  # what stopped Newton short
+    solve: object              # the last LU's checked solve, or None
+    contraction: float | None  # Theta_0 at the first trial
+
+
+def damped_newton(x, residual, jacobian, tol, max_iters, start=None):
     """Damped Newton for F(x) = 0 from x, until the scaled residual <= tol.
 
     `residual(x)` returns (r, F, state): the scaled residual norm (inf
     rejects x), the residual vector, and what `jacobian(x, state)` needs
     to factorize the Jacobian at x and return its checked solve, as
-    `lin_ma.factorize` does.  A trial at damping s is taken by Deuflhard's
+    `lin_ma.factorize` does.  `start` is residual(x) when the caller has
+    already evaluated it.  A trial at damping s is taken by Deuflhard's
     natural-monotonicity test: its simplified step J^{-1} F(trial) is at
     most (1 - s/4) times the step.  A Newton iteration drops the live LU
     and calls `jacobian` once; the simplified steps reuse the new LU.
     When a full step (s = 1) is taken with contraction |simplified step|
-    <= _THETA_MAX |step| (sup norms), the simplified step is the next
+    <= THETA_MAX |step| (sup norms), the simplified step is the next
     iteration: a chord step with the live LU, so no Jacobian and no
     factorization (Deuflhard's NLEQ-ERR).  A chord step is never damped:
     if it fails the test, Newton refactorizes at the same iterate and
     takes a Newton step.
 
-    Returns (x, r, state, steps, factorizations, error) for the last
-    accepted iterate, with steps the iterations run (chord steps included,
-    a failed chord trial not), factorizations the `jacobian` calls made,
-    and error None or the SolverError that stopped Newton short: no trial
-    above _DAMPING_MIN, max_iters steps, or a linear solve failing its
-    check.
+    Returns a `NewtonResult`.  Its steps do not count a failed chord
+    trial, and its error is None or the SolverError that stopped Newton
+    short: no trial above _DAMPING_MIN, max_iters steps, or a linear solve
+    failing its check.  Its solve is the live LU's checked solve when
+    Newton converged after a factorization, for the caller to use once
+    more and drop; else None.  Its contraction is Deuflhard's first
+    contraction Theta_0 = |simplified step| / |step| at the first trial,
+    the full first Newton step: inf when that trial is rejected outright,
+    None when no trial ran.
     """
-    r, F, state = residual(x)
+    r, F, state = residual(x) if start is None else start
     trace = [{"iter": 0, "residual": r}]
     steps = factorizations = 0
-    error = solve = chord = None
+    error = solve = chord = contraction = None
     try:
         while r > tol and steps < max_iters:
             newton = chord is None
@@ -143,12 +164,17 @@ def damped_newton(x, residual, jacobian, tol, max_iters):
                 x_try = x + s * step
                 trial = residual(x_try)
                 accepted = trial[0] <= tol
-                if not accepted and trial[0] < np.inf:
+                first = contraction is None
+                if trial[0] < np.inf and (first or not accepted):
                     simplified = solve(-trial[1])
                     size = float(np.max(np.abs(simplified)))
-                    accepted = size <= (1.0 - 0.25 * s) * norm
-                    if accepted and s == 1.0 and size <= _THETA_MAX * norm:
+                    if first:
+                        contraction = size / norm
+                    accepted = accepted or size <= (1.0 - 0.25 * s) * norm
+                    if accepted and s == 1.0 and size <= THETA_MAX * norm:
                         chord = simplified
+                elif first:
+                    contraction = np.inf
                 if accepted or not newton:
                     break
                 s *= 0.5
@@ -169,7 +195,8 @@ def damped_newton(x, residual, jacobian, tol, max_iters):
         error = NewtonDivergenceError(
             f"no convergence in {max_iters} Newton iterations "
             f"(residual {r:.3e})", trace=trace)
-    return x, r, state, steps, factorizations, error
+    return NewtonResult(x, r, state, steps, factorizations, error,
+                        solve if error is None else None, contraction)
 
 
 def solve_ma(grid: Grid, g: ScalarField, phi_b,
@@ -198,8 +225,12 @@ def solve_ma(grid: Grid, g: ScalarField, phi_b,
     # carries rounding noise proportional to its own size, so an absolute
     # sup-norm target is unreachable when g is large.
     tol = opts.newton_tol * max(1.0, float(np.max(np.abs(g.interior))))
-    x, *_, error = damped_newton(x, residual, jacobian, tol,
-                                 opts.max_newton_iters)
+    result = damped_newton(x, residual, jacobian, tol, opts.max_newton_iters)
+    x, error = result.x, result.error
+    # Free the LU before the solution's array is made: made while the LU
+    # lives, the array lands above it in the heap, and the peak RSS of a
+    # disk48 solve rose by about 1 MB.
+    del result
     if error is not None:
         raise error
     return ScalarField(grid, np.concatenate([x, phi_b]))

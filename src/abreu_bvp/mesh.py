@@ -24,8 +24,8 @@ boundary cells come from one vectorized pass.  Boundary quadrature is the
 trapezoid rule on chords between boundary nodes ordered along the boundary.
 Normal derivatives at boundary nodes use a second-order one-sided
 difference along the inward normal.  Off-lattice values come from
-least-squares quadratic fits on the nearest nodes, all solved by batched QR
-(`_quadratic_fit`): `Grid.boundary_fits` near the boundary, and
+least-squares quadratic fits on the nearest nodes, all from batched QR
+(`_quadratic_qr`): `Grid.boundary_fits` near the boundary, and
 `quadratic_transfer`, which interpolates node values of one grid at the
 points of another grid of the same domain.  Nearness is measured
 in lattice coordinates (x/hx, y/hy), where the lattice has unit spacing on
@@ -400,22 +400,32 @@ def _boundary_fits(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     return fits
 
 
-def _quadratic_fit(grid: Grid, centers: np.ndarray):
-    """Local quadratic least-squares fits at centers, from one batched QR.
+def _quadratic_qr(grid: Grid, centers: np.ndarray):
+    """The 12 nodes of `grid.tree` nearest each center, and the batched QR
+    of the quadratic basis 1, X, Y, X^2, XY, Y^2 at them.
 
-    centers are in lattice coordinates (x/hx, y/hy), shape (..., 2).
-    Returns idx, the 12 nodes of `grid.tree` nearest each center, and coef,
-    shape (..., 6, 12), with `coef @ values[idx]` the coefficients of
-    1, X, Y, X^2, XY, Y^2 in lattice coordinates relative to the center.
-    With the basis B = QR at those nodes, coef = R^{-1} Q^T; QR keeps it
-    accurate to roundoff where clustered boundary nodes make B^T B
-    ill-conditioned.
+    centers are in lattice coordinates (x/hx, y/hy), shape (..., 2), and
+    the basis is in lattice coordinates relative to the center.  Returns
+    idx, shape (..., 12), and Q, R, shapes (..., 12, 6) and (..., 6, 6).
     """
     _, idx = grid.tree.query(centers, k=12)
     z = grid.tree.data[idx] - centers[..., None, :]
     x, y = z[..., 0], z[..., 1]
     q, r = np.linalg.qr(np.stack([np.ones_like(x), x, y, x**2, x * y, y**2],
                                  axis=-1))
+    return idx, q, r
+
+
+def _quadratic_fit(grid: Grid, centers: np.ndarray):
+    """Local quadratic least-squares fits at centers, from one batched QR.
+
+    Returns idx, the nodes of `_quadratic_qr`, and coef, shape
+    (..., 6, 12), with `coef @ values[idx]` the coefficients of 1, X, Y,
+    X^2, XY, Y^2 in lattice coordinates relative to the center.  With the
+    basis B = QR at those nodes, coef = R^{-1} Q^T; QR keeps it accurate
+    to roundoff where clustered boundary nodes make B^T B ill-conditioned.
+    """
+    idx, q, r = _quadratic_qr(grid, centers)
     return idx, np.linalg.solve(r, np.swapaxes(q, -1, -2))
 
 
@@ -425,11 +435,18 @@ def quadratic_transfer(grid: Grid, points, values) -> np.ndarray:
 
     A point's value is the constant term of the fit of `_quadratic_fit`
     centered there, so the transfer is exact for quadratic fields, and
-    each column costs one weighted sum over 12 nodes.
+    each column costs one weighted sum over 12 nodes.  The weights are row
+    0 of R^{-1} Q^T alone, Q y with R^T y = e_0: one forward substitution
+    per point.
     """
-    idx, coef = _quadratic_fit(
+    idx, q, r = _quadratic_qr(
         grid, np.asarray(points, dtype=float) / (grid.hx, grid.hy))
-    return np.einsum("mk,mk...->m...", coef[:, 0], values[idx])
+    y = np.zeros(r.shape[:-1])
+    y[:, 0] = 1.0 / r[:, 0, 0]
+    for k in range(1, 6):
+        y[:, k] = -np.einsum("mj,mj->m", r[:, :k, k], y[:, :k]) / r[:, k, k]
+    return np.einsum("mk,mk...->m...", np.einsum("mkj,mj->mk", q, y),
+                     values[idx])
 
 
 def build_grid(domain: DomainSpec, resolution: int) -> Grid:

@@ -62,6 +62,8 @@ def test_solve_writes_fields_and_report(tmp_path, capsys):
     assert "command: solve" in report
     assert "el_residual_norm:" in report
     assert "trace:" in report and "factorizations:" in report
+    # f = 0: every step starts at its solution, so no Newton trial runs
+    assert "predicted: false" in report and "contraction: n/a" in report
     fields = read_fields(str(out / "fields.txt"))
     r2 = fields["x"]**2 + fields["y"]**2
     assert np.max(np.abs(fields["u"] - 0.5 * (r2 - 1.0))) < 1e-8
@@ -100,6 +102,17 @@ def test_a_non_finite_solver_option_exits_2(tmp_path, capsys, command, key,
     cfg = write(tmp_path, "opt.cfg", f"{text}{key} = {value}\n")
     assert main([command, "--config", cfg]) == 2
     assert f"invalid solver option: {key}" in capsys.readouterr().err
+
+
+def test_a_step_floor_below_the_least_double_exits_2(tmp_path, capsys):
+    # 1/(10 * 2^2000) is 0 in floating point; 1023 halvings still solve.
+    cfg = write(tmp_path, "deep.cfg", f"{DISK}max_step_halvings = 2000\n")
+    assert main(["solve", "--config", cfg]) == 2
+    assert ("invalid solver option: max_step_halvings"
+            in capsys.readouterr().err)
+    cfg = write(tmp_path, "ok.cfg", f"{DISK}max_step_halvings = 1023\n")
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 0
 
 
 def test_deeply_nested_expression_exits_2(tmp_path, capsys):

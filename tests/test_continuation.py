@@ -21,6 +21,7 @@ from abreu_bvp.exceptions import (ContinuationError, GridResolutionError,
                                   NewtonDivergenceError, SingularSystemError,
                                   WFloorError)
 from abreu_bvp.functionals import el_residual
+from abreu_bvp.gfamily import invert_w
 from abreu_bvp.lin_ma import (_coupled_jacobian, assemble_operator,
                               stencil_weights)
 from abreu_bvp.mesh import cofactor, det_field, hessian
@@ -116,7 +117,7 @@ def test_strong_source_converges_without_halving(disk32):
     prob = Problem(g, GSpec(0.0, 2), 50.0, 0.0, 1.0)
     sol = solve_second_bvp(prob)
     trace = sol.iterations
-    assert [e["factorizations"] for e in trace] == [2, 4, 3, 3, 2, 2]
+    assert [e["factorizations"] for e in trace] == [2, 4, 3, 3, 1, 1]
     assert [e["dt"] for e in trace] == [0.1, 0.2, 0.2, 0.2, 0.2, 0.4]
     assert all(e["converged"] for e in trace)
     assert all(a["dt"] <= b["dt"] for a, b in zip(trace, trace[1:]))
@@ -128,21 +129,23 @@ def test_strong_source_converges_without_halving(disk32):
 
 
 def scripted_steps(monkeypatch, outcomes):
-    # Replaces the coupled Newton by one that returns its input and the
-    # next scripted (converged, factorizations); returns the t's it was
-    # asked for.
+    # Replaces the coupled Newton by one that returns its input, no tangent,
+    # and the next scripted (converged, factorizations) or (converged,
+    # factorizations, contraction); returns the t's it was asked for.
     asked = []
     script = iter(outcomes)
 
-    def newton_step(uv, wv, t, problem):
+    def newton_step(uv, wv, t, problem, shift=None):
         asked.append(t)
-        converged, factorizations = next(script)
+        converged, factorizations, *contraction = next(script)
         outcome = {"iterations": factorizations,
                    "factorizations": factorizations, "residual": 0.0,
-                   "w_min": 1.0, "converged": converged, "floor_hit": False}
+                   "w_min": 1.0, "converged": converged, "floor_hit": False,
+                   "predicted": False,
+                   "contraction": contraction[0] if contraction else None}
         if not converged:
             outcome["error"] = "injected"
-        return uv, wv, outcome
+        return uv, wv, outcome, None
 
     monkeypatch.setattr(continuation, "_newton_step", newton_step)
     return asked
@@ -165,6 +168,25 @@ def test_the_step_doubles_after_cheap_steps_and_halves_after_failures(
         0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.2, 0.1 + 0.2 + 0.1,
         0.1 + 0.2 + 0.1 + 0.2, 1.0]
     assert [e["converged"] for e in trace] == [True] * 2 + [False] + [True] * 3
+
+
+def test_a_fast_contraction_quadruples_the_step(disk32, monkeypatch):
+    # One factorization with a first contraction at most THETA_MAX/16:
+    # dt grows 4 times, and the last step stops at t = 1.
+    prob = trivial_problem(disk32)
+    fast = continuation.THETA_MAX / 16.0
+    asked = scripted_steps(monkeypatch, [(True, 1, 1e-3), (True, 1, fast),
+                                         (True, 1, 1e-3)])
+    trace = solve_second_bvp(prob).iterations
+    assert [(e["t"], e["dt"]) for e in trace] == [
+        (0.1, 0.1), (0.1 + 0.4, 0.4), (1.0, 1.6)]
+    assert asked == [0.1, 0.1 + 0.4, 1.0]
+    # a slower contraction, two factorizations, or no trial at all: twice
+    scripted_steps(monkeypatch, [(True, 1, 2.0 * fast), (True, 2, 1e-3),
+                                 (True, 1, None), (True, 1, 0.1)])
+    trace = solve_second_bvp(prob).iterations
+    assert [e["dt"] for e in trace] == [0.1, 0.2, 0.4, 0.8]
+    assert [e["t"] for e in trace] == [0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.4, 1.0]
 
 
 def test_a_step_that_fails_at_one_is_not_retried_there(disk32,
@@ -212,7 +234,8 @@ def test_threshold_verdicts_bracket_the_discrete_threshold(interval64):
 
 
 ENTRY_KEYS = {"t", "dt", "resolution", "iterations", "factorizations",
-              "residual", "w_min", "converged", "floor_hit"}
+              "residual", "w_min", "converged", "floor_hit", "predicted",
+              "contraction"}
 
 
 def closed_form_w1(grid, c):
@@ -238,7 +261,10 @@ def test_verdicts_just_above_the_threshold(interval64, c, theta):
     [entry] = err.trace
     assert set(entry) == ENTRY_KEYS | {"error"}
     assert not entry["converged"] and entry["floor_hit"]
-    assert all(np.isfinite(v) for k, v in entry.items() if k != "error")
+    # no Newton ran: nothing was predicted, and there is no contraction
+    assert not entry["predicted"] and entry["contraction"] is None
+    assert all(np.isfinite(v) for k, v in entry.items()
+               if k not in ("error", "contraction"))
     assert entry["w_min"] == pytest.approx(
         float(np.min(closed_form_w1(interval64, c))), abs=1e-12)
 
@@ -263,7 +289,9 @@ def test_interval_exits_4_exactly_when_w1_crosses_the_floor(interval64,
         [entry] = sol.iterations
         assert set(entry) == ENTRY_KEYS
         assert entry["converged"] and not entry["floor_hit"]
-        assert all(np.isfinite(v) for v in entry.values())
+        assert not entry["predicted"] and entry["contraction"] is None
+        assert all(np.isfinite(v) for k, v in entry.items()
+                   if k != "contraction")
 
 
 def sine_source(x, y):
@@ -336,11 +364,12 @@ def test_a_newton_error_fails_the_step_whatever_its_residual(disk32,
     calls = []
 
     def damped_newton(*args):
-        *result, error = real_newton(*args)
-        calls.append(error)
+        result = real_newton(*args)
+        calls.append(result.error)
         if len(calls) == 1:
-            error = NewtonDivergenceError("injected divergence")
-        return (*result, error)
+            result = result._replace(
+                error=NewtonDivergenceError("injected divergence"))
+        return result
 
     monkeypatch.setattr(continuation, "damped_newton", damped_newton)
     sol = solve_second_bvp(Problem(disk32, GSpec(0.0, 2), 2.0, 0.0, 1.0))
@@ -374,6 +403,71 @@ def test_singular_coupled_system_ends_only_its_step(disk32, monkeypatch):
     assert halved["converged"] and halved["dt"] == failed["dt"] / 2
     assert halved["t"] == pytest.approx(failed["t"] / 2)
     assert sol.iterations[-1]["t"] == 1.0
+
+
+def path_point(problem, ts):
+    # Converged coupled steps from t = 0 through ts; the last one's node
+    # values and tangent.
+    grid = problem.grid
+    wv = np.ones(grid.n_nodes)
+    uv = continuation.solve_ma(
+        grid, ScalarField(grid, invert_w(problem.gspec, wv)),
+        problem.phi).values
+    for t in ts:
+        uv, wv, outcome, tangent = continuation._newton_step(uv, wv, t,
+                                                             problem)
+        assert outcome["converged"]
+    return uv, wv, tangent
+
+
+@pytest.mark.parametrize("tilt", [0.0, 0.5])
+def test_the_tangent_is_the_derivative_of_the_path(disk32, tilt):
+    # dx/dt from the step's live LU against the central difference of
+    # converged solutions at t +- delta, in the interior (u, log w).  The
+    # LU is that of the last Newton iteration, not of the solution, so the
+    # tangent is off by about 1 % (measured: 2.9e-3 in u, 8.4e-3 in log w,
+    # for either psi); the difference's own error is below 1e-6 at this
+    # delta.  psi = 1 + 0.5 x on the boundary moves w's boundary values
+    # with t, a term of dF/dt that psi = 1 leaves out.
+    n = disk32.n_interior
+    psi = 1.0 + tilt * disk32.boundary_points[:, 0]
+    prob = Problem(disk32, GSpec(0.25, 2),
+                   lambda x, y: -30.0 * (1.0 + 0.3 * x - 0.2 * y), 0.0, psi)
+    uv, wv, tangent = path_point(prob, [0.1, 0.2, 0.3, 0.4, 0.5])
+    delta = 1e-3
+    ends = []
+    for t in (0.5 + delta, 0.5 - delta):
+        u_t, w_t, outcome, _ = continuation._newton_step(uv, wv, t, prob)
+        assert outcome["converged"]
+        ends.append(np.concatenate([u_t[:n], np.log(w_t[:n])]))
+    diff = (ends[0] - ends[1]) / (2.0 * delta)
+    for rows in (slice(None, n), slice(n, None)):
+        err = np.max(np.abs(tangent[rows] - diff[rows]))
+        assert err <= 2e-2 * np.max(np.abs(diff[rows]))
+    # no tangent at t = 1, where the continuation ends
+    assert continuation._newton_step(uv, wv, 1.0, prob)[3] is None
+
+
+def test_the_guard_refuses_a_tangent_of_the_wrong_sign(disk32, monkeypatch):
+    # disk32 f = 2 starts its second and third steps from the predictor.
+    # With the tangent's sign flipped the predicted start has the larger
+    # residual, so every step starts from the last solution and converges.
+    prob = Problem(disk32, GSpec(0.0, 2), 2.0, 0.0, 1.0)
+    plain = solve_second_bvp(prob)
+    assert [e["predicted"] for e in plain.iterations] == [False, True, True]
+    real_step = continuation._newton_step
+
+    def newton_step(uv, wv, t, problem, shift=None):
+        uv, wv, outcome, tangent = real_step(uv, wv, t, problem, shift)
+        return uv, wv, outcome, None if tangent is None else -tangent
+
+    monkeypatch.setattr(continuation, "_newton_step", newton_step)
+    sol = solve_second_bvp(prob)
+    assert [(e["t"], e["converged"], e["predicted"])
+            for e in sol.iterations] == [(0.1, True, False),
+                                         (0.5, True, False),
+                                         (1.0, True, False)]
+    assert np.max(np.abs(sol.w.values - plain.w.values)) <= 1e-10
 
 
 def test_negative_source_never_reports_nonexistence(disk32):
@@ -471,7 +565,7 @@ def newton_closures(problem, uv, wv, t, monkeypatch):
     # `factorize_coupled` returning its matrix rather than its solve.
     captured = {}
 
-    def damped_newton(x, residual, jacobian, tol, max_iters):
+    def damped_newton(x, residual, jacobian, tol, max_iters, start=None):
         captured.update(x=x, residual=residual, jacobian=jacobian)
         raise _Captured
 
@@ -596,7 +690,7 @@ def test_sequenced_solve_equals_the_continuation(grid_name, source, request,
     assert np.max(np.abs(seq.w.values - plain.w.values)) <= 1e-10
     # t is driven on the coarse grid; the fine grid takes one step at t = 1
     assert {e["resolution"] for e in plain.iterations} == {64}
-    coarse_steps = {"disk64": 6, "ellipse64": 4}[grid_name]
+    coarse_steps = {"disk64": 6, "ellipse64": 3}[grid_name]
     assert ([e["resolution"] for e in seq.iterations]
             == [32] * coarse_steps + [64])
     last = seq.iterations[-1]
@@ -625,12 +719,12 @@ def test_failed_fine_step_falls_back_to_the_continuation(monkeypatch):
     real_step = continuation._newton_step
     fine_steps = []
 
-    def newton_step(uv, wv, t, problem):
-        uv, wv, outcome = real_step(uv, wv, t, problem)
+    def newton_step(uv, wv, t, problem, shift=None):
+        uv, wv, outcome, tangent = real_step(uv, wv, t, problem, shift)
         if problem.grid is prob.grid and not fine_steps:
             fine_steps.append(t)
             outcome = {**outcome, "converged": False, "error": "injected"}
-        return uv, wv, outcome
+        return uv, wv, outcome, tangent
 
     monkeypatch.setattr(continuation, "_newton_step", newton_step)
     sol = solve_second_bvp(prob)
@@ -659,7 +753,7 @@ def fine_step_that_fails_falls_back(resolution):
     assert (failed["t"], failed["dt"], failed["converged"]) == (1.0, 1.0,
                                                                 False)
     # both continuations take the same steps
-    steps = [0.1, 0.1, 0.1, 0.2, 0.2, 0.4]
+    steps = [0.1, 0.1, 0.1, 0.2, 0.4, 0.8]
     for path in (trace[:6], trace[7:]):
         assert [e["dt"] for e in path] == steps
         assert all(e["converged"] for e in path)
@@ -695,12 +789,13 @@ def test_coarse_solver_error_falls_back_to_the_continuation(failure,
     else:
         real_step = continuation._newton_step
 
-        def newton_step(uv, wv, t, problem):
+        def newton_step(uv, wv, t, problem, shift=None):
             if problem.grid is prob.grid:
-                return real_step(uv, wv, t, problem)
+                return real_step(uv, wv, t, problem, shift)
             return uv, wv, {"iterations": 0, "factorizations": 0,
                             "residual": 1.0, "w_min": 1.0, "converged": False,
-                            "floor_hit": False, "error": "injected"}
+                            "floor_hit": False, "predicted": False,
+                            "contraction": None, "error": "injected"}, None
         monkeypatch.setattr(continuation, "_newton_step", newton_step)
     sol = solve_second_bvp(prob)
     assert np.array_equal(sol.u.values, plain.u.values)
@@ -735,11 +830,11 @@ def test_a_fine_resolve_that_raises_falls_back_to_the_continuation(
     assert resolves == [48]
     assert np.array_equal(sol.u.values, plain.u.values)
     assert np.array_equal(sol.w.values, plain.w.values)
-    coarse = sol.iterations[:4]
-    assert [e["resolution"] for e in coarse] == [24] * 4
+    coarse = sol.iterations[:3]
+    assert [e["resolution"] for e in coarse] == [24] * 3
     assert all(e["converged"] for e in coarse)
     assert coarse[-1]["t"] == 1.0
-    assert sol.iterations[4:] == plain.iterations
+    assert sol.iterations[3:] == plain.iterations
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -763,3 +858,15 @@ def test_options_validation():
             ContinuationOptions(w_floor=bad)
     with pytest.raises(ValueError):
         ContinuationOptions(max_step_halvings=-1)
+    # 1/(t_steps 2^k) underflows to 0: no step floor
+    with pytest.raises(ValueError, match="step floor"):
+        ContinuationOptions(max_step_halvings=2000)
+
+
+def test_a_deep_step_floor_still_solves(disk32):
+    # 2^-1023 is below the least normal double, but the floor is positive
+    opts = ContinuationOptions(max_step_halvings=1023)
+    sol = solve_second_bvp(Problem(disk32, GSpec(0.0, 2), 2.0, 0.0, 1.0),
+                           opts)
+    assert sol.iterations[-1]["t"] == 1.0
+    assert all(e["converged"] for e in sol.iterations)

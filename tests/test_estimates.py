@@ -157,6 +157,8 @@ def test_report_is_reproducible(disk32):
     a = solve_second_bvp(prob)
     b = solve_second_bvp(prob)
     assert a.diagnostics == b.diagnostics
+    # the trace too, with its predicted starts and first contractions
+    assert a.iterations == b.iterations
 
 
 def test_report_entry_shape():

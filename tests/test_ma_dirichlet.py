@@ -253,12 +253,11 @@ def test_failed_chord_step_refactorizes_at_the_same_iterate():
         jacobians.append(x[0])
         return factorize(sp.csc_matrix([[2.0 * x[0]]]))
 
-    x, *_, steps, factorizations, error = damped_newton(
-        np.array([2.0]), residual, jacobian, 1e-12, 30)
-    assert error is None and abs(x[0] - 1.0) < 1e-12
+    result = damped_newton(np.array([2.0]), residual, jacobian, 1e-12, 30)
+    assert result.error is None and abs(result.x[0] - 1.0) < 1e-12
     assert walled == [pytest.approx(1.25 - 0.5625 / 4.0)]
     assert jacobians[:2] == [2.0, 1.25]
-    assert factorizations == len(jacobians) < steps
+    assert result.factorizations == len(jacobians) < result.steps
 
 
 def test_options_validation():

@@ -475,3 +475,20 @@ def test_extend_to_boundary(disk32):
     assert np.array_equal(vals[: g.n_interior], np.arange(g.n_interior, dtype=float))
     # boundary entries copy the nearest interior value
     assert np.all(np.isin(vals[g.n_interior:], vals[: g.n_interior]))
+
+
+@pytest.mark.parametrize("grid_name", ["disk32", "ellipse64"])
+def test_transfer_weights_are_row_0_of_the_full_fit(grid_name, rng,
+                                                    request):
+    # The transfer computes only the constant term's weights of each fit;
+    # they must be those of the full R^{-1} Q^T, at interior points and at
+    # points that reach the clustered boundary nodes alike.
+    grid = request.getfixturevalue(grid_name)
+    a, b = grid.domain.semi_axes
+    r, angle = np.sqrt(rng.uniform(0.0, 1.0, 500)), rng.uniform(0.0, 7.0, 500)
+    pts = np.column_stack([a * r * np.cos(angle), b * r * np.sin(angle)])
+    values = rng.standard_normal((grid.n_nodes, 2))
+    idx, coef = mesh._quadratic_fit(grid, pts / (grid.hx, grid.hy))
+    full = np.einsum("mk,mk...->m...", coef[:, 0], values[idx])
+    moved = mesh.quadratic_transfer(grid, pts, values)
+    assert np.max(np.abs(moved - full)) <= 1e-12 * np.max(np.abs(full))
