@@ -12,7 +12,8 @@ matrix; it equals the assembled product up to rounding.  Every sparsity
 pattern on the stencil lives here and is built once per grid, on first
 use (`Grid.cached`): `assemble_operator` fills the interior and boundary
 CSR patterns, and `factorize_coupled` the CSC pattern of the coupled
-(u, log w) Newton Jacobian on a 2-d grid.  The matrices own
+(u, log w) Newton Jacobian on a 2-d grid, held in the order it is
+factorized in.  The matrices own
 copies of those index arrays, and scipy's `eliminate_zeros` drops their
 exact zeros.
 
@@ -26,9 +27,15 @@ no column ordering of SuperLU's own: on a 2-d grid every caller passes the
 grid's nested-dissection order (`Grid.nd_order`, interleaved per node for
 the coupled system), which leaves 30-50 % less LU fill than COLAMD,
 SuperLU's default, on the 9-point stencil; an interval's lattice order is
-tridiagonal and has no fill.  SuperLU's partial pivoting still exchanges
-rows wherever a diagonal entry is not the largest in its column, and in
-a hard case that can triple the fill of the LUs.
+tridiagonal and has no fill.  The pivots are static: SuperLU keeps every
+nonzero diagonal entry as its pivot and exchanges a row only where the
+diagonal is exactly zero, so the rows stay in the order the columns were
+given and the nested-dissection fill holds.  A small pivot that costs
+accuracy is caught by the residual check, and the refinement recovers it
+or the solve raises (static pivoting with iterative refinement, Li and
+Demmel, SuperLU_DIST, ACM TOMS 29(2), 2003).  SuperLU's default partial
+pivoting exchanges rows wherever a diagonal entry is not the largest in
+its column, and in a hard case that can triple the fill of the LUs.
 """
 
 from __future__ import annotations
@@ -158,12 +165,14 @@ def apply_weights(grid: Grid, weights, v) -> np.ndarray:
 
 
 class _CoupledPattern(NamedTuple):
-    """The CSC pattern of a grid's coupled Jacobian, built once.
+    """The CSC pattern of a grid's coupled Jacobian, in factor order.
 
-    `take` gathers the stored values, in CSC order, from the flat
-    concatenation (u-weights, d, c-weights, u-weights times w) of the
-    four blocks' data; `order` is the grid's nested-dissection order with
-    each node's two unknowns side by side.
+    `order` is the grid's nested-dissection order with each node's two
+    unknowns side by side: position 2k holds u and 2k + 1 holds log w at
+    interior node `nd_order[k]`.  (indptr, indices) is the CSC pattern of
+    J[order][:, order], with sorted row indices, and `take` gathers its
+    stored values, in that CSC order, from the flat concatenation
+    (u-weights, d, c-weights, u-weights times w) of the four blocks' data.
     """
 
     indptr: np.ndarray
@@ -173,28 +182,45 @@ class _CoupledPattern(NamedTuple):
 
 
 def _coupled_pattern(grid: Grid) -> _CoupledPattern:
-    """[[A, diag(d)], [C, A diag(w)]] on the interior pattern of A, as CSC.
+    """[[A, diag(d)], [C, A diag(w)]] on the interior pattern of A, permuted
+    to factor order, as CSC.
 
-    2-d grids only.  Each block holds, as its values, the positions of its
-    entries in the concatenated data plus 1, so that no position is an
-    explicit zero; one `sp.bmat` lays the blocks out in CSC, and its
-    values less 1 are `take`.
+    2-d grids only.  Built from A's pattern alone: A's entries are sorted
+    once by (column, row) in nested-dissection positions.  An entry (i, j)
+    of A puts rows 2i and 2i + 1 (from A and C) in column 2j, and row
+    2i + 1 (from A diag(w)) in column 2j + 1; the one entry of diag(d) in
+    column 2j + 1 is row 2j, just before A's diagonal entry.
     """
     split = grid.cached(_operator_split)
     n = grid.n_interior
     size = split.interior.size  # the length of one flattened weights array
-    at = np.flatnonzero(split.interior) + 1
-    rows = np.arange(n)
-
-    def block(values, indices=split.a_indices, indptr=split.a_indptr):
-        return sp.csr_matrix((values, indices, indptr), shape=(n, n))
-
-    J = sp.bmat([[block(at), block(size + 1 + rows, rows, np.arange(n + 1))],
-                 [block(size + n + at), block(2 * size + n + at)]],
-                format="csc")
     p = grid.nd_order
-    pattern = _CoupledPattern(J.indptr.astype(np.int32),
-                              J.indices.astype(np.int32), J.data - 1,
+    pos = np.empty(n, dtype=np.int64)
+    pos[p] = np.arange(n)
+    # A's entries in nested-dissection positions, sorted by (column, row)
+    rows = pos[np.repeat(np.arange(n), np.diff(split.a_indptr))]
+    cols = pos[split.a_indices]
+    e = np.argsort(cols * n + rows)
+    rows, cols = rows[e], cols[e]
+    at = np.flatnonzero(split.interior)[e]
+    count = np.bincount(cols, minlength=n)  # entries per column of A
+    above = np.bincount(cols[rows < cols], minlength=n)  # above its diagonal
+    indptr = np.zeros(2 * n + 1, dtype=np.int64)
+    indptr[1::2] = 2 * count
+    indptr[2::2] = count + 1
+    np.cumsum(indptr, out=indptr)
+    # each entry's rank within its column of A
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    u_at = indptr[2 * cols] + 2 * rank         # column 2j: rows 2i, 2i + 1
+    w_at = indptr[2 * cols + 1] + rank + (rank >= above[cols])
+    d_at = indptr[1:-1:2] + above              # column 2j + 1: row 2j
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    take = np.empty(indptr[-1], dtype=np.int64)
+    indices[u_at], take[u_at] = 2 * rows, at
+    indices[u_at + 1], take[u_at + 1] = 2 * rows + 1, size + n + at
+    indices[w_at], take[w_at] = 2 * rows + 1, 2 * size + n + at
+    indices[d_at], take[d_at] = 2 * np.arange(n), size + p
+    pattern = _CoupledPattern(indptr.astype(np.int32), indices, take,
                               np.column_stack([p, p + n]).ravel())
     for arr in pattern:
         arr.setflags(write=False)  # shared by every Jacobian on the grid
@@ -202,13 +228,14 @@ def _coupled_pattern(grid: Grid) -> _CoupledPattern:
 
 
 def _coupled_jacobian(grid: Grid, a_weights, d, c_weights, w):
-    """[[A, diag(d)], [C, A diag(w)]] in CSC form, for the factorization.
+    """[[A, diag(d)], [C, A diag(w)]] in factor order and CSC form.
 
     A and C are the interior blocks of the operators with the
     `stencil_weights` a_weights and c_weights, and w holds node values: the
     lower-right block is A with each column scaled by w at its node, the
     u-weights times w on the stencil columns.  One gather fills the grid's
-    cached pattern, and scipy drops the exact zeros, as in
+    cached pattern, so the matrix is J[order][:, order] for the pattern's
+    `order`, as it is factorized, and scipy drops the exact zeros, as in
     `assemble_operator`; d = Theta/(1 - theta) > 0 has none.  The matrix
     owns copies of its index arrays.
     """
@@ -226,12 +253,14 @@ def factorize_coupled(grid: Grid, a_weights, d, c_weights, w):
 
     A and C are the operators with the `stencil_weights` a_weights and
     c_weights, and w holds node values (`_coupled_jacobian`).  The matrix
-    fills the grid's cached CSC pattern and is factorized in its cached
-    order, the nested-dissection order with each node's two unknowns side
-    by side.
+    fills the grid's cached CSC pattern, which is already in factor order
+    (the nested-dissection order with each node's two unknowns side by
+    side), so it goes to SuperLU with no permutation.  solve(rhs) takes
+    and returns vectors in the natural order, u then log w.
     """
-    return factorize(_coupled_jacobian(grid, a_weights, d, c_weights, w),
-                     grid.cached(_coupled_pattern).order)
+    return _factorize_ordered(
+        _coupled_jacobian(grid, a_weights, d, c_weights, w),
+        grid.cached(_coupled_pattern).order)
 
 
 def factorize(A, order=None):
@@ -239,46 +268,57 @@ def factorize(A, order=None):
 
     With `order` (a permutation, such as `Grid.nd_order`) the LU is of the
     symmetrically permuted A[order][:, order]; without it, of A in its own
-    order.  SuperLU reorders no columns (no COLAMD).  Either way
+    order.  SuperLU reorders no columns (no COLAMD), and its pivots are
+    static: every nonzero diagonal entry is the pivot of its column, and a
+    row is exchanged only where the diagonal is exactly zero.  Either way
     solve(rhs) answers for A itself: a solution must be finite with
-    residual within LINEAR_TOL of max|rhs|.  A solution that fails the
+    residual within LINEAR_TOL of max|rhs|, which it meets in the permuted
+    order, where the max norm is the same.  A solution that fails the
     residual check takes up to _REFINEMENT_STEPS steps of iterative
     refinement, x <- x + LU^{-1}(rhs - A x), each checked in turn; one
-    that passes the first check is returned untouched.  A check that no
-    step passes, a non-finite solution, or a failed factorization raises
-    SingularSystemError.  The LU lives as long as the returned function.
+    that passes the first check is returned untouched.  So a small pivot
+    gives a refined or a refused solution, never an unchecked one.  A
+    check that no step passes, a non-finite solution, or a failed
+    factorization raises SingularSystemError.  The LU, and the permuted
+    matrix the checks use, live as long as the returned function.
     """
     P = A.tocsc() if order is None else A.tocsc()[order][:, order]
+    return _factorize_ordered(P, order)
+
+
+def _factorize_ordered(P, order):
+    """`factorize` from P = A[order][:, order], already permuted (P = A
+    when `order` is None); solve(rhs) takes and returns A's order."""
     try:
-        lu = spla.splu(P, permc_spec="NATURAL")
+        lu = spla.splu(P, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise SingularSystemError(
             f"sparse factorization failed: {exc}") from exc
 
-    def lu_solve(rhs):
-        if order is None:
-            return lu.solve(rhs)
-        x = np.empty_like(rhs)
-        x[order] = lu.solve(rhs[order])
-        return x
-
     def solve(rhs):
-        x = lu_solve(rhs)
-        scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
+        b = rhs if order is None else rhs[order]
+        x = lu.solve(b)
+        scale = float(np.max(np.abs(b))) if b.size else 0.0
         for refined in range(_REFINEMENT_STEPS + 1):
             if not np.all(np.isfinite(x)):
                 raise SingularSystemError(
                     "singular system: solution contains non-finite entries")
             if scale == 0.0:
-                return x
-            defect = rhs - A @ x
+                break
+            defect = b - P @ x
             resid = float(np.max(np.abs(defect)))
             if resid <= LINEAR_TOL * scale:
-                return x
+                break
             if refined < _REFINEMENT_STEPS:
-                x = x + lu_solve(defect)
-        raise SingularSystemError(
-            f"relative residual {resid / scale:.3e} exceeds linear_tol")
+                x = x + lu.solve(defect)
+        else:
+            raise SingularSystemError(
+                f"relative residual {resid / scale:.3e} exceeds linear_tol")
+        if order is None:
+            return x
+        out = np.empty_like(x)
+        out[order] = x
+        return out
     return solve
 
 

@@ -22,8 +22,8 @@ from abreu_bvp.exceptions import (ContinuationError, GridResolutionError,
                                   WFloorError)
 from abreu_bvp.functionals import el_residual
 from abreu_bvp.gfamily import invert_w
-from abreu_bvp.lin_ma import (_coupled_jacobian, assemble_operator,
-                              stencil_weights)
+from abreu_bvp.lin_ma import (_coupled_jacobian, _coupled_pattern,
+                              assemble_operator, stencil_weights)
 from abreu_bvp.mesh import cofactor, det_field, hessian
 
 
@@ -355,6 +355,30 @@ def test_an_interval_solve_makes_one_lu(interval64, monkeypatch, source,
     assert entry["factorizations"] == 1
 
 
+def test_the_fine_coupled_lus_exchange_no_rows(monkeypatch):
+    # Static pivoting: on disk48 f = 50 every coupled LU of the fine grid
+    # keeps its diagonal pivots, so SuperLU's row permutation is the
+    # identity and the nested-dissection fill holds.  SuperLU's default
+    # partial pivoting exchanges 933-1122 rows in each of them.
+    grid = build_grid(DomainSpec.disk(1.0), 48)
+    made = []
+    real_splu = spla.splu
+
+    def splu(A, *args, **kwargs):
+        made.append(real_splu(A, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(spla, "splu", splu)
+    sol = solve_second_bvp(Problem(grid, GSpec(0.0, 2), 50.0, 0.0, 1.0))
+    size = 2 * grid.n_interior
+    fine = [lu for lu in made if lu.shape == (size, size)]
+    assert len(fine) == sum(entry["factorizations"]
+                            for entry in sol.iterations
+                            if entry["resolution"] == 48) > 0
+    for lu in fine:
+        assert np.array_equal(lu.perm_r, np.arange(size))
+
+
 def test_a_newton_error_fails_the_step_whatever_its_residual(disk32,
                                                              monkeypatch):
     # A coupled step converges only when damped_newton reports no error:
@@ -508,12 +532,19 @@ def coupled_jacobian(grid, U, d, W, w):
                              stencil_weights(grid, W), w)
 
 
+def factor_order(grid):
+    # each interior node's u and log w side by side, in nested dissection
+    return grid.cached(_coupled_pattern).order
+
+
 def coupled_reference(grid, U, d, W, w):
+    # the coupled Jacobian in factor order, as `_coupled_jacobian` holds it
     A = assemble_operator(grid, U)[0]
     C = assemble_operator(grid, W)[0]
+    order = factor_order(grid)
     return sparse.bmat([[A, sparse.diags(d)],
                         [C, A @ sparse.diags(w[:grid.n_interior])]],
-                       format="csr")
+                       format="csr")[order][:, order]
 
 
 def convex_cofactor(grid, rng):
@@ -524,7 +555,7 @@ def convex_cofactor(grid, rng):
 
 
 def test_coupled_jacobian_matches_bmat(disk32, rng):
-    # [[A, diag(d)], [C, A diag(w)]], filled directly
+    # [[A, diag(d)], [C, A diag(w)]] in factor order, filled directly
     n = disk32.n_interior
     U, W = convex_cofactor(disk32, rng), convex_cofactor(disk32, rng)
     d = -rng.uniform(0.5, 2.0, n)
@@ -582,8 +613,9 @@ def test_coupled_jacobian_is_the_derivative_in_log_w(disk32, rng, theta,
     # J v against the central difference of the residual in (u, log w),
     # (F(x + eps v) - F(x - eps v)) / (2 eps), at an iterate where w is far
     # from 1 and from constant, so a wrong diagonal block d or a wrong
-    # column scaling of the lower-right block shows.
-    n = disk32.n_interior
+    # column scaling of the lower-right block shows.  J is in factor order,
+    # where the u-rows are the even ones and the w-rows the odd ones.
+    order = factor_order(disk32)
     pts = disk32.points
     r2 = (pts**2).sum(axis=1)
     prob = Problem(disk32, GSpec(theta, 2), 30.0 * (1.0 + pts[:, 0]), 0.0,
@@ -596,10 +628,10 @@ def test_coupled_jacobian_is_the_derivative_in_log_w(disk32, rng, theta,
     eps = 1e-6
     for _ in range(3):
         v = rng.standard_normal(x.size)
-        Jv = J @ v
-        diff = (residual(x + eps * v)[1] - residual(x - eps * v)[1]) / (
-            2.0 * eps)
-        for rows in (slice(None, n), slice(n, None)):  # each equation
+        Jv = J @ v[order]
+        diff = (residual(x + eps * v)[1] - residual(x - eps * v)[1])[
+            order] / (2.0 * eps)
+        for rows in (slice(0, None, 2), slice(1, None, 2)):  # each equation
             err = np.max(np.abs(diff[rows] - Jv[rows]))
             assert err <= 1e-6 * np.max(np.abs(Jv[rows]))
 

@@ -320,8 +320,90 @@ def test_nested_dissection_cuts_the_fill(ellipse128, monkeypatch):
     monkeypatch.setattr(spla, "splu", splu)
     factorize(A, ellipse128.nd_order)
     (_, kw1, nd), = made
-    assert kw1 == {"permc_spec": "NATURAL"}
+    assert kw1 == {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
     assert nd.L.nnz + nd.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
+
+
+@pytest.mark.parametrize("grid_name", ["disk32", "ellipse64"])
+def test_the_coupled_pattern_is_the_permuted_bmat(grid_name, request):
+    # The pattern built in factor order equals, entry for entry, the
+    # sp.bmat layout of [[A, diag(d)], [C, A diag(w)]] permuted by `order`:
+    # each block holds the positions of its values in the concatenated data
+    # (u-weights, d, c-weights, u-weights times w), plus 1.
+    g = request.getfixturevalue(grid_name)
+    split = g.cached(lin_ma._operator_split)
+    n = g.n_interior
+    size = split.interior.size
+    at = np.flatnonzero(split.interior) + 1
+
+    def block(values):
+        return sp.csr_matrix((values, split.a_indices, split.a_indptr),
+                             shape=(n, n))
+
+    d = sp.diags(size + 1 + np.arange(n), dtype=np.int64)
+    J = sp.bmat([[block(at), d], [block(size + n + at),
+                                  block(2 * size + n + at)]], format="csc")
+    pattern = lin_ma._coupled_pattern(g)
+    p = g.nd_order
+    assert np.array_equal(pattern.order, np.column_stack([p, p + n]).ravel())
+    ref = J[pattern.order][:, pattern.order].tocsc()
+    ref.sort_indices()
+    assert np.array_equal(pattern.indptr, ref.indptr)
+    assert np.array_equal(pattern.indices, ref.indices)
+    assert np.array_equal(pattern.take, ref.data - 1)
+
+
+def test_a_zero_diagonal_still_solves(rng, monkeypatch):
+    # Static pivoting keeps every nonzero diagonal pivot; where a diagonal
+    # entry is exactly zero SuperLU still exchanges rows, and the solve
+    # meets LINEAR_TOL, with or without an order.
+    made = []
+    real_splu = spla.splu
+
+    def splu(A, **kwargs):
+        made.append(real_splu(A, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(spla, "splu", splu)
+    A = sp.csr_matrix(np.array([[0.0, 2.0, 0.0, 1.0],
+                                [3.0, 1.0, 0.0, 0.0],
+                                [0.0, 1.0, 4.0, 0.0],
+                                [1.0, 0.0, 1.0, 5.0]]))
+    rhs = rng.normal(size=4)
+    for order in (None, np.array([2, 0, 3, 1])):
+        x = factorize(A, order)(rhs)
+        assert not np.array_equal(made[-1].perm_r, np.arange(4))
+        assert np.max(np.abs(A @ x - rhs)) <= (lin_ma.LINEAR_TOL
+                                               * np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("pivot", [1e-20, 1e-14, 1e-8])
+def test_a_tiny_pivot_is_refined_or_refused(pivot, monkeypatch):
+    # The tiny diagonal entry stays the first pivot, so the LU has growth
+    # 1/pivot (at 1e-20 its last pivot is lost to cancellation).  The solve
+    # must meet LINEAR_TOL, with or without refinement, or raise
+    # SingularSystemError; it never returns an unchecked solution.
+    made = []
+    real_splu = spla.splu
+
+    def splu(A, **kwargs):
+        made.append(real_splu(A, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(spla, "splu", splu)
+    A = sp.csr_matrix(np.array([[pivot, 1.0, 1.0],
+                                [1.0, 1.0, 0.0],
+                                [1.0, 0.0, 1.0]]))
+    rhs = np.array([1.0, 2.0, 3.0])
+    solve = factorize(A)
+    lu, = made
+    assert np.array_equal(lu.perm_r, np.arange(3))  # no row was exchanged
+    try:
+        x = solve(rhs)
+    except SingularSystemError:
+        return
+    assert np.max(np.abs(A @ x - rhs)) <= (lin_ma.LINEAR_TOL
+                                           * np.max(np.abs(rhs)))
 
 
 class _InexactLU:
