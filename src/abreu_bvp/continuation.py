@@ -308,22 +308,24 @@ def _exact_1d(problem, opts, trace):
     w_floor at t = (1 - w_floor) / (1 - w_1).  If min w_1, boundary
     included, is below w_floor, the least such t is the verdict's
     last_good_t (WFloorError); otherwise u solves u'' = Theta(w_1) with
-    u = phi.  Both are solves with the one unit operator (A, B) of
-    `assemble_operator`, and A's one LU serves both.  One trace entry, at
-    t = 1, records the outcome; its residual is that of the equations
-    solved, scaled as in `_newton_step`.
+    u = phi.  Both are solves with the one unit operator, whose one LU
+    (`assemble_operator`) serves both.  One trace entry, at t = 1, records
+    the outcome; its residual is that of the equations solved, scaled as
+    in `_newton_step`.
     """
     grid = problem.grid
     n = grid.n_interior
-    A, B = assemble_operator(grid, MatrixField(grid, np.ones((n, 1, 1))))
-    solve = factorize(A)
+    a = stencil_weights(grid, MatrixField(grid, np.ones((n, 1, 1))))
+    solve = factorize(assemble_operator(grid, a), grid.nd_order)
 
     def dirichlet(rhs, boundary):
         # node values of the solution and its scaled residual
-        v = solve(rhs - B @ boundary)
-        r = (float(np.max(np.abs(A @ v + B @ boundary - rhs)))
+        v = solve(rhs - apply_weights(
+            grid, a, np.concatenate([np.zeros(n), boundary])))
+        v = np.concatenate([v, boundary])
+        r = (float(np.max(np.abs(apply_weights(grid, a, v) - rhs)))
              / max(1.0, float(np.max(np.abs(rhs)))))
-        return np.concatenate([v, boundary]), r
+        return v, r
 
     wv, r = dirichlet(problem.f.interior, problem.psi)
     w_min = float(np.min(wv))

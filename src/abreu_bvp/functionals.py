@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import ConvexityLossError
 from .gfamily import GSpec, g_eval
-from .lin_ma import assemble_operator
+from .lin_ma import apply_weights, assemble_operator, stencil_weights
 from .mesh import (Grid, ScalarField, boundary_normal_derivative, cofactor,
                    extend_to_boundary, hessian, integrate_boundary,
                    integrate_interior, is_positive_definite, level_bubble,
@@ -74,7 +74,9 @@ def el_residual(u: ScalarField, problem: Problem) -> ScalarField:
     constrains w on the boundary, while a trace extrapolated from one-sided
     determinants would inject O(1/h) noise into near-boundary rows.
     Boundary rows of the returned field are zero.  Raises ValueError when
-    u is not discretely convex.
+    u is not discretely convex.  The interior values of w go through the
+    assembled operator, the matrix the Newton solves factorize, and the
+    boundary trace through `apply_weights`.
     """
     grid = problem.grid
     H = hessian(u, grid)
@@ -82,8 +84,11 @@ def el_residual(u: ScalarField, problem: Problem) -> ScalarField:
         raise ValueError("field is not discretely convex")
     dets = sym_det(H.data)
     w_int = g_eval(problem.gspec, dets).w
-    A, B = assemble_operator(grid, cofactor(H, grid))
-    r = A @ w_int + B @ problem.psi - problem.f.interior
+    a = stencil_weights(grid, cofactor(H, grid))
+    r = apply_weights(grid, a, np.concatenate(
+        [np.zeros(grid.n_interior), problem.psi])) - problem.f.interior
+    order = grid.nd_order
+    r[order] += assemble_operator(grid, a) @ w_int[order]
     return ScalarField(grid, np.concatenate([r, np.zeros(grid.n_boundary)]))
 
 

@@ -8,25 +8,26 @@ solved by a direct sparse factorization.
 
 `stencil_weights` is the one place the coefficients meet the stencil.
 `apply_weights` sums the weighted stencil values without building a
-matrix; it equals the assembled product up to rounding.  Every sparsity
-pattern on the stencil lives here and is built once per grid, on first
-use (`Grid.cached`): `assemble_operator` fills the interior and boundary
-CSR patterns, and `factorize_coupled` the CSC pattern of the coupled
-(u, log w) Newton Jacobian on a 2-d grid, held in the order it is
-factorized in.  The matrices own
-copies of those index arrays, and scipy's `eliminate_zeros` drops their
-exact zeros.
+matrix; it also carries the boundary columns, so no matrix holds them.
+Every sparsity pattern on the stencil lives here and is built once per
+grid, on first use (`Grid.cached`), in the order it is factorized in: the
+CSC pattern of the interior operator A permuted by `Grid.nd_order`, which
+`assemble_operator` fills, and, derived from it, that of the coupled
+(u, log w) Newton Jacobian on a 2-d grid, which `factorize_coupled`
+fills.  The matrices own copies of those index arrays, and scipy's
+`eliminate_zeros` drops their exact zeros.
 
-`factorize` is the package's one SuperLU call: the Newton solves reuse its
-LU across a line search and across chord steps, and every solve through it
-is checked for a finite solution and a relative residual within
-LINEAR_TOL, one constant for every caller; a solve that fails the
-residual check takes a few steps of iterative refinement with the same LU
-before it raises.  Every LU keeps a column order the package chose, with
-no column ordering of SuperLU's own: on a 2-d grid every caller passes the
-grid's nested-dissection order (`Grid.nd_order`, interleaved per node for
-the coupled system), which leaves 30-50 % less LU fill than COLAMD,
-SuperLU's default, on the 9-point stencil; an interval's lattice order is
+`factorize` is the package's one SuperLU call, and every matrix reaches
+it already permuted: the Newton solves reuse its LU across a line search
+and across chord steps, and every solve through it is checked for a
+finite solution and a relative residual within LINEAR_TOL, one constant
+for every caller; a solve that fails the residual check takes a few steps
+of iterative refinement with the same LU before it raises.  Every LU keeps
+the factor order its pattern was built in, with no column ordering of
+SuperLU's own: on a 2-d grid the grid's nested-dissection order
+(`Grid.nd_order`, interleaved per node for the coupled system), which
+leaves 30-50 % less LU fill than COLAMD, SuperLU's default, on the
+9-point stencil; on an interval `nd_order` is the lattice order, which is
 tridiagonal and has no fill.  The pivots are static: SuperLU keeps every
 nonzero diagonal entry as its pivot and exchanges a row only where the
 diagonal is exactly zero, so the rows stay in the order the columns were
@@ -58,39 +59,40 @@ LINEAR_TOL = 1e-9
 _REFINEMENT_STEPS = 3
 
 
-class _OperatorSplit(NamedTuple):
-    """The interior/boundary column split of a grid's stencil, built once.
+class _Pattern(NamedTuple):
+    """The CSC pattern of a sparse matrix on a grid, in factor order.
 
-    `interior[n, j]` says whether column j of `second_ops.cols` row n is an
-    interior node.  (a_indptr, a_indices) and (b_indptr, b_indices) are the
-    CSR patterns of the interior block A and the boundary block B with
-    every stencil entry, in stencil order within each row; b_indices count
-    boundary nodes from 0.
+    (indptr, indices) is the CSC pattern of M[order][:, order], with
+    sorted row indices, and `take` gathers its stored values, in that CSC
+    order, from the flat data the matrix is filled from.
     """
 
-    interior: np.ndarray
-    a_indptr: np.ndarray
-    a_indices: np.ndarray
-    b_indptr: np.ndarray
-    b_indices: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    take: np.ndarray
+    order: np.ndarray
 
 
-def _operator_split(grid: Grid) -> _OperatorSplit:
+def _operator_pattern(grid: Grid) -> _Pattern:
+    """The pattern of the interior operator A, with order = `Grid.nd_order`:
+    every stencil entry on an interior column, in nested-dissection
+    positions, gathered from the flattened `stencil_weights`."""
     cols = grid.second_ops.cols
     n = grid.n_interior
-    interior = cols < n
-
-    def indptr(mask):
-        ptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(mask.sum(axis=1), out=ptr[1:])
-        return ptr
-
-    split = _OperatorSplit(
-        interior, indptr(interior), cols[interior].astype(np.int32),
-        indptr(~interior), (cols[~interior] - n).astype(np.int32))
-    for arr in split:
+    # int32 throughout: the cached arrays, and the temporaries that the
+    # build leaves in the resident set, are half the size of int64 ones
+    pos = np.empty(n, dtype=np.int32)
+    pos[grid.nd_order] = np.arange(n, dtype=np.int32)
+    at = np.flatnonzero(cols < n).astype(np.int32)  # interior entries, flat
+    rows = pos[at // cols.shape[1]]
+    col = pos[cols.ravel()[at]]
+    e = np.lexsort((rows, col))  # by (column, row)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+    pattern = _Pattern(indptr, rows[e], at[e], grid.nd_order)
+    for arr in pattern:
         arr.setflags(write=False)  # shared by every operator on the grid
-    return split
+    return pattern
 
 
 def stencil_weights(grid: Grid, U: MatrixField) -> np.ndarray:
@@ -114,42 +116,40 @@ def stencil_weights(grid: Grid, U: MatrixField) -> np.ndarray:
     return data
 
 
-def _on_pattern(matrix, data, indptr, indices, shape):
-    """matrix((data, indices, indptr)) on a shared pattern, for matrix
-    sp.csr_matrix or sp.csc_matrix, owning copies of its index arrays and
-    with its exact zeros dropped by scipy's `eliminate_zeros`."""
-    out = matrix((data, indices.copy(), indptr.copy()), shape=shape)
+def _on_pattern(data, pattern, size):
+    """The size x size CSC matrix with `data` on a shared pattern, owning
+    copies of its index arrays and with its exact zeros dropped by scipy's
+    `eliminate_zeros`."""
+    out = sp.csc_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
+                        shape=(size, size))
     out.eliminate_zeros()
     return out
 
 
-def assemble_operator(grid: Grid, U: MatrixField):
-    """Sparse form of w |-> U^{ij} w_{ij} at interior nodes.
+def assemble_operator(grid: Grid, weights):
+    """Sparse form of w |-> U^{ij} w_{ij} at interior nodes, in factor order.
 
-    Returns (A, B) with the operator equal to A @ w_interior + B @ w_boundary.
-    Also the exact Jacobian of u |-> det of the discrete Hessian, since
-    delta(det H) = U^{ij} delta H_{ij}.  The `stencil_weights` fill the
-    grid's interior and boundary CSR patterns, which are split from
-    `second_ops.cols` once per grid (`Grid.cached`).  Each matrix owns
-    copies of its index arrays, so scipy may sort or compact it in place
-    without touching the shared patterns; scipy drops the entries that are
-    exactly zero (the diagonal arms when U^{xy} = 0).
+    `weights` are the `stencil_weights` of U.  Returns the interior matrix
+    A as it is factorized: A[order][:, order] in CSC form, for order =
+    `Grid.nd_order`.  The boundary columns are left to `apply_weights`:
+    the operator at interior nodes is A @ w_interior plus
+    apply_weights(grid, weights, [0; w_boundary]).  A is also the exact
+    Jacobian of u |-> det of the discrete Hessian, since
+    delta(det H) = U^{ij} delta H_{ij}.  One gather of the weights fills
+    the grid's cached pattern (`Grid.cached`).  The matrix owns copies of
+    its index arrays, so scipy may sort or compact it in place without
+    touching the shared pattern; scipy drops the entries that are exactly
+    zero (the diagonal arms when U^{xy} = 0).
     """
-    split = grid.cached(_operator_split)
-    data = stencil_weights(grid, U)
-    n = grid.n_interior
-    return (_on_pattern(sp.csr_matrix, data[split.interior], split.a_indptr,
-                        split.a_indices, (n, n)),
-            _on_pattern(sp.csr_matrix, data[~split.interior], split.b_indptr,
-                        split.b_indices, (n, grid.n_boundary)))
+    pattern = grid.cached(_operator_pattern)
+    return _on_pattern(weights.ravel()[pattern.take], pattern,
+                       grid.n_interior)
 
 
 def apply_operator(grid: Grid, U: MatrixField, v) -> np.ndarray:
     """U^{ij} v_{ij} at interior nodes, from node values v, with no matrix.
 
-    `apply_weights` with the `stencil_weights` of U: for finite v, equal up
-    to rounding to A @ v[:n] + B @ v[n:] with (A, B) from
-    `assemble_operator`.
+    `apply_weights` with the `stencil_weights` of U.
     """
     return apply_weights(grid, stencil_weights(grid, U), v)
 
@@ -157,71 +157,52 @@ def apply_operator(grid: Grid, U: MatrixField, v) -> np.ndarray:
 def apply_weights(grid: Grid, weights, v) -> np.ndarray:
     """The operator with the given `stencil_weights`, applied to node values v.
 
-    One sum per row of the weighted stencil values: up to rounding, the
-    sparse product with the matrices that `assemble_operator` fills with
-    these weights.
+    One sum per row of the weighted stencil values.  For finite v with zero
+    boundary values it equals, up to rounding and the permutation to
+    factor order, the product of the matrix that `assemble_operator` fills
+    with these weights and the interior values.
     """
     return np.einsum("nk,nk->n", weights, np.asarray(v)[grid.second_ops.cols])
 
 
-class _CoupledPattern(NamedTuple):
-    """The CSC pattern of a grid's coupled Jacobian, in factor order.
+def _coupled_pattern(grid: Grid) -> _Pattern:
+    """The pattern of [[A, diag(d)], [C, A diag(w)]] on the pattern of A.
 
-    `order` is the grid's nested-dissection order with each node's two
-    unknowns side by side: position 2k holds u and 2k + 1 holds log w at
-    interior node `nd_order[k]`.  (indptr, indices) is the CSC pattern of
-    J[order][:, order], with sorted row indices, and `take` gathers its
-    stored values, in that CSC order, from the flat concatenation
-    (u-weights, d, c-weights, u-weights times w) of the four blocks' data.
+    2-d grids only.  `order` is the grid's nested-dissection order with
+    each node's two unknowns side by side: position 2k holds u and 2k + 1
+    holds log w at interior node `nd_order[k]`.  `take` gathers from the
+    flat concatenation (u-weights, d, c-weights, u-weights times w) of the
+    four blocks' data.  Built from the grid's operator pattern alone,
+    which already holds A's entries in nested-dissection positions, sorted
+    by (column, row).  An entry (i, j) of A puts rows 2i and 2i + 1 (from
+    A and C) in column 2j, and row 2i + 1 (from A diag(w)) in column
+    2j + 1; the one entry of diag(d) in column 2j + 1 is row 2j, just
+    before A's diagonal entry.
     """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    take: np.ndarray
-    order: np.ndarray
-
-
-def _coupled_pattern(grid: Grid) -> _CoupledPattern:
-    """[[A, diag(d)], [C, A diag(w)]] on the interior pattern of A, permuted
-    to factor order, as CSC.
-
-    2-d grids only.  Built from A's pattern alone: A's entries are sorted
-    once by (column, row) in nested-dissection positions.  An entry (i, j)
-    of A puts rows 2i and 2i + 1 (from A and C) in column 2j, and row
-    2i + 1 (from A diag(w)) in column 2j + 1; the one entry of diag(d) in
-    column 2j + 1 is row 2j, just before A's diagonal entry.
-    """
-    split = grid.cached(_operator_split)
+    a = grid.cached(_operator_pattern)
     n = grid.n_interior
-    size = split.interior.size  # the length of one flattened weights array
+    size = grid.second_ops.cols.size  # the length of one flat weights array
     p = grid.nd_order
-    pos = np.empty(n, dtype=np.int64)
-    pos[p] = np.arange(n)
-    # A's entries in nested-dissection positions, sorted by (column, row)
-    rows = pos[np.repeat(np.arange(n), np.diff(split.a_indptr))]
-    cols = pos[split.a_indices]
-    e = np.argsort(cols * n + rows)
-    rows, cols = rows[e], cols[e]
-    at = np.flatnonzero(split.interior)[e]
-    count = np.bincount(cols, minlength=n)  # entries per column of A
+    rows, at = a.indices, a.take
+    count = np.diff(a.indptr)  # entries per column of A
+    cols = np.repeat(np.arange(n), count)
     above = np.bincount(cols[rows < cols], minlength=n)  # above its diagonal
     indptr = np.zeros(2 * n + 1, dtype=np.int64)
     indptr[1::2] = 2 * count
     indptr[2::2] = count + 1
     np.cumsum(indptr, out=indptr)
-    # each entry's rank within its column of A
-    rank = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    rank = np.arange(rows.size) - a.indptr[cols]  # within its column of A
     u_at = indptr[2 * cols] + 2 * rank         # column 2j: rows 2i, 2i + 1
     w_at = indptr[2 * cols + 1] + rank + (rank >= above[cols])
     d_at = indptr[1:-1:2] + above              # column 2j + 1: row 2j
     indices = np.empty(indptr[-1], dtype=np.int32)
-    take = np.empty(indptr[-1], dtype=np.int64)
+    take = np.empty(indptr[-1], dtype=np.int32)
     indices[u_at], take[u_at] = 2 * rows, at
     indices[u_at + 1], take[u_at + 1] = 2 * rows + 1, size + n + at
     indices[w_at], take[w_at] = 2 * rows + 1, 2 * size + n + at
     indices[d_at], take[d_at] = 2 * np.arange(n), size + p
-    pattern = _CoupledPattern(indptr.astype(np.int32), indices, take,
-                              np.column_stack([p, p + n]).ravel())
+    pattern = _Pattern(indptr.astype(np.int32), indices, take,
+                       np.column_stack([p, p + n]).ravel())
     for arr in pattern:
         arr.setflags(write=False)  # shared by every Jacobian on the grid
     return pattern
@@ -240,12 +221,10 @@ def _coupled_jacobian(grid: Grid, a_weights, d, c_weights, w):
     owns copies of its index arrays.
     """
     pattern = grid.cached(_coupled_pattern)
-    n = grid.n_interior
     values = np.concatenate([
         a_weights.ravel(), d, c_weights.ravel(),
         (a_weights * np.asarray(w)[grid.second_ops.cols]).ravel()])
-    return _on_pattern(sp.csc_matrix, values[pattern.take], pattern.indptr,
-                       pattern.indices, (2 * n, 2 * n))
+    return _on_pattern(values[pattern.take], pattern, 2 * grid.n_interior)
 
 
 def factorize_coupled(grid: Grid, a_weights, d, c_weights, w):
@@ -253,42 +232,36 @@ def factorize_coupled(grid: Grid, a_weights, d, c_weights, w):
 
     A and C are the operators with the `stencil_weights` a_weights and
     c_weights, and w holds node values (`_coupled_jacobian`).  The matrix
-    fills the grid's cached CSC pattern, which is already in factor order
-    (the nested-dissection order with each node's two unknowns side by
-    side), so it goes to SuperLU with no permutation.  solve(rhs) takes
-    and returns vectors in the natural order, u then log w.
+    fills the grid's cached CSC pattern, in factor order (the
+    nested-dissection order with each node's two unknowns side by side).
+    solve(rhs) takes and returns vectors in the natural order, u then
+    log w.
     """
-    return _factorize_ordered(
-        _coupled_jacobian(grid, a_weights, d, c_weights, w),
-        grid.cached(_coupled_pattern).order)
+    return factorize(_coupled_jacobian(grid, a_weights, d, c_weights, w),
+                     grid.cached(_coupled_pattern).order)
 
 
-def factorize(A, order=None):
-    """Sparse LU of A; returns solve(rhs), which checks every solution.
+def factorize(P, order):
+    """Sparse LU of P = A[order][:, order]; returns solve(rhs), which solves
+    A x = rhs and checks every solution.
 
-    With `order` (a permutation, such as `Grid.nd_order`) the LU is of the
-    symmetrically permuted A[order][:, order]; without it, of A in its own
-    order.  SuperLU reorders no columns (no COLAMD), and its pivots are
-    static: every nonzero diagonal entry is the pivot of its column, and a
-    row is exchanged only where the diagonal is exactly zero.  Either way
-    solve(rhs) answers for A itself: a solution must be finite with
-    residual within LINEAR_TOL of max|rhs|, which it meets in the permuted
-    order, where the max norm is the same.  A solution that fails the
-    residual check takes up to _REFINEMENT_STEPS steps of iterative
-    refinement, x <- x + LU^{-1}(rhs - A x), each checked in turn; one
-    that passes the first check is returned untouched.  So a small pivot
-    gives a refined or a refused solution, never an unchecked one.  A
-    check that no step passes, a non-finite solution, or a failed
-    factorization raises SingularSystemError.  The LU, and the permuted
-    matrix the checks use, live as long as the returned function.
+    P is a CSC matrix already in factor order, as `assemble_operator` and
+    `_coupled_jacobian` build it, and `order` the permutation it was built
+    with (`Grid.nd_order`, or the coupled pattern's `order`); solve(rhs)
+    takes and returns vectors in A's own order.  SuperLU reorders no
+    columns (no COLAMD), and its pivots are static: every nonzero diagonal
+    entry is the pivot of its column, and a row is exchanged only where
+    the diagonal is exactly zero.  A solution must be finite with residual
+    within LINEAR_TOL of max|rhs|, which it meets in factor order, where
+    the max norm is the same.  A solution that fails the residual check
+    takes up to _REFINEMENT_STEPS steps of iterative refinement,
+    x <- x + LU^{-1}(rhs - A x), each checked in turn; one that passes
+    the first check is returned untouched.  So a small pivot gives a
+    refined or a refused solution, never an unchecked one.  A check that
+    no step passes, a non-finite solution, or a failed factorization
+    raises SingularSystemError.  The LU, and P, which the checks use,
+    live as long as the returned function.
     """
-    P = A.tocsc() if order is None else A.tocsc()[order][:, order]
-    return _factorize_ordered(P, order)
-
-
-def _factorize_ordered(P, order):
-    """`factorize` from P = A[order][:, order], already permuted (P = A
-    when `order` is None); solve(rhs) takes and returns A's order."""
     try:
         lu = spla.splu(P, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
@@ -296,7 +269,7 @@ def _factorize_ordered(P, order):
             f"sparse factorization failed: {exc}") from exc
 
     def solve(rhs):
-        b = rhs if order is None else rhs[order]
+        b = rhs[order]
         x = lu.solve(b)
         scale = float(np.max(np.abs(b))) if b.size else 0.0
         for refined in range(_REFINEMENT_STEPS + 1):
@@ -314,17 +287,16 @@ def _factorize_ordered(P, order):
         else:
             raise SingularSystemError(
                 f"relative residual {resid / scale:.3e} exceeds linear_tol")
-        if order is None:
-            return x
         out = np.empty_like(x)
         out[order] = x
         return out
     return solve
 
 
-def solve_system(A, rhs, order=None):
-    """Solve the assembled interior system once, with residual verification."""
-    return factorize(A, order)(rhs)
+def solve_system(P, rhs, order):
+    """Solve the assembled interior system once, with residual verification:
+    `factorize(P, order)(rhs)`."""
+    return factorize(P, order)(rhs)
 
 
 def solve_linearized(grid: Grid, U: MatrixField, f: ScalarField,
@@ -334,9 +306,10 @@ def solve_linearized(grid: Grid, U: MatrixField, f: ScalarField,
         raise EllipticityError("coefficient matrix not positive definite "
                                "at every interior node")
     w_b = np.asarray(w_b, dtype=float) * np.ones(grid.n_boundary)
-    A, B = assemble_operator(grid, U)
-    rhs = f.interior - B @ w_b
-    w_int = solve_system(A, rhs, grid.nd_order)
+    a = stencil_weights(grid, U)
+    rhs = f.interior - apply_weights(
+        grid, a, np.concatenate([np.zeros(grid.n_interior), w_b]))
+    w_int = solve_system(assemble_operator(grid, a), rhs, grid.nd_order)
     return ScalarField(grid, np.concatenate([w_int, w_b]))
 
 

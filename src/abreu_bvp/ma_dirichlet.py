@@ -32,7 +32,8 @@ import numpy as np
 
 from .exceptions import (ConvexityLossError, NewtonDivergenceError,
                          SingularSystemError, SolverError)
-from .lin_ma import assemble_operator, factorize, solve_system
+from .lin_ma import (apply_weights, assemble_operator, factorize,
+                     solve_system, stencil_weights)
 from .mesh import (Grid, MatrixField, ScalarField, cofactor, hessian,
                    is_positive_definite, level_bubble, sym_det)
 
@@ -75,9 +76,10 @@ def _initial_guess(grid: Grid, g: ScalarField, phi_b) -> np.ndarray:
     # tr(M H) >= n (det H)^{1/n}, with equality exactly when H is a
     # multiple of M^{-1}, the Hessian of the domain's level quadratic; so
     # for constant g and affine phi the start is the discrete solution.
-    rhs = n * g.interior ** (1.0 / n)
-    A, B = assemble_operator(grid, _shape_coeffs(grid))
-    u_int = solve_system(A, rhs - B @ phi_b, grid.nd_order)
+    a = stencil_weights(grid, _shape_coeffs(grid))
+    rhs = n * g.interior ** (1.0 / n) - apply_weights(
+        grid, a, np.concatenate([np.zeros(grid.n_interior), phi_b]))
+    u_int = solve_system(assemble_operator(grid, a), rhs, grid.nd_order)
     u = np.concatenate([u_int, phi_b])
 
     bubble = level_bubble(grid)
@@ -207,6 +209,8 @@ def solve_ma(grid: Grid, g: ScalarField, phi_b,
     opts = opts or MAOptions()
     _check_g(g)
     phi_b = np.asarray(phi_b, dtype=float) * np.ones(grid.n_boundary)
+    if not np.all(np.isfinite(phi_b)):
+        raise ValueError("phi must be finite on boundary nodes")
 
     def residual(x):
         H, dets = _interior_det(grid, np.concatenate([x, phi_b]))
@@ -216,7 +220,7 @@ def solve_ma(grid: Grid, g: ScalarField, phi_b,
         return float(np.max(np.abs(F))), F, H
 
     def jacobian(x, H):
-        J = assemble_operator(grid, cofactor(H, grid))[0]
+        J = assemble_operator(grid, stencil_weights(grid, cofactor(H, grid)))
         return factorize(J, grid.nd_order)
 
     x = _initial_guess(grid, g, phi_b)[: grid.n_interior]

@@ -361,10 +361,10 @@ class Grid:
         halves come first, then the nodes on the cut (George 1973).  The
         stencil only reaches neighbouring lattice nodes, so no stencil
         column joins the two halves.  Regions of at most _ND_LEAF nodes
-        keep lattice order.  None for an interval, whose lattice order is
-        already tridiagonal.
+        keep lattice order.  On an interval it is the identity: the lattice
+        order is tridiagonal and has no fill.
         """
-        return None if self.dim == 1 else self.cached(_nested_dissection)
+        return self.cached(_nested_dissection)
 
     @property
     def boundary_fits(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -684,6 +684,10 @@ _ND_LEAF = 32
 
 
 def _nested_dissection(grid: Grid) -> np.ndarray:
+    order = np.arange(grid.n_interior)
+    if grid.dim == 1:
+        order.setflags(write=False)
+        return order
     a, b = grid.domain.semi_axes
     ij = np.rint((grid.interior_points + (a, b)) / (grid.hx, grid.hy))
     ij = ij.astype(np.int64)
@@ -702,7 +706,7 @@ def _nested_dissection(grid: Grid) -> np.ndarray:
         dissect(nodes[line > mid])
         parts.append(nodes[line == mid])
 
-    dissect(np.arange(grid.n_interior))
+    dissect(order)
     order = np.concatenate(parts)
     order.setflags(write=False)
     return order

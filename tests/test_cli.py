@@ -273,6 +273,21 @@ def test_ma_and_linma_subcommands(tmp_path):
     assert (out2 / "report.txt").exists()
 
 
+def test_non_finite_dirichlet_data_exits_2(tmp_path, capsys):
+    # phi = 1/x is finite at the config's sampled boundary points but
+    # infinite at the boundary node (0, 1) of the 33 disk: every command
+    # refuses it as a configuration error and writes no report
+    text = DISK.replace("phi = 0", "phi = 1/x").replace(
+        "psi = 1", "psi = 1\ng = 1").replace("resolution = 16",
+                                             "resolution = 33")
+    cfg = write(tmp_path, "phi.cfg", text)
+    for command in ("solve", "ma", "linma"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "phi must be finite" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
+
 def test_functional_subcommand(tmp_path, capsys):
     cfg = write(tmp_path, "disk.cfg",
                 DISK.replace("resolution = 16", "resolution = 64"))

@@ -379,6 +379,21 @@ def test_the_fine_coupled_lus_exchange_no_rows(monkeypatch):
         assert np.array_equal(lu.perm_r, np.arange(size))
 
 
+def test_disk128_solves_with_no_fallback(disk128):
+    # theta = 0, f = 5(1 + 0.3x - 0.2y): the fine Newton ends at a scaled
+    # residual of about 7e-12, just under _NEWTON_TOL, so LUs that lose
+    # accuracy (as with partial pivoting) stall it, and the run exits 3.
+    # The fine grid takes its one step at t = 1 from the coarser grids'
+    # solution, and the solution meets criterion 4's gates.
+    f = disk128.field(lambda x, y: 5.0 * (1.0 + 0.3 * x - 0.2 * y))
+    sol = solve_second_bvp(Problem(disk128, GSpec(0.0, 2), f, 0.0, 1.0))
+    (fine,) = [e for e in sol.iterations if e["resolution"] == 128]
+    assert (fine["t"], fine["dt"], fine["converged"]) == (1.0, 1.0, True)
+    assert sol.el_residual_norm <= 1e-4 * np.max(np.abs(f.values))
+    assert np.min(sol.w.values) > 0.0
+    assert np.min(sol.d.interior) > 0.0
+
+
 def test_a_newton_error_fails_the_step_whatever_its_residual(disk32,
                                                              monkeypatch):
     # A coupled step converges only when damped_newton reports no error:
@@ -537,10 +552,17 @@ def factor_order(grid):
     return grid.cached(_coupled_pattern).order
 
 
+def natural_operator(grid, U):
+    # the interior operator in the natural order: assemble_operator's
+    # matrix permuted back from nested dissection
+    back = np.argsort(grid.nd_order)
+    return assemble_operator(grid, stencil_weights(grid, U))[back][:, back]
+
+
 def coupled_reference(grid, U, d, W, w):
     # the coupled Jacobian in factor order, as `_coupled_jacobian` holds it
-    A = assemble_operator(grid, U)[0]
-    C = assemble_operator(grid, W)[0]
+    A = natural_operator(grid, U)
+    C = natural_operator(grid, W)
     order = factor_order(grid)
     return sparse.bmat([[A, sparse.diags(d)],
                         [C, A @ sparse.diags(w[:grid.n_interior])]],

@@ -19,7 +19,7 @@ from abreu_bvp import (
 )
 from abreu_bvp import lin_ma
 from abreu_bvp.exceptions import EllipticityError, SingularSystemError
-from abreu_bvp.lin_ma import factorize, stencil_weights
+from abreu_bvp.lin_ma import apply_weights, factorize, stencil_weights
 
 
 def identity_coeffs(grid):
@@ -108,19 +108,23 @@ def test_rejects_indefinite_coefficients(disk32):
 
 
 def test_assemble_operator_row_action(interval64, disk32, rng):
-    # matrix action agrees with U^{ij} w_{ij} from the pointwise Hessian
+    # matrix action, with the boundary columns through apply_weights,
+    # agrees with U^{ij} w_{ij} from the pointwise Hessian
     ellipse = build_grid(DomainSpec.ellipse(1.5, 0.75), 32)
     for g in (interval64, disk32, ellipse):
         pts = g.points
         pot = ScalarField(g, pts[:, 0]**2 + 0.5 * pts[:, 1]**2
                           + 0.1 * np.exp(pts[:, 0] + pts[:, 1]))
         U = cofactor(hessian(pot, g), g)
-        A, B = assemble_operator(g, U)
+        a = stencil_weights(g, U)
+        A = assemble_operator(g, a)
         assert A.shape == (g.n_interior, g.n_interior)
-        assert B.shape == (g.n_interior, g.n_boundary)
         w = ScalarField(g, rng.normal(size=g.n_nodes))
         pointwise = np.einsum("nij,nij->n", U.data, hessian(w, g).data)
-        direct = A @ w.interior + B @ w.boundary
+        p = g.nd_order
+        direct = apply_weights(g, a, np.concatenate(
+            [np.zeros(g.n_interior), w.boundary]))
+        direct[p] += A @ w.interior[p]
         assert (np.max(np.abs(direct - pointwise))
                 < 1e-12 * np.max(np.abs(pointwise)))
 
@@ -158,27 +162,36 @@ def test_assembled_operator_stores_no_zeros(interval64, disk32):
     # be stored, or the factorizations fill in for nothing
     ellipse = build_grid(DomainSpec.ellipse(1.5, 0.75), 32)
     for g in (interval64, disk32, ellipse):
-        A, B = assemble_operator(g, identity_coeffs(g))
-        assert np.all(A.data != 0.0) and np.all(B.data != 0.0)
+        A = assemble_operator(g, stencil_weights(g, identity_coeffs(g)))
+        assert np.all(A.data != 0.0)
         axis_arms = g.second_ops.cols[:, 1:1 + 2 * g.dim]
         assert A.nnz == g.n_interior + np.count_nonzero(
             axis_arms < g.n_interior)
-        assert B.nnz == np.count_nonzero(axis_arms >= g.n_interior)
 
 
-def csr_from_scratch(g, U):
-    # the whole stencil in one CSR matrix, zeros dropped, split by column
+def csr_from_scratch(g, weights):
+    # the whole stencil in one CSR matrix in the natural order, zeros
+    # dropped, split by column into its interior and boundary blocks
     ops, n = g.second_ops, g.n_interior
     k = ops.cols.shape[1]
-    M = sp.csr_matrix((stencil_weights(g, U).ravel(), ops.cols.ravel(),
+    M = sp.csr_matrix((weights.ravel(), ops.cols.ravel(),
                        np.arange(0, n * k + 1, k)), shape=(n, g.n_nodes),
                       copy=True)
     M.eliminate_zeros()
     return M[:, :n], M[:, n:]
 
 
-def same_csr(M, R):
-    return (M.shape == R.shape
+def in_factor_order(g, weights):
+    # the interior block of the reference, permuted by nd_order, as CSC
+    # with sorted row indices
+    p = g.nd_order
+    R = csr_from_scratch(g, weights)[0][p][:, p].tocsc()
+    R.sort_indices()
+    return R
+
+
+def same_sparse(M, R):
+    return (M.shape == R.shape and M.format == R.format
             and all(np.array_equal(getattr(M, k), getattr(R, k))
                     and getattr(M, k).dtype == getattr(R, k).dtype
                     for k in ("data", "indices", "indptr")))
@@ -197,49 +210,75 @@ def test_in_place_edits_leave_the_shared_patterns_whole():
     for domain in (DomainSpec.interval(0.0, 1.0), DomainSpec.disk(1.0),
                    DomainSpec.ellipse(1.5, 0.75)):
         g = build_grid(domain, 32)
-        split = g.cached(lin_ma._operator_split)
-        generic = convex_cofactor(g)
-        for U in (identity_coeffs(g), generic):
-            for M in assemble_operator(g, U):
-                for arr in (M.indices, M.indptr):
-                    assert not any(np.shares_memory(arr, shared)
-                                   for shared in split[1:])
-                M.tolil()
-                M.sum_duplicates()
-                M.indices[:] = 0
-            for M, R in zip(assemble_operator(g, generic),
-                            csr_from_scratch(g, generic)):
-                assert same_csr(M, R)
-        assert all(arr.flags.writeable is False for arr in split)
-        assert split.interior.dtype == bool
-        assert {arr.dtype for arr in split[1:]} == {np.dtype(np.int32)}
+        pattern = g.cached(lin_ma._operator_pattern)
+        generic = stencil_weights(g, convex_cofactor(g))
+        for a in (stencil_weights(g, identity_coeffs(g)), generic):
+            M = assemble_operator(g, a)
+            for arr in (M.indices, M.indptr):
+                assert not any(np.shares_memory(arr, shared)
+                               for shared in pattern)
+            M.tolil()
+            M.sum_duplicates()
+            M.indices[:] = 0
+            assert same_sparse(assemble_operator(g, generic),
+                               in_factor_order(g, generic))
+        assert all(arr.flags.writeable is False for arr in pattern)
+        assert {arr.dtype for arr in pattern[:3]} == {np.dtype(np.int32)}
 
 
 def test_assembly_equals_the_whole_stencil_split_by_column(interval64,
                                                            disk32, ellipse32):
-    # bitwise: the cached split fills the same arrays as one CSR matrix of
-    # the whole stencil, zeros dropped, split by column slicing
+    # bitwise: the cached pattern fills the same arrays as one CSR matrix
+    # of the whole stencil, zeros dropped, split by column slicing and
+    # permuted by nd_order
     disk33 = build_grid(DomainSpec.disk(1.0), 33)
     for g in (interval64, disk32, disk33, ellipse32):
         for U in (identity_coeffs(g), convex_cofactor(g)):
-            for M, R in zip(assemble_operator(g, U), csr_from_scratch(g, U)):
-                assert same_csr(M, R)
+            a = stencil_weights(g, U)
+            assert same_sparse(assemble_operator(g, a), in_factor_order(g, a))
+
+
+def positions(g, offset=1):
+    # every stencil entry's flat position plus offset, as weights: no
+    # entry is zero, so the reference drops none
+    cols = g.second_ops.cols
+    return np.arange(offset, offset + cols.size,
+                     dtype=float).reshape(cols.shape)
+
+
+@pytest.mark.parametrize("grid_name", ["interval64", "disk32", "ellipse64"])
+def test_the_operator_pattern_is_the_permuted_reference(grid_name, request):
+    # entry for entry: the pattern, and the flat position each stored
+    # value is gathered from, are those of the natural-order reference
+    # permuted by nd_order
+    g = request.getfixturevalue(grid_name)
+    pattern = lin_ma._operator_pattern(g)
+    ref = in_factor_order(g, positions(g))
+    assert np.array_equal(pattern.indptr, ref.indptr)
+    assert np.array_equal(pattern.indices, ref.indices)
+    assert np.array_equal(pattern.take, ref.data - 1)
 
 
 def is_the_assembled_action(g, U, v):
-    """Whether apply_operator(g, U, v) is A v_I + B v_B up to rounding.
+    """Whether apply_operator(g, U, v) is A v_I + B v_B up to rounding, for
+    A from assemble_operator and the boundary block B of the reference.
 
     Two sums of the same k <= 10 products, in any order, differ by at most
     2 gamma_10 sum |a_k v_k| per row, gamma_10 = 10u / (1 - 10u) with the
     unit roundoff u = 2^-53 (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 3).
     """
-    n = g.n_interior
-    A, B = assemble_operator(g, U)
-    gap = np.abs(apply_operator(g, U, v) - (A @ v[:n] + B @ v[n:]))
+    n, p = g.n_interior, g.nd_order
+    a = stencil_weights(g, U)
+    A = assemble_operator(g, a)
+    B = csr_from_scratch(g, a)[1]
+    interior, size = np.empty(n), np.empty(n)
+    interior[p] = A @ v[:n][p]
+    size[p] = abs(A) @ np.abs(v[:n][p])
+    gap = np.abs(apply_operator(g, U, v) - (interior + B @ v[n:]))
     u = 2.0 ** -53
     gamma = 10 * u / (1 - 10 * u)
-    bound = 2 * gamma * (abs(A) @ np.abs(v[:n]) + abs(B) @ np.abs(v[n:]))
+    bound = 2 * gamma * (size + abs(B) @ np.abs(v[n:]))
     return bool(np.all(gap <= bound))
 
 
@@ -268,28 +307,36 @@ def test_linearized_residual_is_the_operator_action(disk32, rng):
     assert not r.boundary.any()
 
 
-def ma_jacobian(g):
-    # the Monge-Ampere Jacobian at a convex, non-quadratic potential
+def ma_weights(g):
+    # the stencil weights of the Monge-Ampere Jacobian at a convex,
+    # non-quadratic potential
     x, y = g.points[:, 0], g.points[:, 1]
     u = ScalarField(g, 0.5 * (x**2 + y**2) + 0.1 * x**4 + 0.05 * x * y**3)
-    return assemble_operator(g, cofactor(hessian(u, g), g))[0]
+    return stencil_weights(g, cofactor(hessian(u, g), g))
+
+
+def ma_jacobian(g):
+    # that Jacobian in factor order, as it is factorized
+    return assemble_operator(g, ma_weights(g))
 
 
 def test_ordered_factorization_solves_the_unpermuted_system(disk32,
                                                             ellipse32, rng):
+    # factorize takes the permuted matrix and solves the unpermuted system:
+    # a dense solve of the natural-order reference gives the same solution
     for g in (disk32, ellipse32):
-        A = ma_jacobian(g)
+        A = csr_from_scratch(g, ma_weights(g))[0]
         rhs = rng.normal(size=g.n_interior)
-        x = factorize(A)(rhs)
-        x_nd = factorize(A, g.nd_order)(rhs)
+        x = np.linalg.solve(A.toarray(), rhs)
+        x_nd = factorize(ma_jacobian(g), g.nd_order)(rhs)
         assert np.max(np.abs(x_nd - x)) <= 1e-12 * np.max(np.abs(x))
         # the coupled step's order, each node's two unknowns side by side
         p = g.nd_order
         pairs = np.column_stack([p, p + g.n_interior]).ravel()
         J = sp.bmat([[A, sp.eye(g.n_interior)], [None, A]], format="csc")
         rhs2 = rng.normal(size=2 * g.n_interior)
-        y = factorize(J)(rhs2)
-        y_nd = factorize(J, pairs)(rhs2)
+        y = np.linalg.solve(J.toarray(), rhs2)
+        y_nd = factorize(J[pairs][:, pairs].tocsc(), pairs)(rhs2)
         assert np.max(np.abs(y_nd - y)) <= 1e-12 * np.max(np.abs(y))
 
 
@@ -297,7 +344,7 @@ def test_ordered_factorization_keeps_its_checks(disk32, monkeypatch):
     A = ma_jacobian(disk32).tolil()
     A[5, :] = 0.0
     with pytest.raises(SingularSystemError):
-        factorize(A.tocsr(), disk32.nd_order)
+        factorize(A.tocsc(), disk32.nd_order)
     # no solve meets a tolerance this strict, so the residual check must fire
     monkeypatch.setattr(lin_ma, "LINEAR_TOL", 1e-300)
     solve = factorize(ma_jacobian(disk32), disk32.nd_order)
@@ -315,10 +362,11 @@ def test_nested_dissection_cuts_the_fill(ellipse128, monkeypatch):
         made.append((args, kwargs, real_splu(A, *args, **kwargs)))
         return made[-1][2]
 
-    A = ma_jacobian(ellipse128)
-    colamd = real_splu(A.tocsc())  # SuperLU's default order
+    a = ma_weights(ellipse128)
+    # SuperLU's default order, from the natural order
+    colamd = real_splu(csr_from_scratch(ellipse128, a)[0].tocsc())
     monkeypatch.setattr(spla, "splu", splu)
-    factorize(A, ellipse128.nd_order)
+    factorize(assemble_operator(ellipse128, a), ellipse128.nd_order)
     (_, kw1, nd), = made
     assert kw1 == {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
     assert nd.L.nnz + nd.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
@@ -331,18 +379,15 @@ def test_the_coupled_pattern_is_the_permuted_bmat(grid_name, request):
     # each block holds the positions of its values in the concatenated data
     # (u-weights, d, c-weights, u-weights times w), plus 1.
     g = request.getfixturevalue(grid_name)
-    split = g.cached(lin_ma._operator_split)
     n = g.n_interior
-    size = split.interior.size
-    at = np.flatnonzero(split.interior) + 1
+    size = g.second_ops.cols.size
 
-    def block(values):
-        return sp.csr_matrix((values, split.a_indices, split.a_indptr),
-                             shape=(n, n))
+    def block(offset):
+        return csr_from_scratch(g, positions(g, offset))[0].astype(np.int64)
 
     d = sp.diags(size + 1 + np.arange(n), dtype=np.int64)
-    J = sp.bmat([[block(at), d], [block(size + n + at),
-                                  block(2 * size + n + at)]], format="csc")
+    J = sp.bmat([[block(1), d], [block(size + n + 1),
+                                 block(2 * size + n + 1)]], format="csc")
     pattern = lin_ma._coupled_pattern(g)
     p = g.nd_order
     assert np.array_equal(pattern.order, np.column_stack([p, p + n]).ravel())
@@ -356,7 +401,7 @@ def test_the_coupled_pattern_is_the_permuted_bmat(grid_name, request):
 def test_a_zero_diagonal_still_solves(rng, monkeypatch):
     # Static pivoting keeps every nonzero diagonal pivot; where a diagonal
     # entry is exactly zero SuperLU still exchanges rows, and the solve
-    # meets LINEAR_TOL, with or without an order.
+    # meets LINEAR_TOL, in the lattice order or another.
     made = []
     real_splu = spla.splu
 
@@ -370,8 +415,8 @@ def test_a_zero_diagonal_still_solves(rng, monkeypatch):
                                 [0.0, 1.0, 4.0, 0.0],
                                 [1.0, 0.0, 1.0, 5.0]]))
     rhs = rng.normal(size=4)
-    for order in (None, np.array([2, 0, 3, 1])):
-        x = factorize(A, order)(rhs)
+    for order in (np.arange(4), np.array([2, 0, 3, 1])):
+        x = factorize(A[order][:, order].tocsc(), order)(rhs)
         assert not np.array_equal(made[-1].perm_r, np.arange(4))
         assert np.max(np.abs(A @ x - rhs)) <= (lin_ma.LINEAR_TOL
                                                * np.max(np.abs(rhs)))
@@ -391,11 +436,11 @@ def test_a_tiny_pivot_is_refined_or_refused(pivot, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(spla, "splu", splu)
-    A = sp.csr_matrix(np.array([[pivot, 1.0, 1.0],
+    A = sp.csc_matrix(np.array([[pivot, 1.0, 1.0],
                                 [1.0, 1.0, 0.0],
                                 [1.0, 0.0, 1.0]]))
     rhs = np.array([1.0, 2.0, 3.0])
-    solve = factorize(A)
+    solve = factorize(A, np.arange(3))
     lu, = made
     assert np.array_equal(lu.perm_r, np.arange(3))  # no row was exchanged
     try:
@@ -428,12 +473,13 @@ def test_a_failed_check_refines_before_it_raises(disk32, rng, monkeypatch,
     monkeypatch.setattr(spla, "splu", lambda A, **kw: _InexactLU(
         real_splu(A, **kw), error, made))
     A = ma_jacobian(disk32)
+    p = disk32.nd_order
     rhs = rng.normal(size=disk32.n_interior)
-    solve = factorize(A, disk32.nd_order)
+    solve = factorize(A, p)
     if error < 0.5:
         x = solve(rhs)
-        assert np.max(np.abs(A @ x - rhs)) <= (lin_ma.LINEAR_TOL
-                                               * np.max(np.abs(rhs)))
+        assert np.max(np.abs(A @ x[p] - rhs[p])) <= (lin_ma.LINEAR_TOL
+                                                     * np.max(np.abs(rhs)))
     else:
         with pytest.raises(SingularSystemError,
                            match="relative residual .* exceeds linear_tol"):

@@ -22,7 +22,8 @@ from abreu_bvp import (
 )
 from abreu_bvp import continuation, lin_ma, ma_dirichlet
 from abreu_bvp.exceptions import NewtonDivergenceError
-from abreu_bvp.lin_ma import factorize, solve_system
+from abreu_bvp.lin_ma import (apply_weights, factorize, solve_system,
+                              stencil_weights)
 from abreu_bvp.ma_dirichlet import _initial_guess, damped_newton
 
 
@@ -164,9 +165,11 @@ def test_the_disk_start_is_the_poisson_start(disk32):
                      * np.cos(pts[:, 1]))
     phi = g.boundary_values(lambda x, y: 0.1 * x - 0.2 * y)
     eye = MatrixField(g, np.tile(np.eye(2), (g.n_interior, 1, 1)))
-    A, B = assemble_operator(g, eye)
+    a = stencil_weights(g, eye)
+    rhs = 2.0 * np.sqrt(gv.interior) - apply_weights(
+        g, a, np.concatenate([np.zeros(g.n_interior), phi]))
     poisson = np.concatenate([solve_system(
-        A, 2.0 * np.sqrt(gv.interior) - B @ phi, g.nd_order), phi])
+        assemble_operator(g, a), rhs, g.nd_order), phi])
     assert np.all(is_positive_definite(hessian(ScalarField(g, poisson), g)))
     assert np.array_equal(_initial_guess(g, gv, phi), poisson)
 
@@ -176,6 +179,16 @@ def test_rejects_nonpositive_g(disk32):
         solve_ma(disk32, ScalarField.constant(disk32, 0.0), 0.0)
     with pytest.raises(ValueError):
         solve_ma(disk32, ScalarField.constant(disk32, -1.0), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_dirichlet_data(disk32, bad):
+    # one bad boundary node, or all of them, is refused before any solve
+    phi = np.zeros(disk32.n_boundary)
+    phi[7] = bad
+    for data in (phi, bad):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            solve_ma(disk32, ScalarField.constant(disk32, 1.0), data)
 
 
 def test_newton_budget_exhaustion(disk32):
@@ -251,7 +264,7 @@ def test_failed_chord_step_refactorizes_at_the_same_iterate():
 
     def jacobian(x, state):
         jacobians.append(x[0])
-        return factorize(sp.csc_matrix([[2.0 * x[0]]]))
+        return factorize(sp.csc_matrix([[2.0 * x[0]]]), np.arange(1))
 
     result = damped_newton(np.array([2.0]), residual, jacobian, 1e-12, 30)
     assert result.error is None and abs(result.x[0] - 1.0) < 1e-12

@@ -395,8 +395,12 @@ def test_cached_structure_is_built_once_per_grid_on_first_use(monkeypatch):
         assert g._cache == {counted: first}
 
 
-def test_nd_order_interval_is_none(interval64):
-    assert interval64.nd_order is None
+def test_nd_order_interval_is_the_lattice_order(interval64):
+    # tridiagonal, with no fill: the identity, cached and read-only
+    order = interval64.nd_order
+    assert np.array_equal(order, np.arange(interval64.n_interior))
+    assert np.all(np.diff(interval64.interior_points[:, 0]) > 0.0)
+    assert interval64.nd_order is order and not order.flags.writeable
 
 
 def test_nd_order_top_split_separates_the_stencil(disk64, ellipse128):

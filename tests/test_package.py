@@ -101,3 +101,20 @@ def test_no_function_ignores_a_parameter():
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert sorted(set(ignored) - fixed) == []
+
+
+def test_every_lu_reaches_superlu_through_one_call_unpermuted():
+    # The matrices are built in the order they are factorized in, so the
+    # package calls splu once, in lin_ma.factorize, and converts no sparse
+    # matrix on its way there: no .tocsc(), with its permuted copy.
+    package = Path(abreu_bvp.__file__).resolve().parent
+    calls = {"splu": [], "tocsc": []}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in calls:
+                    calls[name].append(f"{path.stem}:{node.lineno}")
+    assert len(calls["splu"]) == 1 and calls["splu"][0].startswith("lin_ma:")
+    assert calls["tocsc"] == []
