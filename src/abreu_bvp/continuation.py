@@ -75,12 +75,15 @@ class ContinuationOptions:
     ma: MAOptions = field(default_factory=MAOptions)
 
     def __post_init__(self):
-        if self.t_steps < 1:
-            raise ValueError("t_steps must be >= 1")
+        # integers only: NaN fails every comparison, so a NaN t_steps
+        # would pass and its failed steps would never halve
+        if not isinstance(self.t_steps, (int, np.integer)) or self.t_steps < 1:
+            raise ValueError("t_steps must be an integer >= 1")
         if not 0.0 < self.w_floor < np.inf:
             raise ValueError("w_floor must be positive and finite")
-        if self.max_step_halvings < 0:
-            raise ValueError("max_step_halvings must be >= 0")
+        if (not isinstance(self.max_step_halvings, (int, np.integer))
+                or self.max_step_halvings < 0):
+            raise ValueError("max_step_halvings must be an integer >= 0")
         if math.ldexp(1.0 / self.t_steps, -self.max_step_halvings) == 0.0:
             raise ValueError("max_step_halvings leaves no positive step "
                              "floor 1/(t_steps 2^max_step_halvings)")

@@ -14,8 +14,9 @@ grid, on first use (`Grid.cached`), in the order it is factorized in: the
 CSC pattern of the interior operator A permuted by `Grid.nd_order`, which
 `assemble_operator` fills, and, derived from it, that of the coupled
 (u, log w) Newton Jacobian on a 2-d grid, which `factorize_coupled`
-fills.  The matrices own copies of those index arrays, and scipy's
-`eliminate_zeros` drops their exact zeros.
+fills.  Each is listed entry by entry in factor positions and compressed
+to CSC by scipy.  The matrices own copies of those index arrays, and
+scipy's `eliminate_zeros` drops their exact zeros.
 
 `factorize` is the package's one SuperLU call, and every matrix reaches
 it already permuted: the Newton solves reuse its LU across a line search
@@ -64,7 +65,8 @@ class _Pattern(NamedTuple):
 
     (indptr, indices) is the CSC pattern of M[order][:, order], with
     sorted row indices, and `take` gathers its stored values, in that CSC
-    order, from the flat data the matrix is filled from.
+    order, from the flat data the matrix is filled from.  Built by
+    `_compressed` from a list of entries.
     """
 
     indptr: np.ndarray
@@ -73,26 +75,30 @@ class _Pattern(NamedTuple):
     order: np.ndarray
 
 
+def _compressed(rows, cols, take, order) -> _Pattern:
+    """The read-only pattern of the entries (rows[e], cols[e]) in factor
+    positions, entry e gathered from the flat data at take[e].  scipy's
+    COO-to-CSC conversion sorts them by (column, row) and would sum two in
+    one position, so none share one; int32 inputs keep int32 arrays."""
+    size = order.size
+    m = sp.csc_matrix((take, (rows, cols)), shape=(size, size))
+    pattern = _Pattern(m.indptr, m.indices, m.data, order)
+    for arr in pattern:
+        arr.setflags(write=False)  # shared by every matrix on the grid
+    return pattern
+
+
 def _operator_pattern(grid: Grid) -> _Pattern:
     """The pattern of the interior operator A, with order = `Grid.nd_order`:
-    every stencil entry on an interior column, in nested-dissection
-    positions, gathered from the flattened `stencil_weights`."""
+    every stencil entry on an interior column, listed in factor
+    positions and gathered from the flattened `stencil_weights`."""
     cols = grid.second_ops.cols
     n = grid.n_interior
-    # int32 throughout: the cached arrays, and the temporaries that the
-    # build leaves in the resident set, are half the size of int64 ones
     pos = np.empty(n, dtype=np.int32)
     pos[grid.nd_order] = np.arange(n, dtype=np.int32)
     at = np.flatnonzero(cols < n).astype(np.int32)  # interior entries, flat
-    rows = pos[at // cols.shape[1]]
-    col = pos[cols.ravel()[at]]
-    e = np.lexsort((rows, col))  # by (column, row)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
-    pattern = _Pattern(indptr, rows[e], at[e], grid.nd_order)
-    for arr in pattern:
-        arr.setflags(write=False)  # shared by every operator on the grid
-    return pattern
+    return _compressed(pos[at // cols.shape[1]], pos[cols.ravel()[at]], at,
+                       grid.nd_order)
 
 
 def stencil_weights(grid: Grid, U: MatrixField) -> np.ndarray:
@@ -172,40 +178,24 @@ def _coupled_pattern(grid: Grid) -> _Pattern:
     each node's two unknowns side by side: position 2k holds u and 2k + 1
     holds log w at interior node `nd_order[k]`.  `take` gathers from the
     flat concatenation (u-weights, d, c-weights, u-weights times w) of the
-    four blocks' data.  Built from the grid's operator pattern alone,
-    which already holds A's entries in nested-dissection positions, sorted
-    by (column, row).  An entry (i, j) of A puts rows 2i and 2i + 1 (from
-    A and C) in column 2j, and row 2i + 1 (from A diag(w)) in column
-    2j + 1; the one entry of diag(d) in column 2j + 1 is row 2j, just
-    before A's diagonal entry.
+    four blocks' data.  An entry (i, j) of A, in nested-dissection
+    positions, lists the entries (2i, 2j) of A, (2i + 1, 2j) of C and
+    (2i + 1, 2j + 1) of A diag(w); diag(d) adds (2k, 2k + 1), and
+    `_compressed` compresses the list.
     """
     a = grid.cached(_operator_pattern)
     n = grid.n_interior
     size = grid.second_ops.cols.size  # the length of one flat weights array
     p = grid.nd_order
-    rows, at = a.indices, a.take
-    count = np.diff(a.indptr)  # entries per column of A
-    cols = np.repeat(np.arange(n), count)
-    above = np.bincount(cols[rows < cols], minlength=n)  # above its diagonal
-    indptr = np.zeros(2 * n + 1, dtype=np.int64)
-    indptr[1::2] = 2 * count
-    indptr[2::2] = count + 1
-    np.cumsum(indptr, out=indptr)
-    rank = np.arange(rows.size) - a.indptr[cols]  # within its column of A
-    u_at = indptr[2 * cols] + 2 * rank         # column 2j: rows 2i, 2i + 1
-    w_at = indptr[2 * cols + 1] + rank + (rank >= above[cols])
-    d_at = indptr[1:-1:2] + above              # column 2j + 1: row 2j
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    take = np.empty(indptr[-1], dtype=np.int32)
-    indices[u_at], take[u_at] = 2 * rows, at
-    indices[u_at + 1], take[u_at + 1] = 2 * rows + 1, size + n + at
-    indices[w_at], take[w_at] = 2 * rows + 1, 2 * size + n + at
-    indices[d_at], take[d_at] = 2 * np.arange(n), size + p
-    pattern = _Pattern(indptr.astype(np.int32), indices, take,
-                       np.column_stack([p, p + n]).ravel())
-    for arr in pattern:
-        arr.setflags(write=False)  # shared by every Jacobian on the grid
-    return pattern
+    k = np.arange(n, dtype=np.int32)
+    rows = 2 * a.indices
+    cols = 2 * np.repeat(k, np.diff(a.indptr))
+    return _compressed(
+        np.concatenate([rows, rows + 1, rows + 1, 2 * k]),
+        np.concatenate([cols, cols, cols + 1, 2 * k + 1]),
+        np.concatenate([a.take, size + n + a.take, 2 * size + n + a.take,
+                        (size + p).astype(np.int32)]),
+        np.column_stack([p, p + n]).ravel())
 
 
 def _coupled_jacobian(grid: Grid, a_weights, d, c_weights, w):

@@ -46,8 +46,9 @@ class MAOptions:
     def __post_init__(self):
         if not 0.0 < self.newton_tol < np.inf:
             raise ValueError("newton_tol must be positive and finite")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
+        if (not isinstance(self.max_newton_iters, (int, np.integer))
+                or self.max_newton_iters < 1):
+            raise ValueError("max_newton_iters must be an integer >= 1")
 
 
 def _check_g(g: ScalarField):

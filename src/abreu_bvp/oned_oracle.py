@@ -37,10 +37,13 @@ class OneDProblem:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError("interval must satisfy a < b")
         object.__setattr__(self, "interval", (a, b))
-        object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
+        phi = tuple(float(v) for v in self.phi)
+        if len(phi) != 2 or not all(map(math.isfinite, phi)):
+            raise ValueError("phi must be two finite endpoint values")
+        object.__setattr__(self, "phi", phi)
         psi = tuple(float(v) for v in self.psi)
-        if len(psi) != 2 or min(psi) <= 0.0:
-            raise ValueError("psi endpoint values must be positive")
+        if len(psi) != 2 or not all(0.0 < v < math.inf for v in psi):
+            raise ValueError("psi must be two positive finite endpoint values")
         object.__setattr__(self, "psi", psi)
         GSpec(self.theta, 1)  # validates theta in [0, 1)
 

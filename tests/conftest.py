@@ -10,6 +10,11 @@ def disk32():
 
 
 @pytest.fixture(scope="session")
+def disk33():
+    return build_grid(DomainSpec.disk(1.0), 33)
+
+
+@pytest.fixture(scope="session")
 def disk64():
     return build_grid(DomainSpec.disk(1.0), 64)
 

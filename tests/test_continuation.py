@@ -917,6 +917,14 @@ def test_options_validation():
         ContinuationOptions(max_step_halvings=2000)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5])
+@pytest.mark.parametrize("name", ["t_steps", "max_step_halvings"])
+def test_step_counts_must_be_integers(name, bad):
+    # A NaN t_steps made every retry a step to t = 1 that never halved
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ContinuationOptions(**{name: bad})
+
+
 def test_a_deep_step_floor_still_solves(disk32):
     # 2^-1023 is below the least normal double, but the floor is positive
     opts = ContinuationOptions(max_step_halvings=1023)

@@ -246,7 +246,8 @@ def positions(g, offset=1):
                      dtype=float).reshape(cols.shape)
 
 
-@pytest.mark.parametrize("grid_name", ["interval64", "disk32", "ellipse64"])
+@pytest.mark.parametrize("grid_name",
+                         ["interval64", "disk32", "disk33", "ellipse64"])
 def test_the_operator_pattern_is_the_permuted_reference(grid_name, request):
     # entry for entry: the pattern, and the flat position each stored
     # value is gathered from, are those of the natural-order reference
@@ -372,12 +373,14 @@ def test_nested_dissection_cuts_the_fill(ellipse128, monkeypatch):
     assert nd.L.nnz + nd.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
 
 
-@pytest.mark.parametrize("grid_name", ["disk32", "ellipse64"])
+@pytest.mark.parametrize("grid_name",
+                         ["disk32", "disk33", "ellipse64", "ellipse128"])
 def test_the_coupled_pattern_is_the_permuted_bmat(grid_name, request):
     # The pattern built in factor order equals, entry for entry, the
     # sp.bmat layout of [[A, diag(d)], [C, A diag(w)]] permuted by `order`:
     # each block holds the positions of its values in the concatenated data
-    # (u-weights, d, c-weights, u-weights times w), plus 1.
+    # (u-weights, d, c-weights, u-weights times w), plus 1.  Entry for
+    # entry, so scipy's summing of duplicates merged no two entries.
     g = request.getfixturevalue(grid_name)
     n = g.n_interior
     size = g.second_ops.cols.size
@@ -396,6 +399,8 @@ def test_the_coupled_pattern_is_the_permuted_bmat(grid_name, request):
     assert np.array_equal(pattern.indptr, ref.indptr)
     assert np.array_equal(pattern.indices, ref.indices)
     assert np.array_equal(pattern.take, ref.data - 1)
+    assert all(arr.flags.writeable is False for arr in pattern)
+    assert {arr.dtype for arr in pattern[:3]} == {np.dtype(np.int32)}
 
 
 def test_a_zero_diagonal_still_solves(rng, monkeypatch):

@@ -279,3 +279,9 @@ def test_options_validation():
             MAOptions(newton_tol=bad)
     with pytest.raises(ValueError):
         MAOptions(max_newton_iters=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5])
+def test_the_newton_iteration_count_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="max_newton_iters must be an integer"):
+        MAOptions(max_newton_iters=bad)

@@ -95,6 +95,22 @@ def test_problem_validation():
         solve_exact_1d(OneDProblem((0.0, 1.0), 0.0, 0.0), resolution=3)
 
 
+@pytest.mark.parametrize("phi", [(0.0,), (0.0, 1.0, 2.0), (np.nan, 0.0),
+                                 (0.0, np.inf)])
+def test_phi_must_be_two_finite_values(phi):
+    # one value passed before, and solve_exact_1d then raised IndexError
+    with pytest.raises(ValueError, match="phi"):
+        OneDProblem((0.0, 1.0), 0.0, 1.0, phi=phi)
+
+
+@pytest.mark.parametrize("psi", [(np.nan, 1.0), (1.0, np.inf), (1.0,),
+                                 (-1.0, 1.0)])
+def test_psi_must_be_two_positive_finite_values(psi):
+    # min(psi) <= 0 is false for NaN, so a NaN psi passed before
+    with pytest.raises(ValueError, match="psi"):
+        OneDProblem((0.0, 1.0), 0.0, 1.0, psi=psi)
+
+
 def test_asymmetric_psi_tilts_the_minimum():
     sol = solve_exact_1d(OneDProblem((0.0, 1.0), 0.0, 4.0, psi=(1.0, 3.0)),
                          resolution=2001)
