@@ -27,12 +27,14 @@ of iterative refinement with the same LU before it raises.  Every LU keeps
 the factor order its pattern was built in, with no column ordering of
 SuperLU's own: on a 2-d grid the grid's nested-dissection order
 (`Grid.nd_order`, interleaved per node for the coupled system), which
-leaves 30-50 % less LU fill than COLAMD, SuperLU's default, on the
-9-point stencil; on an interval `nd_order` is the lattice order, which is
-tridiagonal and has no fill.  The pivots are static: SuperLU keeps every
-nonzero diagonal entry as its pivot and exchanges a row only where the
-diagonal is exactly zero, so the rows stay in the order the columns were
-given and the nested-dissection fill holds.  A small pivot that costs
+leaves less LU fill than COLAMD, SuperLU's default, on the 9-point
+stencil: on the Monge-Ampere Jacobian of a disk or an ellipse 20 % less
+at resolution 32, 42 % at 64, 48 % at 128 and 56 % at 256; on an
+interval `nd_order` is the lattice order, which is tridiagonal and has no
+fill.  The pivots are static: SuperLU keeps every nonzero diagonal entry
+as its pivot and exchanges a row only where the diagonal is exactly zero,
+so the rows stay in the order the columns were given and the
+nested-dissection fill holds.  A small pivot that costs
 accuracy is caught by the residual check, and the refinement recovers it
 or the solve raises (static pivoting with iterative refinement, Li and
 Demmel, SuperLU_DIST, ACM TOMS 29(2), 2003).  SuperLU's default partial

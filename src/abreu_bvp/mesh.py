@@ -356,13 +356,15 @@ class Grid:
         """A nested-dissection order of the interior nodes, built once.
 
         A read-only permutation of range(n_interior) for sparse
-        factorizations: each region of the lattice is cut at the middle
-        lattice line across its longer extent, and the nodes of the two
-        halves come first, then the nodes on the cut (George 1973).  The
-        stencil only reaches neighbouring lattice nodes, so no stencil
-        column joins the two halves.  Regions of at most _ND_LEAF nodes
-        keep lattice order.  On an interval it is the identity: the lattice
-        order is tridiagonal and has no fill.
+        factorizations, from the bisection of a lattice box that starts at
+        the bounding box of the interior nodes: each box is cut at the
+        middle lattice line across its longer extent (along i on a tie),
+        and the nodes of the two halves come first, then the nodes on the
+        cut (George 1973).  The stencil only reaches neighbouring lattice
+        nodes, so no stencil column joins the two halves.  Boxes of at
+        most _ND_LEAF lattice points are leaves, and the nodes of a leaf or
+        a cut keep lattice order.  On an interval it is the identity: the
+        lattice order is tridiagonal and has no fill.
         """
         return self.cached(_nested_dissection)
 
@@ -679,35 +681,59 @@ def _build_second_ops(cols, arm_dist, hx, hy) -> SecondOps:
     return ops
 
 
-# Regions of at most this many nodes end the nested dissection.
-_ND_LEAF = 32
+# Boxes of at most this many lattice points are the leaves of the nested
+# dissection; their nodes keep lattice order.
+_ND_LEAF = 8
 
 
 def _nested_dissection(grid: Grid) -> np.ndarray:
+    """`Grid.nd_order`: every interior node descends the bisection of its
+    lattice box, one level at a time, for all nodes at once.
+
+    Each level appends one base-3 digit to a node's key: 0 below the cut of
+    its box, 1 above it, 2 on it.  A node on a cut, or in a leaf box,
+    stops and appends 0 from then on, so one stable sort of the keys lists
+    both halves of every box before its cut, and keeps lattice order
+    inside each leaf and each cut.  Each level at least halves the lattice
+    points of a box, so an int64 key (39 digits) holds the order of any
+    lattice of fewer than 2^41 points.
+    """
     order = np.arange(grid.n_interior)
     if grid.dim == 1:
         order.setflags(write=False)
         return order
     a, b = grid.domain.semi_axes
     ij = np.rint((grid.interior_points + (a, b)) / (grid.hx, grid.hy))
-    ij = ij.astype(np.int64)
-    parts = []
-
-    def dissect(nodes):
-        if nodes.size <= _ND_LEAF:
-            parts.append(nodes)
-            return
-        sub = ij[nodes]
-        lo, hi = sub.min(axis=0), sub.max(axis=0)
-        axis = int(np.argmax(hi - lo))
-        line = sub[:, axis]
-        mid = (lo[axis] + hi[axis]) // 2
-        dissect(nodes[line < mid])
-        dissect(nodes[line > mid])
-        parts.append(nodes[line == mid])
-
-    dissect(order)
-    order = np.concatenate(parts)
+    i, j = ij.astype(np.int64).T
+    # The boxes of one level, rows (lo_i, lo_j, hi_i, hi_j); row 0 is empty
+    # and holds the nodes that have stopped.
+    boxes = np.array([[0, 0, -1, -1], [i.min(), j.min(), i.max(), j.max()]])
+    at = np.ones(order.size, dtype=np.int64)  # each node's box
+    key = np.zeros(order.size, dtype=np.int64)
+    while True:
+        ext = boxes[:, 2:] - boxes[:, :2]
+        cut = np.flatnonzero((ext[:, 0] + 1) * (ext[:, 1] + 1) > _ND_LEAF)
+        if not cut.size:
+            break
+        # The middle lattice line across the longer extent, along i on a
+        # tie; a box that is not cut sends its nodes to row 0 with digit 0.
+        along_j = ext[:, 1] > ext[:, 0]
+        axis = along_j[cut].astype(np.int64)
+        mid = np.full(len(boxes), np.iinfo(np.int64).max)
+        mid[cut] = (boxes[cut, axis] + boxes[cut, 2 + axis]) // 2
+        line, m = np.where(along_j[at], j, i), mid[at]
+        digit = (line > m) + 2 * (line == m)
+        key = 3 * key + digit
+        # The halves of the k-th cut box are the next level's rows 2k + 1
+        # and 2k + 2.
+        halves = np.arange(1, 2 * cut.size + 1).reshape(-1, 2)
+        child = np.zeros((len(boxes), 3), dtype=np.int64)
+        child[cut, :2] = halves
+        at = child[at, digit]
+        boxes = np.concatenate([boxes[:1], np.repeat(boxes[cut], 2, axis=0)])
+        boxes[halves[:, 0], 2 + axis] = mid[cut] - 1
+        boxes[halves[:, 1], axis] = mid[cut] + 1
+    order = np.argsort(key, kind="stable")
     order.setflags(write=False)
     return order
 
@@ -785,9 +811,13 @@ def level_bubble(grid: Grid) -> np.ndarray:
 
 
 def is_positive_definite(H: MatrixField) -> np.ndarray:
-    """Per-node positive definiteness flags (symmetric 1x1 or 2x2 data)."""
+    """Per-node positive definiteness flags (symmetric 1x1 or 2x2 data).
+
+    Where the determinant is positive the diagonal entries share one sign,
+    so the first one stands for the trace.
+    """
     d = H.data
-    return (sym_det(d) > 0.0) & (np.trace(d, axis1=1, axis2=2) > 0.0)
+    return (sym_det(d) > 0.0) & (d[:, 0, 0] > 0.0)
 
 
 def boundary_normal_derivative(u: ScalarField, grid: Grid = None) -> np.ndarray:

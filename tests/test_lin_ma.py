@@ -373,6 +373,41 @@ def test_nested_dissection_cuts_the_fill(ellipse128, monkeypatch):
     assert nd.L.nnz + nd.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
 
 
+def lu_fill(factor, monkeypatch):
+    # the L + U entries of the one LU that factor() makes
+    made = []
+    real_splu = spla.splu
+
+    def splu(A, *args, **kwargs):
+        made.append(real_splu(A, *args, **kwargs))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(spla, "splu", splu)
+        factor()
+    (lu,) = made
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_the_fill_of_the_nested_dissection_stays_pinned(ellipse128,
+                                                        monkeypatch):
+    # L + U entries of the operator LU on the MA Jacobian and of the
+    # coupled LU, at most 0.5 % above those of the order with leaf boxes
+    # of 8 lattice points, so an order that adds fill fails here.
+    disk48 = build_grid(DomainSpec.disk(1.0), 48)
+    for g, measured in ((ellipse128, 839_568), (disk48, 78_430)):
+        fill = lu_fill(lambda: factorize(ma_jacobian(g), g.nd_order),
+                       monkeypatch)
+        assert fill <= 1.005 * measured
+    disk24 = build_grid(DomainSpec.disk(1.0), 24)
+    x = disk24.points[:, 0]
+    fill = lu_fill(lambda: lin_ma.factorize_coupled(
+        disk24, ma_weights(disk24), np.ones(disk24.n_interior),
+        stencil_weights(disk24, convex_cofactor(disk24)), 1.0 + x**2),
+        monkeypatch)
+    assert fill <= 1.005 * 47_700
+
+
 @pytest.mark.parametrize("grid_name",
                          ["disk32", "disk33", "ellipse64", "ellipse128"])
 def test_the_coupled_pattern_is_the_permuted_bmat(grid_name, request):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from scipy.special import ellipe
@@ -5,6 +7,7 @@ from scipy.special import ellipe
 from abreu_bvp import (
     DomainSpec,
     GSpec,
+    MatrixField,
     Problem,
     ScalarField,
     boundary_normal_derivative,
@@ -213,6 +216,27 @@ def test_det_cofactor_and_convexity(disk32):
     assert not np.any(is_positive_definite(hessian(saddle, g)))
 
 
+def test_positive_definite_flags_are_the_trace_test(interval64, disk32, rng):
+    # Where det > 0 the diagonal entries share one sign, so the first
+    # stands for the trace: the flags equal det > 0 and trace > 0 on
+    # symmetric data with zero, negative, NaN and det = 0 entries mixed in.
+    values = np.array([0.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, np.nan])
+    for g in (interval64, disk32):
+        k = g.dim
+        data = rng.choice(values, size=(g.n_interior, k, k))
+        data = np.triu(data) + np.triu(data, 1).transpose(0, 2, 1)
+        if k == 2:
+            singular = rng.random(g.n_interior) < 0.2  # [[a, b], [b, b^2/a]]
+            data[singular, 0, 0] = rng.choice([-2.0, 2.0], singular.sum())
+            data[singular, 0, 1] = data[singular, 1, 0] = 2.0
+            data[singular, 1, 1] = 4.0 / data[singular, 0, 0]
+        flags = is_positive_definite(MatrixField(g, data))
+        trace = (mesh.sym_det(data) > 0.0) & (
+            np.trace(data, axis1=1, axis2=2) > 0.0)
+        assert np.array_equal(flags, trace)
+        assert 0 < flags.sum() < g.n_interior
+
+
 # ------------------------------------------------------------- quadrature
 
 def test_interior_quadrature_disk_moments(disk128):
@@ -395,12 +419,54 @@ def test_cached_structure_is_built_once_per_grid_on_first_use(monkeypatch):
         assert g._cache == {counted: first}
 
 
+def test_nd_order_leaves_no_reference_cycle():
+    # The order is built without a recursive closure, so with the cyclic
+    # collector off a fresh grid and its order are freed by reference
+    # counting alone.
+    gc.collect()
+    gc.disable()
+    try:
+        for domain in (DomainSpec.disk(1.0), DomainSpec.ellipse(1.5, 0.75)):
+            g = build_grid(domain, 32)
+            g.nd_order
+            del g
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_nd_order_interval_is_the_lattice_order(interval64):
     # tridiagonal, with no fill: the identity, cached and read-only
     order = interval64.nd_order
     assert np.array_equal(order, np.arange(interval64.n_interior))
     assert np.all(np.diff(interval64.interior_points[:, 0]) > 0.0)
     assert interval64.nd_order is order and not order.flags.writeable
+
+
+def box_bisection(ij, lo, hi, nodes):
+    # The order nd_order stands for, by plain recursion: a box of more
+    # than _ND_LEAF lattice points is cut at the middle line across its
+    # longer extent (along i on a tie); both halves, then the cut.
+    if np.prod(hi - lo + 1) <= mesh._ND_LEAF:
+        return [nodes]
+    axis = int(np.argmax(hi - lo))
+    mid = (lo[axis] + hi[axis]) // 2
+    line = ij[nodes, axis]
+    below, above = hi.copy(), lo.copy()
+    below[axis], above[axis] = mid - 1, mid + 1
+    return (box_bisection(ij, lo, below, nodes[line < mid])
+            + box_bisection(ij, above, hi, nodes[line > mid])
+            + [nodes[line == mid]])
+
+
+@pytest.mark.parametrize("grid_name", ["disk32", "disk33", "ellipse64"])
+def test_nd_order_is_the_recursive_box_bisection(grid_name, request):
+    g = request.getfixturevalue(grid_name)
+    a, b = g.domain.semi_axes
+    ij = np.rint((g.interior_points + (a, b)) / (g.hx, g.hy)).astype(int)
+    parts = box_bisection(ij, ij.min(axis=0), ij.max(axis=0),
+                          np.arange(g.n_interior))
+    assert np.array_equal(g.nd_order, np.concatenate(parts))
 
 
 def test_nd_order_top_split_separates_the_stencil(disk64, ellipse128):
