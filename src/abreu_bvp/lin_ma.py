@@ -286,9 +286,15 @@ def factorize(P, order):
 
 
 def solve_system(P, rhs, order):
-    """Solve the assembled interior system once, with residual verification:
-    `factorize(P, order)(rhs)`."""
-    return factorize(P, order)(rhs)
+    """Solve the assembled interior system once, with residual verification.
+
+    `factorize(P, order)` and one solve; returns the solution together with
+    the checked solve, which keeps the LU alive.  `solve_linearized` keeps
+    only the solution; `ma_dirichlet`'s start hands the solve on to Newton
+    as its first chord Jacobian.
+    """
+    solve = factorize(P, order)
+    return solve(rhs), solve
 
 
 def solve_linearized(grid: Grid, U: MatrixField, f: ScalarField,
@@ -301,7 +307,7 @@ def solve_linearized(grid: Grid, U: MatrixField, f: ScalarField,
     a = stencil_weights(grid, U)
     rhs = f.interior - apply_weights(
         grid, a, np.concatenate([np.zeros(grid.n_interior), w_b]))
-    w_int = solve_system(assemble_operator(grid, a), rhs, grid.nd_order)
+    w_int = solve_system(assemble_operator(grid, a), rhs, grid.nd_order)[0]
     return ScalarField(grid, np.concatenate([w_int, w_b]))
 
 

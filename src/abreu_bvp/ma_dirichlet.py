@@ -9,18 +9,23 @@ level-function bubble where needed.  det M = 1, so by AM-GM
 tr(M H) >= n (det H)^{1/n}, with equality exactly when H is a multiple of
 M^{-1}, the Hessian of the domain's level quadratic: for constant g and
 affine phi the start is already the discrete solution, as it is for any g
-in one dimension.  Iterates stay discretely convex (positive definite
-Hessian at every interior node): a nonconvex trial has infinite residual,
-which the line search rejects.
+in one dimension.  At that equality the cofactor of H is g^{(n-1)/n} M,
+so the start's LU, its rows scaled by g^{(n-1)/n}, is also a chord
+Jacobian: Newton starts with chord steps on it, and an MA solve whose
+start contracts makes that one LU and no other.  Iterates stay discretely
+convex (positive definite Hessian at every interior node): a nonconvex
+trial has infinite residual, which the line search rejects.
 
 `damped_newton`, the package's one damped Newton, also drives the coupled
 step of the continuation.  It reuses its LU across chord steps as well as
 across a line search (Deuflhard's NLEQ-ERR): a full step whose simplified
 step contracts by THETA_MAX or better makes that simplified step the next
 iteration, with no new Jacobian or factorization.  A chord step is never
-damped; when one fails, Newton refactorizes at the same iterate.  It
-hands back, with the solution, what the continuation's predictor and step
-controller read: the live LU's checked solve and the first contraction.
+damped; when one fails, Newton refactorizes at the same iterate.  A
+caller may hand over a checked solve it already has for the first chord
+step (`solve_ma` does; the continuation does not).  It hands back, with
+the solution, what the continuation's predictor and step controller
+read: the live LU's checked solve and the first contraction.
 """
 
 from __future__ import annotations
@@ -71,7 +76,8 @@ def _shape_coeffs(grid: Grid) -> MatrixField:
     return MatrixField(grid, np.broadcast_to(m, (grid.n_interior,) + m.shape))
 
 
-def _initial_guess(grid: Grid, g: ScalarField, phi_b) -> np.ndarray:
+def _initial_guess(grid: Grid, g: ScalarField, phi_b):
+    """The start u0 and the checked solve of M : D^2 that made it."""
     n = grid.dim
     # M : D^2 u0 = n g^{1/n} with det M = 1.  By AM-GM,
     # tr(M H) >= n (det H)^{1/n}, with equality exactly when H is a
@@ -80,7 +86,8 @@ def _initial_guess(grid: Grid, g: ScalarField, phi_b) -> np.ndarray:
     a = stencil_weights(grid, _shape_coeffs(grid))
     rhs = n * g.interior ** (1.0 / n) - apply_weights(
         grid, a, np.concatenate([np.zeros(grid.n_interior), phi_b]))
-    u_int = solve_system(assemble_operator(grid, a), rhs, grid.nd_order)
+    u_int, solve = solve_system(assemble_operator(grid, a), rhs,
+                                grid.nd_order)
     u = np.concatenate([u_int, phi_b])
 
     bubble = level_bubble(grid)
@@ -89,7 +96,7 @@ def _initial_guess(grid: Grid, g: ScalarField, phi_b) -> np.ndarray:
     for _ in range(60):
         H, _ = _interior_det(grid, u)
         if np.all(is_positive_definite(H)):
-            return u
+            return u, solve
         u = u + eps * bubble
         eps *= 2.0
     raise ConvexityLossError("could not construct a convex initial guess")
@@ -118,7 +125,8 @@ class NewtonResult(NamedTuple):
     contraction: float | None  # Theta_0 at the first trial
 
 
-def damped_newton(x, residual, jacobian, tol, max_iters, start=None):
+def damped_newton(x, residual, jacobian, tol, max_iters, start=None,
+                  solve=None):
     """Damped Newton for F(x) = 0 from x, until the scaled residual <= tol.
 
     `residual(x)` returns (r, F, state): the scaled residual norm (inf
@@ -134,22 +142,35 @@ def damped_newton(x, residual, jacobian, tol, max_iters, start=None):
     iteration: a chord step with the live LU, so no Jacobian and no
     factorization (Deuflhard's NLEQ-ERR).  A chord step is never damped:
     if it fails the test, Newton refactorizes at the same iterate and
-    takes a Newton step.
+    takes a Newton step.  `solve` is a checked solve of an approximate
+    Jacobian at x that the caller already has: when the residual at x is
+    above tol, the first iteration is the chord step solve(-F) on it,
+    taken and tested as any chord step, and chord steps go on with it
+    while they contract by THETA_MAX.  If that first chord step is refused,
+    or its checked solve raises SingularSystemError, Newton refactorizes
+    at x and runs from there as it would have without `solve`.
 
     Returns a `NewtonResult`.  Its steps do not count a failed chord
     trial, and its error is None or the SolverError that stopped Newton
     short: no trial above _DAMPING_MIN, max_iters steps, or a linear solve
     failing its check.  Its solve is the live LU's checked solve when
-    Newton converged after a factorization, for the caller to use once
-    more and drop; else None.  Its contraction is Deuflhard's first
-    contraction Theta_0 = |simplified step| / |step| at the first trial,
-    the full first Newton step: inf when that trial is rejected outright,
-    None when no trial ran.
+    Newton converged, for the caller to use once more and drop: the given
+    `solve` when Newton made no factorization, else the last one's; None
+    on an error.  Its contraction is Deuflhard's first contraction
+    Theta_0 = |simplified step| / |step| at the first trial: the full
+    first Newton step, or the chord step on the given `solve` when there
+    is one; inf when that trial is rejected outright, None when no trial
+    ran.
     """
     r, F, state = residual(x) if start is None else start
     trace = [{"iter": 0, "residual": r}]
     steps = factorizations = 0
-    error = solve = chord = contraction = None
+    error = chord = contraction = None
+    if solve is not None and r > tol:
+        try:
+            chord = solve(-F)
+        except SingularSystemError:
+            pass  # refused: the first iteration factorizes at x
     try:
         while r > tol and steps < max_iters:
             newton = chord is None
@@ -169,7 +190,13 @@ def damped_newton(x, residual, jacobian, tol, max_iters, start=None):
                 accepted = trial[0] <= tol
                 first = contraction is None
                 if trial[0] < np.inf and (first or not accepted):
-                    simplified = solve(-trial[1])
+                    try:
+                        simplified = solve(-trial[1])
+                    except SingularSystemError:
+                        if factorizations:
+                            raise
+                        accepted = False  # the given solve failed
+                        break
                     size = float(np.max(np.abs(simplified)))
                     if first:
                         contraction = size / norm
@@ -202,10 +229,21 @@ def damped_newton(x, residual, jacobian, tol, max_iters, start=None):
                         solve if error is None else None, contraction)
 
 
+def _rows_divided(solve, scale):
+    """The checked solve of diag(scale) A, from `solve` of A."""
+    return lambda rhs: solve(rhs / scale)
+
+
 def solve_ma(grid: Grid, g: ScalarField, phi_b,
              opts: MAOptions = None) -> ScalarField:
     """Solve det D^2 u = g, u = phi_b on the boundary, u discretely convex,
     by Newton from `_initial_guess` (exact for constant g and affine phi_b).
+
+    Newton's first steps are chord steps on the start's LU, with the
+    right-hand side divided row-wise by g^{(n-1)/n}; while they contract
+    by THETA_MAX the solve makes no other LU.  When the first is refused,
+    Newton factorizes at the start and runs from there as it would have
+    with no chord step.
     """
     opts = opts or MAOptions()
     _check_g(g)
@@ -224,13 +262,23 @@ def solve_ma(grid: Grid, g: ScalarField, phi_b,
         J = assemble_operator(grid, stencil_weights(grid, cofactor(H, grid)))
         return factorize(J, grid.nd_order)
 
-    x = _initial_guess(grid, g, phi_b)[: grid.n_interior]
+    u, solve = _initial_guess(grid, g, phi_b)
+    x = u[: grid.n_interior]
+    # Where D^2 u0 = g^{1/n} M^{-1}, the AM-GM equality the start is built
+    # on, its cofactor is g^{(n-1)/n} M, as det M = 1: the Jacobian there is
+    # M : D^2 with its rows scaled by g^{(n-1)/n}.  So the start's LU, with
+    # the right-hand side divided by that, is Newton's first chord
+    # Jacobian.  It is handed over from a list, so that no name here keeps
+    # it and a refactorization frees it first.
+    chord = [_rows_divided(solve, g.interior ** ((grid.dim - 1) / grid.dim))]
+    del solve
 
     # The convergence test scales with the data: the discrete determinant
     # carries rounding noise proportional to its own size, so an absolute
     # sup-norm target is unreachable when g is large.
     tol = opts.newton_tol * max(1.0, float(np.max(np.abs(g.interior))))
-    result = damped_newton(x, residual, jacobian, tol, opts.max_newton_iters)
+    result = damped_newton(x, residual, jacobian, tol, opts.max_newton_iters,
+                           solve=chord.pop())
     x, error = result.x, result.error
     # Free the LU before the solution's array is made: made while the LU
     # lives, the array lands above it in the heap, and the peak RSS of a

@@ -21,7 +21,7 @@ from abreu_bvp import (
     solve_second_bvp,
 )
 from abreu_bvp import continuation, lin_ma, ma_dirichlet
-from abreu_bvp.exceptions import NewtonDivergenceError
+from abreu_bvp.exceptions import NewtonDivergenceError, SingularSystemError
 from abreu_bvp.lin_ma import (apply_weights, factorize, solve_system,
                               stencil_weights)
 from abreu_bvp.ma_dirichlet import _initial_guess, damped_newton
@@ -121,15 +121,39 @@ def test_the_ellipse_start_solves_constant_g(ellipse64, factorizations):
                                      * level))) < 1e-13
 
 
-def test_the_ellipse_start_saves_a_newton_lu(ellipse64, factorizations):
-    # Varying g: the start's LU and one Newton LU, then chord steps.
-    g = ellipse64
+@pytest.mark.parametrize("grid, a, b", [("ellipse64", 1.0, 0.5)] + [
+    ("ellipse128", a, b) for a in (0.9, 1.1) for b in (0.45, 0.55)])
+def test_the_ellipse_starts_lu_is_the_only_lu(grid, a, b, factorizations,
+                                              request):
+    # Varying g = 1 + a x^2 + b y^2, at 128 on the corners of the ellipse
+    # benchmark's draw: the start's LU, its rows scaled by sqrt(g), serves
+    # every Newton step as a chord Jacobian; Newton makes no LU of its own.
+    g = request.getfixturevalue(grid)
     x, y = g.points[:, 0], g.points[:, 1]
-    gv = ScalarField(g, 1.0 + x**2 + y**2 / 2.0)
+    gv = ScalarField(g, 1.0 + a * x**2 + b * y**2)
     u = solve_ma(g, gv, 0.0)
-    assert len(factorizations) == 2
+    assert len(factorizations) == 1
     assert (np.max(np.abs(ma_residual(g, u, gv).values))
             <= MAOptions().newton_tol * np.max(gv.interior))
+
+
+def test_the_start_chord_contracts_at_once(ellipse64, monkeypatch):
+    # Theta_0 of the first chord step is about 0.05; with the start's LU
+    # unscaled by sqrt(g) the chord step is refused.
+    results = []
+    real = ma_dirichlet.damped_newton
+
+    def damped_newton(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ma_dirichlet, "damped_newton", damped_newton)
+    g = ellipse64
+    x, y = g.points[:, 0], g.points[:, 1]
+    solve_ma(g, ScalarField(g, 1.0 + 0.5 * np.exp(x) * (1.0 + y**2)), 0.0)
+    (result,) = results
+    assert result.factorizations == 0
+    assert result.contraction <= 0.1
 
 
 @pytest.mark.parametrize("domain", [DomainSpec.disk(1.0),
@@ -169,9 +193,9 @@ def test_the_disk_start_is_the_poisson_start(disk32):
     rhs = 2.0 * np.sqrt(gv.interior) - apply_weights(
         g, a, np.concatenate([np.zeros(g.n_interior), phi]))
     poisson = np.concatenate([solve_system(
-        assemble_operator(g, a), rhs, g.nd_order), phi])
+        assemble_operator(g, a), rhs, g.nd_order)[0], phi])
     assert np.all(is_positive_definite(hessian(ScalarField(g, poisson), g)))
-    assert np.array_equal(_initial_guess(g, gv, phi), poisson)
+    assert np.array_equal(_initial_guess(g, gv, phi)[0], poisson)
 
 
 def test_rejects_nonpositive_g(disk32):
@@ -271,6 +295,67 @@ def test_failed_chord_step_refactorizes_at_the_same_iterate():
     assert walled == [pytest.approx(1.25 - 0.5625 / 4.0)]
     assert jacobians[:2] == [2.0, 1.25]
     assert result.factorizations == len(jacobians) < result.steps
+
+
+def _square_minus_one(x):
+    F = x**2 - 1.0
+    return float(np.max(np.abs(F))), F, None
+
+
+def _square_jacobian(made):
+    def jacobian(x, state):
+        made.append(x[0])
+        return factorize(sp.csc_matrix([[2.0 * x[0]]]), np.arange(1))
+    return jacobian
+
+
+def test_a_good_start_solve_needs_no_factorization():
+    # F(x) = x^2 - 1 from x = 1.5 with the Jacobian at the root, 2: every
+    # step is a chord step on it, and the error squares (e -> -e^2 / 2).
+    made = []
+    solve = factorize(sp.csc_matrix([[2.0]]), np.arange(1))
+    result = damped_newton(np.array([1.5]), _square_minus_one,
+                           _square_jacobian(made), 1e-12, 30, solve=solve)
+    assert result.error is None and abs(result.x[0] - 1.0) < 1e-12
+    assert made == [] and result.factorizations == 0 and result.steps == 5
+    # Theta_0 is the first chord step's: |F(0.875)| / 2 over 0.625
+    assert result.contraction == pytest.approx(0.1875)
+    assert result.solve is solve
+
+
+class _FailsAtCall:
+    """A checked solve of [[2]] that raises on its n-th call."""
+
+    def __init__(self, n):
+        self.n, self.calls = n, 0
+        self.solve = factorize(sp.csc_matrix([[2.0]]), np.arange(1))
+
+    def __call__(self, rhs):
+        self.calls += 1
+        if self.calls == self.n:
+            raise SingularSystemError("injected")
+        return self.solve(rhs)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: lambda rhs: 10.0 * rhs / 4.0,
+    lambda: _FailsAtCall(1), lambda: _FailsAtCall(2)],
+    ids=["scaled-by-10", "raises-at-the-step", "raises-at-the-test"])
+def test_a_refused_start_solve_leaves_newton_as_it_was(bad):
+    # From x = 2 a start solve ten times too long is refused by the
+    # monotonicity test, and one whose check fails counts as refused: then
+    # Newton factorizes at x = 2 and runs as it does with no start solve.
+    plain, started = [], []
+    ref = damped_newton(np.array([2.0]), _square_minus_one,
+                        _square_jacobian(plain), 1e-12, 30)
+    result = damped_newton(np.array([2.0]), _square_minus_one,
+                           _square_jacobian(started), 1e-12, 30,
+                           solve=bad())
+    assert result.error is None and ref.error is None
+    assert np.array_equal(result.x, ref.x) and result.r == ref.r
+    assert (result.steps, result.factorizations) == (ref.steps,
+                                                     ref.factorizations)
+    assert started == plain and started[0] == 2.0
 
 
 def test_options_validation():
